@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.bench.reporting import ShapeCheck, format_table, print_report
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.expressions import col
 from repro.engine.join import HashJoin, NestedLoopJoin
@@ -32,7 +33,7 @@ RANGE_QUERIES = 50
 @pytest.mark.benchmark(group="ablation-engine")
 def test_engine_mechanics(benchmark):
     rng = np.random.default_rng(8)
-    db = Database("mech", pool_pages=200_000)
+    db = Database("mech", config=EngineConfig(pool_pages=200_000))
     db.create_table(
         "galaxy",
         {
@@ -91,7 +92,7 @@ def test_engine_mechanics(benchmark):
 
     # ------------------------------------------------ buffer pool size
     def pool_run(pool_pages):
-        small = Database("pool", pool_pages=pool_pages)
+        small = Database("pool", config=EngineConfig(pool_pages=pool_pages))
         small.create_table(
             "galaxy",
             {name: arr for name, arr in

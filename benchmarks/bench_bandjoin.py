@@ -133,16 +133,18 @@ def run_workload(db: Database, sql: str) -> dict:
     """One query under every configuration; metrics + plans per config."""
     out: dict = {}
     for name, (band_joins, workers) in CONFIGS.items():
-        db.band_join_enabled = band_joins
-        db.intra_query_workers = workers
+        db.config = db.config.replace(
+            band_joins=band_joins, intra_query_workers=workers
+        )
         try:
             report = min(
                 (db.explain_analyze(sql) for _ in range(REPEATS)),
                 key=lambda r: r.total_s,
             )
         finally:
-            db.band_join_enabled = True
-            db.intra_query_workers = 1
+            db.config = db.config.replace(
+                band_joins=True, intra_query_workers=1
+            )
         out[name] = {
             "elapsed_s": round(report.total_s, 6),
             "result_rows": report.row_count,

@@ -172,14 +172,14 @@ def run_workload(dbs: dict[bool, Database], sql: str) -> dict:
     out: dict = {}
     for name, (compiled, compression) in CONFIGS.items():
         db = dbs[compression]
-        db.compiled_expressions = compiled
+        db.config = db.config.replace(compiled_expressions=compiled)
         try:
             reads0 = db.io_counters.logical_reads
             elapsed = time_query(db, sql)
             result = db.sql(sql)
             reads = (db.io_counters.logical_reads - reads0) // (REPEATS + 1)
         finally:
-            db.compiled_expressions = True
+            db.config = db.config.replace(compiled_expressions=True)
         out[name] = {
             "elapsed_s": round(elapsed, 6),
             "result_rows": result.row_count,
@@ -191,7 +191,7 @@ def run_workload(dbs: dict[bool, Database], sql: str) -> dict:
 
 def measure_temporaries(db: Database, sql: str) -> tuple[int, int]:
     """(interpreted_elements, compiled_elements) for one compiled run."""
-    db.compiled_expressions = True
+    db.config = db.config.replace(compiled_expressions=True)
     before = TALLY.snapshot()
     db.sql(sql)
     after = TALLY.snapshot()

@@ -99,7 +99,7 @@ def run_workload(db: Database, sql: str) -> dict:
     """The query under both rewrite modes; rows summed over operators."""
     out: dict = {}
     for mode, enabled in (("rewritten", True), ("baseline", False)):
-        db.rewrites_enabled = enabled
+        db.config = db.config.replace(rewrites=enabled)
         report = db.explain_analyze(sql)
         out[mode] = {
             "elapsed_s": round(report.total_s, 6),
@@ -109,7 +109,7 @@ def run_workload(db: Database, sql: str) -> dict:
             "plan": [node.description for node in report.nodes],
             "_result": report.result,
         }
-    db.rewrites_enabled = True
+    db.config = db.config.replace(rewrites=True)
     rewritten, baseline = out["rewritten"], out["baseline"]
     out["reduction_x"] = round(
         baseline["rows_scanned"] / max(rewritten["rows_scanned"], 1), 2

@@ -51,59 +51,74 @@ def normalize_statement(stmt: SelectStatement | UnionStatement) -> str:
     return statement_to_sql(stmt)
 
 
-def statement_fingerprint(
-    stmt: SelectStatement | UnionStatement, optimizer_mode: str = "cost"
-) -> str:
-    """Hash of the normalized statement plus the planner mode.
+@dataclass(frozen=True)
+class PlanKey:
+    """What :func:`plan_fingerprint` learned about one statement.
 
-    The mode is part of the key because the cached entry carries the
-    plan text that produced it; two modes give identical rows but
-    different EXPLAIN output.
+    Unpacks as ``(fingerprint, sql, tables)``.  ``rewritten`` is the
+    ``(statement, firings)`` of the unpriced rewrite pass the
+    fingerprint was taken over (None with rewrites off): the SELECT
+    path hands it to ``Planner.plan_select`` so a statement is
+    rewritten once.
     """
-    normalized = normalize_statement(stmt)
-    digest = hashlib.sha256(
-        f"{optimizer_mode}\x00{normalized}".encode()
-    ).hexdigest()
-    return digest[:32]
+
+    fingerprint: str
+    sql: str
+    tables: set[str]
+    rewritten: tuple | None = None
+
+    def __iter__(self):
+        return iter((self.fingerprint, self.sql, self.tables))
+
+    def cache_key(self, database) -> CacheKey:
+        """The result-cache key: fingerprint plus the live version of
+        every table read, so DML or a load makes the next lookup miss."""
+        return (
+            self.fingerprint,
+            tuple(sorted(database.table_versions(self.tables).items())),
+        )
 
 
-def plan_fingerprint(stmt, database) -> tuple[str, str, set[str]] | None:
-    """``(fingerprint, normalized_sql, tables)`` for a trackable SELECT.
+def plan_fingerprint(stmt, database) -> PlanKey | None:
+    """The :class:`PlanKey` of a trackable SELECT (or UNION), else None.
 
     The one keying rule shared by the result cache, the plan memo and
     the Query Store: the fingerprint hashes the printer-normalized,
     *post-rewrite* statement under a mode tag (``cost+rewrite`` etc.),
     so rewrite-equivalent spellings share one identity while
-    rewrites-on and rewrites-off instances never cross-match.  Returns
-    None for statements that must not be tracked: non-SELECTs, TVF or
-    unknown-name readers, anything planned while a matview is
-    (re)materializing, and unrewritable shapes.
+    rewrites-on and rewrites-off instances never cross-match (a cached
+    entry carries the plan text that produced it; two modes give
+    identical rows but different EXPLAIN output).  Tables come from the
+    statement as written — rewrites only ever drop relations, never add
+    them.  Returns None for statements that must not be tracked:
+    non-queries, TVF or unknown-name readers, anything planned while a
+    matview is (re)materializing, and unrewritable shapes.
     """
-    if not isinstance(stmt, SelectStatement):
+    if not isinstance(stmt, (SelectStatement, UnionStatement)):
         return None
-    if getattr(database, "_matview_plan_depth", 0):
+    if database._matview_plan_depth:
         return None
     tables = referenced_tables(stmt, database)
     if tables is None:
         return None
-    mode = database.optimizer_mode
+    config = database.config
+    mode = config.optimizer
     fingerprint_stmt = stmt
-    if database.rewrites_enabled:
+    rewritten = None
+    if config.rewrites:
         from repro.engine.optimizer.rewrite import rewrite_statement
 
         try:
-            fingerprint_stmt, _ = rewrite_statement(stmt, database,
-                                                    price=False)
+            rewritten = rewrite_statement(stmt, database, price=False)
         except Exception:
             return None  # unrewritable shape: plan it fresh every time
+        fingerprint_stmt = rewritten[0]
         mode = f"{mode}+rewrite"
-    if getattr(database, "compiled_expressions", False):
+    if config.compiled_expressions:
         mode = f"{mode}+compiled"
-    return (
-        statement_fingerprint(fingerprint_stmt, mode),
-        normalize_statement(fingerprint_stmt),
-        tables,
-    )
+    sql = normalize_statement(fingerprint_stmt)
+    digest = hashlib.sha256(f"{mode}\x00{sql}".encode()).hexdigest()
+    return PlanKey(digest[:32], sql, tables, rewritten)
 
 
 def referenced_tables(

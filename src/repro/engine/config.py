@@ -1,17 +1,21 @@
 """EngineConfig: one object for every engine knob.
 
-The :class:`~repro.engine.database.Database` constructor accreted
-kwargs PR by PR — ``optimizer=``, ``band_joins=``,
-``intra_query_workers=``, and now the result-cache knobs.  This module
-consolidates them into a single frozen dataclass that the cluster,
-CasJobs and CLI layers pass through whole instead of re-plumbing each
-knob::
+A single frozen dataclass that the cluster, CasJobs and CLI layers pass
+through whole, and the only way to configure a
+:class:`~repro.engine.database.Database`::
 
     db = Database("dr1", config=EngineConfig(optimizer="cost",
                                              result_cache=True))
 
-The old per-knob kwargs keep working for one release via a mapping shim
-in ``Database.__init__`` that emits ``DeprecationWarning``.
+The planner, the result cache, the feedback loop and ``ANALYZE`` read
+``db.config.<knob>`` live, so a planning knob is flipped on a running
+instance by assigning a new config::
+
+    db.config = db.config.replace(band_joins=False)
+
+Only the knobs in :data:`PLANNING_KNOBS` may change that way; the rest
+size objects built at construction (buffer pool, cache, memo, Query
+Store) and the assignment rejects a change to them.
 """
 
 from __future__ import annotations
@@ -20,11 +24,24 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.engine.pages import DEFAULT_POOL_PAGES
+from repro.engine.parallel import resolve_workers
 from repro.errors import EngineError
 
 #: Recognized planner modes (mirrors the planner's OPTIMIZER_MODES;
 #: duplicated here to avoid importing the SQL layer at config time).
 _OPTIMIZER_MODES = ("cost", "syntactic")
+
+#: The knobs the planner reads live — exactly the ones
+#: :meth:`EngineConfig.plan_signature` spells out — and therefore the
+#: only ones ``db.config = ...`` may change on a running database.
+PLANNING_KNOBS = (
+    "optimizer",
+    "band_joins",
+    "rewrites",
+    "intra_query_workers",
+    "compiled_expressions",
+    "page_compression",
+)
 
 #: Default ceiling on cached result bytes per database (64 MiB — a
 #: fraction of the paper's 2 GB nodes, like a real plan/result cache).
@@ -143,6 +160,7 @@ class EngineConfig:
             )
         if self.pool_pages <= 0:
             raise EngineError("pool_pages must be positive")
+        resolve_workers(self.intra_query_workers)
         if self.cache_max_bytes <= 0 or self.cache_max_entries <= 0:
             raise EngineError("cache limits must be positive")
         if self.cache_ttl_s is not None and self.cache_ttl_s <= 0:
@@ -159,6 +177,20 @@ class EngineConfig:
     def replace(self, **changes) -> "EngineConfig":
         """A copy with the given fields changed (validation re-runs)."""
         return dataclasses.replace(self, **changes)
+
+    def check_live_change(self, new: "EngineConfig") -> None:
+        """Raise unless ``new`` differs from this config only in
+        :data:`PLANNING_KNOBS` — what ``db.config = new`` allows."""
+        fixed = [
+            f.name for f in dataclasses.fields(self)
+            if f.name not in PLANNING_KNOBS
+            and getattr(new, f.name) != getattr(self, f.name)
+        ]
+        if fixed:
+            raise EngineError(
+                f"{', '.join(fixed)} can only be set at construction: "
+                "Database(name, config=EngineConfig(...))"
+            )
 
     def plan_signature(self) -> str:
         """The planning-relevant knob set, as a stable string.

@@ -11,7 +11,7 @@ yields the (elapsed, cpu, io) triples of Table 1.
 
 from __future__ import annotations
 
-import warnings
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.engine.cache import (
     ResultCache,
+    normalize_statement,
+    plan_fingerprint,
     referenced_tables,
-    statement_fingerprint,
 )
 from repro.engine.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.engine.expressions import batch_length
@@ -30,15 +31,12 @@ from repro.engine.matview import MaterializedView
 from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql.executor import Executor, QueryResult
-from repro.engine.sql.parser import parse, parse_script
+from repro.engine.sql.ast import SelectStatement
+from repro.engine.sql.parser import parse, split_statements
 from repro.engine.stats import IOCounters
 from repro.engine.table import Table
 from repro.engine.types import ColumnType, infer_type
 from repro.errors import EngineError, TableNotFoundError
-
-#: Marker distinguishing "kwarg not given" from an explicit value in the
-#: deprecated per-knob constructor shim.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -58,63 +56,12 @@ class Database:
     """A single-node database instance."""
 
     def __init__(
-        self,
-        name: str = "db",
-        pool_pages=_UNSET,
-        optimizer=_UNSET,
-        intra_query_workers=_UNSET,
-        band_joins=_UNSET,
-        *,
-        config: EngineConfig | None = None,
+        self, name: str = "db", *, config: EngineConfig | None = None
     ):
-        from repro.engine.parallel import resolve_workers
-
-        legacy = {
-            key: value
-            for key, value in (
-                ("pool_pages", pool_pages),
-                ("optimizer", optimizer),
-                ("intra_query_workers", intra_query_workers),
-                ("band_joins", band_joins),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise EngineError(
-                    "pass engine knobs via config=EngineConfig(...) only; "
-                    f"got both config= and legacy kwargs {sorted(legacy)}"
-                )
-            warnings.warn(
-                f"Database({', '.join(sorted(legacy))}=...) kwargs are "
-                "deprecated; pass config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = EngineConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = DEFAULT_ENGINE_CONFIG
-
         self.name = name
-        #: The full knob set this instance was built with (an
-        #: :class:`~repro.engine.config.EngineConfig`).
-        self.config = config
-        self.optimizer_mode = config.optimizer
-        #: Morsel-parallel workers per operator (1 = sequential; output
-        #: is byte-identical for any setting).
-        self.intra_query_workers = resolve_workers(config.intra_query_workers)
-        #: Allow the cost planner to extract BandJoin operators from
-        #: range conjuncts (off = nested-loop baseline, for benchmarks).
-        self.band_join_enabled = bool(config.band_joins)
-        #: Run the logical rewrite pass between parse and plan (the
-        #: planner reads this attribute; off restores pre-rewrite plans).
-        self.rewrites_enabled = bool(config.rewrites)
-        #: Lower plan expressions into fused kernels (CSE + selection
-        #: vectors); the planner stamps ``compiled`` on every operator.
-        self.compiled_expressions = bool(config.compiled_expressions)
-        #: Pick per-column page codecs from ANALYZE statistics so rows
-        #: pack denser and scans cost fewer logical reads.
-        self.page_compression = bool(config.page_compression)
+        self._config = config
         self.pool = BufferPool(config.pool_pages)
         #: Shared semantic result cache, or None when disabled.
         self.result_cache: ResultCache | None = (
@@ -127,8 +74,7 @@ class Database:
             else None
         )
         #: Adaptive feedback optimizer (plan memo + q-error loop), or
-        #: None when disabled.  Built before the Executor so the
-        #: execution path can route SELECTs through it.
+        #: None when disabled.
         self.feedback = None
         if config.feedback:
             from repro.engine.optimizer.feedback import FeedbackController
@@ -158,6 +104,24 @@ class Database:
         self._table_functions: dict[str, TableFunction] = {}
         self._procedures: dict[str, Callable] = {}
         self._executor = Executor(self)
+
+    @property
+    def config(self) -> EngineConfig:
+        """The knob set in force; planner, cache keying, feedback and
+        ``analyze()`` read it live."""
+        return self._config
+
+    @config.setter
+    def config(self, config: EngineConfig) -> None:
+        """Flip planning knobs: ``db.config = db.config.replace(...)``.
+
+        Only :data:`~repro.engine.config.PLANNING_KNOBS` may differ from
+        the current config — the other fields sized the pool, cache,
+        memo and Query Store at construction.  Memoized plans carry the
+        old ``plan_signature()`` in their key and miss from here on.
+        """
+        self._config.check_live_change(config)
+        self._config = config
 
     # ------------------------------------------------------------------
     # catalog
@@ -320,8 +284,6 @@ class Database:
         queryable with plain ``FROM name``), and records the version of
         every source table for staleness tracking.
         """
-        from repro.engine.cache import normalize_statement
-
         key = name.lower()
         if key in self._tables or key in self._views or key in self._matviews:
             raise EngineError(f"name '{name}' already exists")
@@ -386,8 +348,6 @@ class Database:
         Returns None while a matview is being (re)materialized so a
         REFRESH never answers itself from the rows it is rebuilding.
         """
-        from repro.engine.cache import normalize_statement
-        from repro.engine.sql.ast import SelectStatement
         from repro.obs.metrics import get_metrics
 
         if not self._matviews or self._matview_plan_depth:
@@ -493,7 +453,7 @@ class Database:
             self.feedback.memo.invalidate_table(table_name)
 
     # ------------------------------------------------------------------
-    # versions and the result cache
+    # versions
     # ------------------------------------------------------------------
     def table_versions(self, names) -> dict[str, int | None]:
         """Live version counters for the named tables (None = missing)."""
@@ -504,83 +464,54 @@ class Database:
             out[key] = table.version if table is not None else None
         return out
 
-    def _cache_key(self, stmt):
-        """``(key, tables)`` for a cacheable statement, else None.
-
-        The key pairs the normalized-statement fingerprint with a
-        sorted (table, version) tuple, so any DML or load on a
-        referenced table makes subsequent lookups miss structurally.
-
-        With rewrites enabled the fingerprint hashes the *rewritten*
-        statement under a ``+rewrite``-tagged mode: a query and its
-        rewrite-equivalent forms (tautologies, no-op view wraps, CTE
-        spellings) share one cache entry, while a rewrites-off instance
-        can never cross-serve a rewrites-on entry or vice versa.
-        Invalidation tables come from the original statement — rewrites
-        only ever drop relations, never add them.
-        """
-        from repro.engine.sql.ast import SelectStatement, UnionStatement
-
-        if self.result_cache is None:
-            return None
-        if not isinstance(stmt, (SelectStatement, UnionStatement)):
-            return None
-        tables = referenced_tables(stmt, self)
-        if tables is None:
-            return None
-        mode = self.optimizer_mode
-        fingerprint_stmt = stmt
-        if self.rewrites_enabled:
-            from repro.engine.optimizer.rewrite import rewrite_statement
-
-            try:
-                fingerprint_stmt, _ = rewrite_statement(
-                    stmt, self, price=False
-                )
-            except Exception:
-                return None  # unpriceable shape: skip caching, run it
-            mode = f"{mode}+rewrite"
-        if self.compiled_expressions:
-            mode = f"{mode}+compiled"
-        versions = tuple(
-            sorted((t, self._tables[t].version) for t in tables)
-        )
-        return (
-            (statement_fingerprint(fingerprint_stmt, mode), versions),
-            tables,
-        )
-
     # ------------------------------------------------------------------
     # SQL entry points
     # ------------------------------------------------------------------
     def sql(self, text: str) -> QueryResult:
-        """Parse and execute one SQL statement.
+        """Parse and execute one SQL statement."""
+        return self._run_statement(parse(text), text)
 
-        Execution runs inside an ``engine.sql`` trace span (a no-op
-        when tracing is disabled) and statements over the slow-query
-        threshold are recorded with their SQL text and — for SELECTs —
-        the plan that ran.
+    def run_script(self, text: str) -> list[QueryResult]:
+        """Execute a ';'-separated script, returning per-statement results.
+
+        The whole script parses before any statement runs; each one then
+        takes the same path as :meth:`sql`.
         """
-        import time as _time
+        chunks = split_statements(text)
+        statements = [parse(chunk) for chunk in chunks]
+        return [
+            self._run_statement(stmt, chunk)
+            for stmt, chunk in zip(statements, chunks)
+        ]
 
+    def _run_statement(self, stmt, text: str) -> QueryResult:
+        """One user statement: the statement-level half of the SELECT path.
+
+        fingerprint -> result-cache lookup -> execute (``Executor``,
+        inside an ``engine.sql`` trace span) -> Query Store record ->
+        cache put -> slow log.  Cache and store are stages that cost one
+        ``is None`` test when off; non-queries have no fingerprint and
+        pass straight to the executor.  See DESIGN.md, "Life of a
+        SELECT".
+        """
         from repro.obs.slowlog import get_slow_log
         from repro.obs.trace import span
 
-        stmt = parse(text)
-        store = self.query_store
-        keyed = self._cache_key(stmt)
+        cache, store = self.result_cache, self.query_store
+        keyed = plan_fingerprint(stmt, self) if cache is not None else None
+        cache_key = None
+        started = time.perf_counter()
         if keyed is not None:
-            key, tables = keyed
-            cache_started = _time.perf_counter()
-            entry = self.result_cache.get(key)  # type: ignore[union-attr]
+            cache_key = keyed.cache_key(self)
+            entry = cache.get(cache_key)
             if entry is not None:
                 if store is not None:
                     # a cache hit ran no plan: attach it to the
                     # fingerprint's current plan in the store
                     store.record(
-                        fingerprint=key[0],
+                        fingerprint=keyed.fingerprint,
                         sql="",
-                        elapsed_s=_time.perf_counter() - cache_started,
+                        elapsed_s=time.perf_counter() - started,
                         rows=batch_length(entry.columns),
                         decision="cache-hit",
                         cache_hit=True,
@@ -590,63 +521,49 @@ class Database:
                     plan="[answered from cache]\n" + entry.plan
                     if entry.plan else "[answered from cache]",
                 )
-        started = _time.perf_counter()
-        cpu_started = _time.thread_time() if store is not None else 0.0
-        reads_before = (
-            self.pool.counters.logical_reads if store is not None else 0
-        )
+        cpu_started = time.thread_time() if store is not None else 0.0
+        reads_before = self.pool.counters.logical_reads
         with span("engine.sql", layer="engine", counters=self.pool.counters,
                   attrs={"db": self.name, "sql": text.strip()[:200]}):
-            result = self._executor.execute(stmt)
-        elapsed = _time.perf_counter() - started
+            result = self._executor.execute(stmt, keyed)
+        elapsed = time.perf_counter() - started
+        signature = (
+            self._config.plan_signature()
+            if result.fingerprint is not None else None
+        )
         if store is not None and result.fingerprint is not None:
             store.record(
                 fingerprint=result.fingerprint,
                 sql=text.strip(),
                 elapsed_s=elapsed,
-                cpu_s=_time.thread_time() - cpu_started,
+                cpu_s=time.thread_time() - cpu_started,
                 rows=result.row_count,
                 logical_reads=(
                     self.pool.counters.logical_reads - reads_before
                 ),
                 plan_text=result.plan,
-                plan_signature=self.config.plan_signature(),
+                plan_signature=signature,
                 decision=result.memo_decision,
                 plan_origin=result.plan_origin,
                 plan_node=result.plan_node,
                 memo_hit=result.memo_decision == "hit",
             )
-        if keyed is not None:
-            self.result_cache.put(  # type: ignore[union-attr]
-                key, result.columns, result.plan, tables
-            )
+        if cache_key is not None:
+            cache.put(cache_key, result.columns, result.plan, keyed.tables)
         slow_log = get_slow_log()
         if slow_log.is_slow(elapsed):
-            from repro.engine.sql.ast import SelectStatement
-            from repro.engine.sql.printer import statement_to_sql
-
-            plan = None
-            statement_text = text.strip()
-            if isinstance(stmt, SelectStatement):
-                try:
-                    statement_text = statement_to_sql(stmt)
-                    plan = self.explain(text)
-                except Exception:  # logging must never fail the query
-                    pass
-            slow_log.record(statement_text, elapsed, plan=plan,
-                            database=self.name,
-                            fingerprint=result.fingerprint,
-                            memo=result.memo_decision,
-                            plan_signature=(
-                                self.config.plan_signature()
-                                if result.fingerprint is not None else None
-                            ),
-                            decision=result.plan_origin)
+            slow_log.record(
+                normalize_statement(stmt)
+                if isinstance(stmt, SelectStatement) else text.strip(),
+                elapsed,
+                plan=result.plan or None,
+                database=self.name,
+                fingerprint=result.fingerprint,
+                memo=result.memo_decision,
+                plan_signature=signature,
+                decision=result.plan_origin,
+            )
         return result
-
-    def run_script(self, text: str) -> list[QueryResult]:
-        """Execute a ';'-separated script, returning per-statement results."""
-        return [self._executor.execute(stmt) for stmt in parse_script(text)]
 
     def explain_analyze(self, text: str, optimizer: str | None = None):
         """Execute a SELECT with per-operator instrumentation.
@@ -662,22 +579,24 @@ class Database:
 
     def explain(self, text: str, optimizer: str | None = None) -> str:
         """Plan a SELECT and return the operator tree as text."""
-        from repro.engine.sql.ast import SelectStatement
         from repro.engine.sql.planner import Planner
 
         stmt = parse(text)
         if not isinstance(stmt, SelectStatement):
             raise EngineError("EXPLAIN supports SELECT statements only")
-        plan_text = Planner(self, optimizer).plan_select(stmt).explain()
-        keyed = (
-            self._cache_key(stmt)
-            if optimizer in (None, self.optimizer_mode)
-            else None
-        )
-        if keyed is not None:
-            key, _tables = keyed
-            if self.result_cache.peek(key) is not None:  # type: ignore[union-attr]
-                return "[answered from cache]\n" + plan_text
+        keyed = None
+        if self.result_cache is not None and optimizer in (
+            None, self._config.optimizer
+        ):
+            keyed = plan_fingerprint(stmt, self)
+        plan_text = Planner(self, optimizer).plan_select(
+            stmt, rewritten=keyed.rewritten if keyed is not None else None
+        ).explain()
+        if (
+            keyed is not None
+            and self.result_cache.peek(keyed.cache_key(self)) is not None
+        ):
+            return "[answered from cache]\n" + plan_text
         return plan_text
 
     # ------------------------------------------------------------------
@@ -689,10 +608,8 @@ class Database:
         The join key across the Query Store, the plan memo, the
         feedback store and the slow-query log.
         """
-        from repro.engine.cache import plan_fingerprint
-
         keyed = plan_fingerprint(parse(text), self)
-        return keyed[0] if keyed is not None else None
+        return keyed.fingerprint if keyed is not None else None
 
     def force_plan(self, fingerprint: str, plan_id: int):
         """Pin a fingerprint to a plan from its Query Store history.
@@ -763,7 +680,7 @@ class Database:
             # stats must miss the memo and re-plan, even though the data
             # (table.version) has not changed
             table.stats_version += 1
-            if self.page_compression:
+            if self._config.page_compression:
                 from repro.engine.pages import choose_codecs
 
                 table.apply_compression(

@@ -10,10 +10,12 @@ physical plan per ``(fingerprint, config signature)``:
   statement (the same normalization the result cache uses), so
   formatting, alias spelling and rewrite-equivalent forms share one
   entry;
-* the **config signature** captures every planning-relevant knob
-  (optimizer mode, band joins, rewrites, morsel workers), so databases
-  with differing :class:`~repro.engine.config.EngineConfig`\\ s never
-  cross-serve plans.
+* the **config signature** (``db.config.plan_signature()``, read at
+  every lookup) captures every planning-relevant knob (optimizer mode,
+  band joins, rewrites, morsel workers, compiled kernels, page codecs),
+  so neither two databases with differing
+  :class:`~repro.engine.config.EngineConfig`\\ s nor one database before
+  and after ``db.config = ...`` cross-serve plans.
 
 Invalidation is structural, like the result cache's: each entry
 snapshots, per referenced table, the mutation ``version`` *and* the

@@ -36,9 +36,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.engine.instrument import NodeStats, instrument_plan
+from repro.engine.cache import PlanKey
+from repro.engine.instrument import NodeStats
 from repro.engine.join import BandJoin, HashJoin
-from repro.engine.memo import MemoEntry, PlanMemo
+from repro.engine.memo import PlanMemo
 from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
@@ -313,23 +314,12 @@ def _band_shape(low, high) -> tuple[str, str]:
             repr(high) if high is not None else "")
 
 
-@dataclass(frozen=True)
-class PlanKey:
-    """Everything needed to memoize / track one statement."""
-
-    memo_key: tuple[str, str]
-    fingerprint: str
-    tables: frozenset[str]
-    sql: str
-
-
 class FeedbackController:
     """The per-database feedback loop: memo + store + overrides."""
 
     def __init__(self, database, config):
         self.database = database
         self.ceiling = float(config.qerror_ceiling)
-        self.signature = config.plan_signature()
         self.memo = PlanMemo(config.plan_memo_entries)
         self.store = FeedbackStore()
         self.overrides = SelectivityOverrides()
@@ -349,41 +339,15 @@ class FeedbackController:
         )
 
     # ------------------------------------------------------------------
-    # keying
+    # the memo stage of the SELECT path (Executor._select)
     # ------------------------------------------------------------------
-    def plan_key(self, stmt) -> PlanKey | None:
-        """Memo key for a statement, or None when it must not memoize.
-
-        Uses the same keying as the result cache and the Query Store
-        (:func:`repro.engine.cache.plan_fingerprint`): the fingerprint
-        hashes the printer-normalized, *post-rewrite* statement under a
-        mode tag, so rewrite-equivalent spellings share one plan.
-        Statements reading TVFs or unknown names — and anything planned
-        while a matview is (re)materializing — are not memoizable.
-        """
-        from repro.engine.cache import plan_fingerprint
-
-        keyed = plan_fingerprint(stmt, self.database)
-        if keyed is None:
-            return None
-        fingerprint, sql, tables = keyed
-        return PlanKey(
-            memo_key=(fingerprint, self.signature),
-            fingerprint=fingerprint,
-            tables=frozenset(t.lower() for t in tables),
-            sql=sql,
-        )
-
     def stats_versions(self, tables) -> dict[str, int]:
-        """Live statistics generations for the named tables."""
-        out: dict[str, int] = {}
-        for name in tables:
-            key = name.lower()
-            table = self.database._tables.get(key)
-            out[key] = (
-                getattr(table, "stats_version", 0) if table is not None else -1
-            )
-        return out
+        """Live statistics generations for the named (lowercased) tables."""
+        catalog = self.database._tables
+        return {
+            name: catalog[name].stats_version if name in catalog else -1
+            for name in tables
+        }
 
     @staticmethod
     def memoizable(plan: PlanNode) -> bool:
@@ -396,80 +360,59 @@ class FeedbackController:
                 return False
         return True
 
-    # ------------------------------------------------------------------
-    # the execution path (called by Executor._select)
-    # ------------------------------------------------------------------
-    def execute_select(self, stmt, planner):
-        """Plan (or recall) a SELECT, execute instrumented, observe."""
-        from repro.engine.sql.executor import QueryResult
+    def recall_or_plan(self, keyed: PlanKey | None, replan):
+        """The fingerprint's memoized plan, else ``replan()`` memoized.
 
-        keyed = self.plan_key(stmt)
-        plan: PlanNode | None = None
-        decision: str | None = None
-        plan_origin: str | None = None
-        planning_s = 0.0
+        Returns ``(plan, decision, plan_origin, planning_s)``.  The
+        memo key pairs the fingerprint with the *live*
+        ``config.plan_signature()``, so flipping a planning knob misses
+        structurally.  An unkeyed (untrackable) statement is planned
+        fresh every time.
+        """
+        database = self.database
         table_versions: dict[str, int | None] = {}
         stats_versions: dict[str, int] = {}
-        forcer = getattr(self.database, "plan_forcer", None)
-        if keyed is not None and forcer is not None:
-            # a forced fingerprint bypasses memo and feedback: the
-            # operator pinned the plan, the loop must not fight it
-            started = time.perf_counter()
-            resolved = forcer.resolve(
-                keyed.fingerprint, lambda: planner.plan_select(stmt)
-            )
-            if resolved is not None:
-                plan, decision = resolved
-                plan_origin = decision
-                planning_s = time.perf_counter() - started
-        if plan is None and keyed is not None:
-            table_versions = self.database.table_versions(keyed.tables)
+        memo_key = pending = None
+        if keyed is not None:
+            memo_key = (keyed.fingerprint, database.config.plan_signature())
+            table_versions = database.table_versions(keyed.tables)
             stats_versions = self.stats_versions(keyed.tables)
             entry = self.memo.get(
-                keyed.memo_key, table_versions, stats_versions,
+                memo_key, table_versions, stats_versions,
                 self.overrides.version,
             )
             if entry is not None:
-                plan = entry.plan
-                decision = "hit"
-                plan_origin = entry.decision
-        if plan is None:
-            pending = (
-                self.store.take_pending(keyed.fingerprint)
-                if keyed is not None else None
+                return entry.plan, "hit", entry.decision, 0.0
+            pending = self.store.take_pending(keyed.fingerprint)
+        decision = pending or "miss"
+        started = time.perf_counter()
+        with span(
+            "engine.plan", layer="engine",
+            attrs={
+                "decision": decision,
+                "fingerprint": keyed.fingerprint if keyed else "",
+            },
+        ):
+            plan = replan()
+        planning_s = time.perf_counter() - started
+        if pending is not None:
+            self._m_replans.inc()
+        if memo_key is not None and self.memoizable(plan):
+            self.memo.put(
+                memo_key, plan, keyed.tables,
+                table_versions, stats_versions,
+                self.overrides.version, planning_s,
+                decision=decision,
             )
-            decision = pending or "miss"
-            plan_origin = decision
-            started = time.perf_counter()
-            with span(
-                "engine.plan", layer="engine",
-                attrs={
-                    "decision": decision,
-                    "fingerprint": keyed.fingerprint if keyed else "",
-                },
-            ):
-                plan = planner.plan_select(stmt)
-            planning_s = time.perf_counter() - started
-            if pending is not None:
-                self._m_replans.inc()
-            if keyed is not None and self.memoizable(plan):
-                self.memo.put(
-                    keyed.memo_key, plan, keyed.tables,
-                    table_versions, stats_versions,
-                    self.overrides.version, planning_s,
-                    decision=decision,
-                )
-        wrapped, records = instrument_plan(plan, self.database.pool.counters)
-        batch = wrapped.execute()
-        self.observe(keyed, plan, records, planning_s, decision)
-        return QueryResult(
-            columns=batch,
-            plan=plan.explain(),
-            fingerprint=keyed.fingerprint if keyed is not None else None,
-            memo_decision=decision,
-            plan_origin=plan_origin,
-            plan_node=plan,
-        )
+        return plan, decision, decision, planning_s
+
+    def execute_select(self, stmt, planner=None):
+        """One SELECT through the shared path, ``Executor._select``.
+
+        Kept for ``benchmarks/e2e/stages.py``, which is frozen and
+        calls it with a planner; the path plans with the executor's.
+        """
+        return self.database._executor._select(stmt)
 
     # ------------------------------------------------------------------
     # folding actuals back
@@ -497,7 +440,7 @@ class FeedbackController:
             entry = self.store.record(
                 keyed.fingerprint, keyed.sql, max_q, planning_s, decision
             )
-            forcer = getattr(self.database, "plan_forcer", None)
+            forcer = self.database.plan_forcer
             if (
                 forcer is not None
                 and forcer.get(keyed.fingerprint) is not None

@@ -11,12 +11,12 @@ counters aggregate them process-wide.
 Two properties are load-bearing:
 
 * **Determinism.**  ``rewrite_statement`` is a pure function of the
-  statement and the catalog.  The result cache fingerprints the
-  *rewritten* statement, so the cheap fingerprint path
-  (``price=False``) must produce the byte-identical AST the planner
-  path produces.  Rules therefore fire purely on structural
-  applicability; the cost model is consulted only to *report* the
-  estimated effect of a firing, never to gate it.
+  statement and the catalog.  The SELECT path rewrites once, unpriced
+  (``price=False``), fingerprints the *rewritten* statement and hands
+  that same statement to the planner, which prices the recorded
+  firings for the EXPLAIN trace.  Rules therefore fire purely on
+  structural applicability; the cost model is consulted only to
+  *report* the estimated effect of a firing, never to gate it.
 
 * **Semantics preservation.**  Every rule keeps the result multiset
   identical under the engine's NaN-as-NULL arithmetic (``NaN == NaN``
@@ -75,8 +75,7 @@ from repro.obs.metrics import get_metrics
 
 #: Upper bound on rule firings per statement scope.  Purely a runaway
 #: backstop — real statements reach their fixpoint in a handful of
-#: firings, and hitting the cap is deterministic (both the planner and
-#: the cache-fingerprint path stop at the same prefix).
+#: firings, and hitting the cap is deterministic.
 MAX_PASSES = 32
 
 
@@ -91,7 +90,10 @@ class RuleFiring:
     before and after the firing: ``est_rows`` sums the optimizer's row
     estimate over every plan node (a proxy for rows the plan touches),
     ``cost`` is the cost model's total work number.  ``None`` when the
-    intermediate statement was not priceable.
+    firing has not been priced (:func:`price_firings`) or the
+    intermediate statement was not priceable.  ``before`` / ``after``
+    are the statement around the firing, kept so an unpriced pass can
+    be priced later without rewriting again.
     """
 
     rule: str
@@ -100,6 +102,12 @@ class RuleFiring:
     est_rows_after: float | None = None
     cost_before: float | None = None
     cost_after: float | None = None
+    before: SelectStatement | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
+    after: SelectStatement | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def describe(self) -> str:
         text = f"Rewrite {self.rule}: {self.detail}"
@@ -163,6 +171,32 @@ def _plan_metrics(
     except Exception:
         return None, None
     return _total_est_rows(plan), plan_cost(plan)
+
+
+def price_firings(
+    firings, database, optimizer: str | None = None
+) -> tuple[RuleFiring, ...]:
+    """Price an unpriced pass's firings and count them in the metrics.
+
+    Consecutive firings share a statement (one's ``after`` is the
+    next's ``before``), so a chain of N firings costs N + 1 plannings.
+    """
+    priced = []
+    last_stmt, last = None, (None, None)
+    for firing in firings:
+        est_before, cost_before = (
+            last if firing.before is last_stmt
+            else _plan_metrics(firing.before, database, optimizer)
+        )
+        last_stmt = firing.after
+        last = _plan_metrics(last_stmt, database, optimizer)
+        get_metrics().counter(f"engine.rewrite.{firing.rule}").inc()
+        priced.append(dataclasses.replace(
+            firing,
+            est_rows_before=est_before, est_rows_after=last[0],
+            cost_before=cost_before, cost_after=last[1],
+        ))
+    return tuple(priced)
 
 
 # ----------------------------------------------------------------------
@@ -545,15 +579,11 @@ def _rule_cte_inline(stmt: SelectStatement, database):
 def _rule_view_inline(stmt: SelectStatement, database):
     if stmt.ctes:
         return None  # CTE names shadow views; wait for cte_inline
-    has_view = getattr(database, "has_view", None)
-    view_of = getattr(database, "view", None)
-    if has_view is None or view_of is None:
-        return None
 
     def convert(ref: TableRef) -> TableRef:
         if (not ref.is_subquery and not ref.is_function
-                and has_view(ref.table)):
-            return TableRef("", ref.alias, subquery=view_of(ref.table))
+                and database.has_view(ref.table)):
+            return TableRef("", ref.alias, subquery=database.view(ref.table))
         return ref
 
     converted, hits = _convert_refs(stmt, convert)
@@ -609,8 +639,7 @@ def _rule_join_elimination(stmt: SelectStatement, database):
         ref = join.table
         if ref.is_subquery or ref.is_function:
             continue
-        has_view = getattr(database, "has_view", None)
-        if has_view is not None and has_view(ref.table):
+        if database.has_view(ref.table):
             continue
         if any(name.lower() == ref.table.lower() for name, _ in stmt.ctes):
             continue
@@ -1148,11 +1177,10 @@ def _rule_aggregate_pushdown(stmt: SelectStatement, database):
     ):
         return None
     keep_ref, agg_ref = stmt.source, join.table
-    has_view = getattr(database, "has_view", None)
     for ref in (keep_ref, agg_ref):
         if ref.is_subquery or ref.is_function:
             return None
-        if has_view is not None and has_view(ref.table):
+        if database.has_view(ref.table):
             return None
     try:
         keep_table = database.table(keep_ref.table)
@@ -1379,11 +1407,11 @@ def rewrite_statement(
     """Rewrite a SELECT (or UNION) statement to its fixpoint.
 
     Returns ``(statement, firings)``.  The rewritten AST depends only
-    on the statement and the catalog — ``price`` controls whether each
-    firing is priced through the cost model and counted in the metrics
-    registry, never which rules fire, so the result cache's cheap
-    fingerprint path (``price=False``) agrees byte-for-byte with the
-    planner's priced pass.
+    on the statement and the catalog — ``price`` controls whether the
+    firings are priced through the cost model and counted in the
+    metrics registry (:func:`price_firings`), never which rules fire,
+    so the unpriced pass the SELECT path fingerprints
+    (``price=False``) is the very statement the planner then plans.
     """
     if isinstance(stmt, UnionStatement):
         members = []
@@ -1399,25 +1427,13 @@ def rewrite_statement(
         return stmt, tuple(firings)
 
     firings = []
-    current: tuple[float | None, float | None] | None = None
     for _ in range(MAX_PASSES):
         fired = _fire_once(stmt, database)
         if fired is None:
             break
         new_stmt, rule, detail = fired
-        est_before = est_after = cost_before = cost_after = None
-        if price:
-            if current is None:
-                current = _plan_metrics(stmt, database, optimizer)
-            est_before, cost_before = current
-            current = _plan_metrics(new_stmt, database, optimizer)
-            est_after, cost_after = current
-            get_metrics().counter(f"engine.rewrite.{rule}").inc()
-        firings.append(
-            RuleFiring(
-                rule, detail,
-                est_before, est_after, cost_before, cost_after,
-            )
-        )
+        firings.append(RuleFiring(rule, detail, before=stmt, after=new_stmt))
         stmt = new_stmt
+    if price:
+        return stmt, price_firings(firings, database, optimizer)
     return stmt, tuple(firings)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.engine.expressions import Batch, batch_length
+from repro.engine.instrument import instrument_plan
 from repro.engine.sql.ast import (
     AnalyzeStatement,
     CreateMaterializedViewStatement,
@@ -102,9 +104,9 @@ class Executor:
         self.database = database
         self.planner = Planner(database)
 
-    def execute(self, stmt: Statement) -> QueryResult:
+    def execute(self, stmt: Statement, keyed=None) -> QueryResult:
         if isinstance(stmt, SelectStatement):
-            return self._select(stmt)
+            return self._select(stmt, keyed)
         if isinstance(stmt, CreateTableStatement):
             return self._create_table(stmt)
         if isinstance(stmt, InsertStatement):
@@ -193,7 +195,17 @@ class Executor:
         return QueryResult()
 
     # ------------------------------------------------------------------
-    def _select(self, stmt: SelectStatement) -> QueryResult:
+    def _select(self, stmt: SelectStatement, keyed=None) -> QueryResult:
+        """Forced plan / memo / plan -> execute -> feedback: every SELECT.
+
+        The plan-level half of the one SELECT path (DESIGN.md, "Life of
+        a SELECT").  ``keyed`` is the statement's
+        :class:`~repro.engine.cache.PlanKey` when ``Database.sql``
+        already took it for the result cache; SELECTs nested in another
+        statement (INSERT..SELECT, UNION branches, matview refreshes)
+        arrive unkeyed and are fingerprinted here if a stage needs it.
+        Each stage costs one ``is None`` test when its subsystem is off.
+        """
         if stmt.source is None:
             # constant SELECT: evaluate items over a one-row batch
             out: Batch = {}
@@ -204,46 +216,51 @@ class Executor:
                 value = np.asarray(item.expr.eval(_SCALAR_BATCH))
                 out[name.lower()] = np.broadcast_to(value, (1,)).copy()
             return QueryResult(columns=out)
-        feedback = getattr(self.database, "feedback", None)
-        if feedback is not None:
-            # the adaptive path: memo lookup, instrumented execution,
-            # actuals folded back into the feedback store
-            return feedback.execute_select(stmt, self.planner)
-        store = getattr(self.database, "query_store", None)
-        if store is not None:
-            return self._select_with_store(stmt)
-        plan = self.planner.plan_select(stmt)
-        batch = plan.execute()
-        return QueryResult(columns=batch, plan=plan.explain(),
-                           plan_node=plan)
-
-    def _select_with_store(self, stmt: SelectStatement) -> QueryResult:
-        """Query Store on without feedback: fingerprint, honor forced
-        plans, report the optimizer mode as the plan's decision."""
-        from repro.engine.cache import plan_fingerprint
-
         database = self.database
-        keyed = plan_fingerprint(stmt, database)
-        fingerprint = keyed[0] if keyed is not None else None
-        plan = None
-        decision = None
-        forcer = getattr(database, "plan_forcer", None)
-        if fingerprint is not None and forcer is not None:
-            resolved = forcer.resolve(
-                fingerprint, lambda: self.planner.plan_select(stmt)
+        feedback, forcer = database.feedback, database.plan_forcer
+        if keyed is None and (feedback is not None or forcer is not None):
+            from repro.engine.cache import plan_fingerprint
+
+            keyed = plan_fingerprint(stmt, database)
+
+        def replan():
+            return self.planner.plan_select(
+                stmt, rewritten=keyed.rewritten if keyed is not None else None
             )
+
+        plan = decision = plan_origin = None
+        planning_s = 0.0
+        if keyed is not None and forcer is not None:
+            # a forced fingerprint bypasses memo and feedback: the
+            # operator pinned the plan, the loop must not fight it
+            started = time.perf_counter()
+            resolved = forcer.resolve(keyed.fingerprint, replan)
             if resolved is not None:
                 plan, decision = resolved
+                plan_origin = decision
+                planning_s = time.perf_counter() - started
+        if plan is None and feedback is not None:
+            plan, decision, plan_origin, planning_s = (
+                feedback.recall_or_plan(keyed, replan)
+            )
         if plan is None:
-            plan = self.planner.plan_select(stmt)
-            decision = database.optimizer_mode
-        batch = plan.execute()
+            plan = replan()
+            if forcer is not None:
+                # Query Store without feedback: the optimizer mode is
+                # the decision that produced the plan
+                decision = plan_origin = database.config.optimizer
+        if feedback is None:
+            batch = plan.execute()
+        else:
+            wrapped, records = instrument_plan(plan, database.pool.counters)
+            batch = wrapped.execute()
+            feedback.observe(keyed, plan, records, planning_s, decision)
         return QueryResult(
             columns=batch,
             plan=plan.explain(),
-            fingerprint=fingerprint,
+            fingerprint=keyed.fingerprint if keyed is not None else None,
             memo_decision=decision,
-            plan_origin=decision,
+            plan_origin=plan_origin,
             plan_node=plan,
         )
 
@@ -263,12 +280,12 @@ class Executor:
 
     def _guard_matview(self, name: str, verb: str) -> None:
         """Matview rows are derived data: only REFRESH may rewrite them."""
-        if getattr(self.database, "has_matview", lambda _n: False)(name):
+        if self.database.has_matview(name):
             raise SqlPlanError(
                 f"cannot {verb} materialized view '{name}'; its rows are "
                 "maintained by REFRESH MATERIALIZED VIEW"
             )
-        if getattr(self.database, "is_system_table", lambda _n: False)(name):
+        if self.database.is_system_table(name):
             raise SqlPlanError(
                 f"cannot {verb} system table '{name}'; sys_query_store_* "
                 "tables are maintained by the Query Store"

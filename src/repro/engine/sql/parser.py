@@ -698,13 +698,10 @@ def parse(text: str) -> Statement:
 
 def parse_script(text: str) -> list[Statement]:
     """Parse a ';'-separated script into a statement list."""
-    statements: list[Statement] = []
-    for chunk in _split_statements(text):
-        statements.append(Parser(chunk).parse_statement())
-    return statements
+    return [parse(chunk) for chunk in split_statements(text)]
 
 
-def _split_statements(text: str) -> list[str]:
+def split_statements(text: str) -> list[str]:
     """Split on top-level semicolons, respecting strings and comments."""
     chunks: list[str] = []
     depth = 0

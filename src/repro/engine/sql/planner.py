@@ -68,6 +68,7 @@ from repro.engine.optimizer.cardinality import (
 )
 from repro.engine.optimizer.cost import DEFAULT_COST_MODEL
 from repro.engine.optimizer.joinorder import JoinPred, JoinRel, order_relations
+from repro.engine.parallel import resolve_workers
 from repro.engine.sql.ast import (
     Exists,
     InSubquery,
@@ -266,12 +267,11 @@ class _Relation:
 
 
 class Planner:
-    """Plans SELECT statements against a database's catalog.
+    """Plans SELECT statements against a :class:`Database`'s catalog.
 
-    The database is duck-typed: it must provide ``table(name)`` returning
-    an engine :class:`~repro.engine.table.Table` and
-    ``clustered_index(name)`` returning a built
-    :class:`~repro.engine.index.ClusteredIndex` or None.
+    ``optimizer`` / ``rewrites`` override the database's config for
+    this planner; left None, every planning reads ``database.config``
+    live, so one long-lived planner follows ``db.config = ...``.
     """
 
     def __init__(
@@ -287,47 +287,71 @@ class Planner:
                 f"expected one of {OPTIMIZER_MODES}"
             )
         self.optimizer = optimizer
-        if rewrites is None:
-            rewrites = bool(getattr(database, "rewrites_enabled", False))
-        self.rewrites = rewrites
+        self._rewrites = rewrites
 
     @property
     def mode(self) -> str:
         """Effective optimizer mode: explicit override, else the database's."""
         if self.optimizer is not None:
             return self.optimizer
-        return getattr(self.database, "optimizer_mode", "cost")
+        return self.database.config.optimizer
+
+    @property
+    def rewrites(self) -> bool:
+        """Run the rewrite pass: explicit override, else the database's."""
+        if self._rewrites is not None:
+            return self._rewrites
+        return self.database.config.rewrites
 
     def _overrides(self):
         """The database's learned selectivity overrides, when feedback
         is on (None otherwise) — threaded into every estimator so the
         DP ordering, est_rows and q-error all reflect what the loop has
         learned."""
-        feedback = getattr(self.database, "feedback", None)
+        feedback = self.database.feedback
         return feedback.overrides if feedback is not None else None
 
     # ------------------------------------------------------------------
     def plan_select(
-        self, stmt: SelectStatement, *, _nested: bool = False
+        self, stmt: SelectStatement, *, rewritten=None, _nested: bool = False
     ) -> PlanNode:
+        """Plan ``stmt``, the statement as written.
+
+        ``rewritten`` is the ``(statement, firings)`` of an unpriced
+        rewrite pass the caller already ran over ``stmt`` (the SELECT
+        path does, to fingerprint it): the planner plans that statement
+        and prices its firings for the EXPLAIN trace instead of
+        rewriting again.
+        """
         trace: tuple[str, ...] = ()
         substituted = self._substitute_matview(stmt)
         if substituted is not None:
             plan = substituted
         else:
             if not _nested and self.rewrites:
-                from repro.engine.optimizer.rewrite import rewrite_statement
-
-                stmt, firings = rewrite_statement(
-                    stmt, self.database, optimizer=self.optimizer
+                from repro.engine.optimizer.rewrite import (
+                    price_firings,
+                    rewrite_statement,
                 )
-                trace = tuple(f.describe() for f in firings)
+
+                if rewritten is None:
+                    rewritten = rewrite_statement(
+                        stmt, self.database, price=False
+                    )
+                stmt, firings = rewritten
+                trace = tuple(
+                    f.describe()
+                    for f in price_firings(
+                        firings, self.database, self.optimizer
+                    )
+                )
             plan = self._plan_select(stmt)
         annotate_plan(plan, self._overrides())
-        workers = getattr(self.database, "intra_query_workers", 1)
+        config = self.database.config
+        workers = resolve_workers(config.intra_query_workers)
         if workers > 1:
             _stamp_workers(plan, workers)
-        if getattr(self.database, "compiled_expressions", False):
+        if config.compiled_expressions:
             _stamp_compiled(plan)
         if trace:
             plan.rewrite_trace = trace
@@ -342,10 +366,7 @@ class Planner:
         substituted plan is a scan of the precomputed rows, flagged in
         EXPLAIN as ``[answered from matview <name>]``.
         """
-        matcher = getattr(self.database, "matching_matview", None)
-        if matcher is None:
-            return None
-        view = matcher(stmt)
+        view = self.database.matching_matview(stmt)
         if view is None:
             return None
         table = self.database.table(view.name)
@@ -893,7 +914,7 @@ class Planner:
                                 and_all(residuals))
             elif residuals:
                 band = None
-                if getattr(self.database, "band_join_enabled", True):
+                if self.database.config.band_joins:
                     band = _extract_band(residuals, bound, rel, relations)
                 if band is not None:
                     key, low, high, low_strict, high_strict, leftover = band

@@ -122,7 +122,7 @@ def save_database(database: Database, directory: str | Path) -> list[Path]:
         for name in database.table_names()
         if not database.is_system_table(name)
     ]
-    store = getattr(database, "query_store", None)
+    store = database.query_store
     if store is not None:
         directory.mkdir(parents=True, exist_ok=True)
         store_path = directory / QUERY_STORE_FILE

@@ -605,7 +605,7 @@ class QueryStore:
         """
         if self._syncing:
             return False
-        forcer = getattr(database, "plan_forcer", None)
+        forcer = database.plan_forcer
         forcer_version = forcer.version if forcer is not None else -1
         with self._lock:
             current = (self.generation, forcer_version)

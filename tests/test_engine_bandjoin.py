@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.expressions import BinaryOp, FuncCall, and_, col, lit
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
@@ -366,7 +367,7 @@ class TestMorselDeterminism:
         with pytest.raises(EngineError):
             resolve_workers(0)
         with pytest.raises(EngineError):
-            Database(intra_query_workers=-3)
+            EngineConfig(intra_query_workers=-3)
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +376,8 @@ class TestMorselDeterminism:
 def _sql_database(intra_query_workers: int = 1, band_joins: bool = True):
     rng = np.random.default_rng(77)
     n_obj, n_grid = 4000, 600
-    db = Database("bandjoin", intra_query_workers=intra_query_workers,
-                  band_joins=band_joins)
+    db = Database("bandjoin", config=EngineConfig(
+        intra_query_workers=intra_query_workers, band_joins=band_joins))
     db.create_table("obj", {
         "id": np.arange(n_obj, dtype=np.int64),
         "mag": rng.uniform(14.0, 22.0, n_obj),
@@ -436,7 +437,7 @@ class TestSqlExtraction:
         db = _sql_database()
         base = db.sql(BAND_SQL)
         for workers in (2, 4):
-            db.intra_query_workers = workers
+            db.config = db.config.replace(intra_query_workers=workers)
             out = db.sql(BAND_SQL)
             assert_batches_identical(base.columns, out.columns)
 
@@ -478,11 +479,11 @@ class TestKernelPlan:
 
     def test_kernel_answers_identical_with_and_without_band(self, kernel_db):
         banded = kernel_db.sql(self.KERNEL)
-        kernel_db.band_join_enabled = False
+        kernel_db.config = kernel_db.config.replace(band_joins=False)
         try:
             baseline = kernel_db.sql(self.KERNEL)
         finally:
-            kernel_db.band_join_enabled = True
+            kernel_db.config = kernel_db.config.replace(band_joins=True)
         assert_batches_identical(banded.columns, baseline.columns)
 
 

@@ -65,20 +65,17 @@ class TestEngineConfig:
 
     def test_database_takes_config(self):
         d = Database("c", config=EngineConfig(optimizer="syntactic"))
-        assert d.optimizer_mode == "syntactic"
+        assert d.config.optimizer == "syntactic"
         assert d.result_cache is None  # off by default
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            d = Database("legacy", optimizer="syntactic",
-                         intra_query_workers=2)
-        assert d.config.optimizer == "syntactic"
-        assert d.config.intra_query_workers == 2
-
-    def test_legacy_kwargs_and_config_conflict(self):
-        with pytest.raises(EngineError):
-            Database("both", optimizer="cost",
-                     config=EngineConfig())
+    def test_config_assignment_flips_planning_knobs_only(self):
+        d = Database("c", config=EngineConfig(result_cache=True))
+        d.config = d.config.replace(band_joins=False, intra_query_workers=2)
+        assert d.config.plan_signature() == EngineConfig(
+            band_joins=False, intra_query_workers=2).plan_signature()
+        with pytest.raises(EngineError, match="pool_pages, result_cache"):
+            d.config = EngineConfig(pool_pages=64)
+        assert d.config.result_cache and d.config.band_joins is False
 
 
 class TestResultCacheUnit:

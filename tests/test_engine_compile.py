@@ -378,7 +378,7 @@ def test_engine_config_knobs_and_signature():
     off = EngineConfig(compiled_expressions=False, page_compression=False)
     assert "compiled=0" in off.plan_signature()
     assert "pages=0" in off.plan_signature()
-    assert not Database("off", config=off).compiled_expressions
+    assert not Database("off", config=off).config.compiled_expressions
 
 
 def test_explain_shows_fused_annotation():
@@ -432,11 +432,11 @@ def test_result_cache_entries_disjoint_per_compiled_mode():
     db = build_db(result_cache=True)
     db.sql(KERNEL_SQL)
     assert len(db.result_cache) == 1
-    db.compiled_expressions = False
+    db.config = db.config.replace(compiled_expressions=False)
     miss = db.sql(KERNEL_SQL)
     assert not miss.plan.startswith("[answered from cache]")
     assert len(db.result_cache) == 2  # one entry per mode
-    db.compiled_expressions = True
+    db.config = db.config.replace(compiled_expressions=True)
     hit = db.sql(KERNEL_SQL)
     assert hit.plan.startswith("[answered from cache]")
 
@@ -540,7 +540,7 @@ class TestCodecChoice:
         dense = db.table("galaxy").file.rows_per_page
         raw = max(1, PAGE_BYTES // db.table("galaxy").schema.row_byte_width)
         assert dense > raw
-        db.page_compression = False
+        db.config = db.config.replace(page_compression=False)
         db.table("galaxy").apply_compression(None)
         assert db.table("galaxy").file.rows_per_page == raw
 

@@ -24,6 +24,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.optimizer.cardinality import (
     DEFAULT_EQ_SELECTIVITY,
@@ -437,7 +438,7 @@ class TestQError:
 
 
 def _join_db(optimizer: str = "cost") -> Database:
-    db = Database("planner", optimizer=optimizer)
+    db = Database("planner", config=EngineConfig(optimizer=optimizer))
     rng = np.random.default_rng(3)
     db.create_table("big", {
         "id": np.arange(2000, dtype=np.int64),
@@ -498,7 +499,7 @@ class TestEstRowsAndQuality:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(EngineError):
-            Database("bad", optimizer="telepathic")
+            EngineConfig(optimizer="telepathic")
         db = _join_db()
         with pytest.raises(SqlPlanError):
             db.explain("SELECT id FROM big", optimizer="telepathic")

@@ -256,11 +256,11 @@ def test_rewrites_off_never_cross_serves_cached_entry():
     sql = "SELECT id, a FROM t1 WHERE a > 5 ORDER BY id"
     db.sql(sql)
     assert len(db.result_cache) == 1
-    db.rewrites_enabled = False
+    db.config = db.config.replace(rewrites=False)
     miss = db.sql(sql)
     assert not miss.plan.startswith("[answered from cache]")
     assert len(db.result_cache) == 2  # distinct entry per mode
-    db.rewrites_enabled = True
+    db.config = db.config.replace(rewrites=True)
     hit = db.sql(sql)
     assert hit.plan.startswith("[answered from cache]")
 
@@ -292,9 +292,9 @@ def test_rewrite_metrics_count_firings():
 
 def test_engine_config_controls_rewrites():
     assert EngineConfig().rewrites is True
-    assert Database("a", config=EngineConfig()).rewrites_enabled
+    assert Database("a", config=EngineConfig()).config.rewrites
     assert not Database(
-        "b", config=EngineConfig(rewrites=False)).rewrites_enabled
+        "b", config=EngineConfig(rewrites=False)).config.rewrites
 
 
 def test_cli_rewrites_flag():

@@ -1,0 +1,248 @@
+"""The one SELECT path: what a statement costs, and what it is keyed on.
+
+``Database.sql`` / ``run_script`` / ``Executor._select`` all enter one
+staged path (DESIGN.md, "Life of a SELECT").  These tests count the
+work it does from outside — a statement is rewritten once and planned
+once, in every ``EngineConfig`` corner — and pin the statement
+fingerprints, which saved ``querystore.json`` files depend on.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.engine.config import EngineConfig
+from repro.engine.database import Database
+from repro.engine.optimizer import rewrite as rewrite_module
+from repro.engine.sql.planner import Planner
+from repro.obs.slowlog import get_slow_log
+
+FILTER_SQL = "SELECT COUNT(*) AS n FROM obj WHERE mag < 18"
+BAND_SQL = (
+    "SELECT COUNT(*) AS n FROM obj o JOIN grid g "
+    "ON ABS(o.mag - g.lo) < 0.3"
+)
+VIEW_WRAP_SQL = (
+    "SELECT b.id FROM (SELECT id, mag FROM bright) AS b "
+    "WHERE b.mag < 16 ORDER BY b.id"
+)
+UNION_SQL = (
+    "SELECT id FROM obj WHERE mag < 15 "
+    "UNION ALL SELECT id FROM obj WHERE mag > 21"
+)
+
+
+def build_db(**knobs) -> Database:
+    rng = np.random.default_rng(12)
+    db = Database("path", config=EngineConfig(**knobs))
+    db.create_table("obj", {
+        "id": np.arange(600, dtype=np.int64),
+        "mag": rng.uniform(14.0, 22.0, 600),
+        "zoneid": rng.integers(0, 20, 600).astype(np.int64),
+    }, primary_key="id")
+    db.create_table("grid", {
+        "gid": np.arange(40, dtype=np.int64),
+        "lo": np.linspace(14.0, 21.8, 40),
+        "hi": np.linspace(14.2, 22.0, 40),
+    }, primary_key="gid")
+    db.sql("CREATE VIEW bright AS SELECT id, mag FROM obj WHERE mag < 18")
+    db.analyze()
+    return db
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    """Top-level ``rewrite_statement`` calls and rewriting plannings.
+
+    A UNION's per-branch recursion and the rewrites-off plannings that
+    price a firing for the EXPLAIN trace are nested work, not counted.
+    """
+    counts: Counter = Counter()
+    real_rewrite = rewrite_module.rewrite_statement
+    real_plan = Planner.plan_select
+    depth = 0
+
+    def counting_rewrite(*args, **kwargs):
+        nonlocal depth
+        counts["rewrite"] += depth == 0
+        depth += 1
+        try:
+            return real_rewrite(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    def counting_plan(self, stmt, **kwargs):
+        counts["plan"] += bool(self.rewrites and not kwargs.get("_nested"))
+        return real_plan(self, stmt, **kwargs)
+
+    monkeypatch.setattr(rewrite_module, "rewrite_statement", counting_rewrite)
+    monkeypatch.setattr(Planner, "plan_select", counting_plan)
+    return counts
+
+
+def taken(calls: Counter) -> tuple[int, int]:
+    """``(rewrites, plannings)`` since the counter was last cleared."""
+    return calls["rewrite"], calls["plan"]
+
+
+@pytest.fixture
+def everything_is_slow():
+    log = get_slow_log()
+    old = log.threshold_s
+    log.clear()
+    log.set_threshold(0.0)
+    yield log
+    log.set_threshold(old)
+    log.clear()
+
+
+CORNERS = {
+    "default": {},
+    "cache": {"result_cache": True},
+    "store": {"query_store": True},
+    "feedback": {"feedback": True},
+    "cache+feedback+store": {
+        "result_cache": True, "feedback": True, "query_store": True,
+    },
+}
+
+
+class TestOneRewriteOnePlanning:
+    @pytest.mark.parametrize("corner", CORNERS)
+    @pytest.mark.parametrize(
+        "sql", [FILTER_SQL, VIEW_WRAP_SQL], ids=["filter", "view_wrap"]
+    )
+    def test_a_miss_rewrites_once_and_plans_once(self, corner, sql, calls):
+        db = build_db(**CORNERS[corner])
+        calls.clear()
+        db.sql(sql)
+        assert taken(calls) == (1, 1)
+
+    @pytest.mark.parametrize("corner", ["cache", "cache+feedback+store"])
+    def test_a_cache_hit_plans_nothing(self, corner, calls):
+        db = build_db(**CORNERS[corner])
+        db.sql(VIEW_WRAP_SQL)
+        calls.clear()
+        hit = db.sql(VIEW_WRAP_SQL)
+        assert hit.plan.startswith("[answered from cache]")
+        assert taken(calls) == (1, 0)
+
+    def test_a_memo_hit_plans_nothing(self, calls):
+        db = build_db(feedback=True)
+        db.sql(VIEW_WRAP_SQL)
+        calls.clear()
+        assert db.sql(VIEW_WRAP_SQL).memo_decision == "hit"
+        assert taken(calls) == (1, 0)
+
+    @pytest.mark.parametrize("corner", CORNERS)
+    def test_the_slow_log_does_not_replan(
+        self, corner, calls, everything_is_slow
+    ):
+        db = build_db(**CORNERS[corner])
+        calls.clear()
+        result = db.sql(VIEW_WRAP_SQL)
+        assert taken(calls) == (1, 1)
+        entry = everything_is_slow.entries()[-1]
+        assert entry.plan == result.plan  # the plan that ran
+        assert entry.fingerprint == result.fingerprint
+        if "cache" in corner:
+            calls.clear()
+            db.sql(VIEW_WRAP_SQL)
+            assert calls["plan"] == 0
+
+    def test_union_branches_rewrite_once_each(self, calls):
+        db = build_db(result_cache=True, feedback=True)
+        calls.clear()
+        db.sql(UNION_SQL)
+        # one pass over the UNION for the cache key, then each branch
+        # is keyed for the memo as its own nested SELECT
+        assert taken(calls) == (3, 2)
+
+
+class TestFingerprintsArePinned:
+    """Hashes computed at the commit before the paths were merged."""
+
+    PINNED = {
+        FILTER_SQL: "2f2b2548ca42e3e29249a62ca6d30870",
+        BAND_SQL: "0712516f95e2926ba17fe04936c51e19",
+        VIEW_WRAP_SQL: "666c8c445706b8da8238a68bf721c121",
+        "SELECT id FROM obj WHERE 1 = 1 AND zoneid = 3 ORDER BY id":
+            "9c9d9bd7db483598b791fa900730d7de",
+        # the second branch of UNION_SQL, keyed as its own SELECT
+        "SELECT id FROM obj WHERE mag > 21":
+            "e033d8b23f17a601d9398605ba981320",
+    }
+
+    def test_statement_keys(self):
+        db = build_db(feedback=True)
+        assert {q: db.statement_key(q) for q in self.PINNED} == self.PINNED
+
+    def test_union_takes_the_hash_the_result_cache_keyed_it_on(self):
+        db = build_db(result_cache=True)
+        assert db.statement_key(UNION_SQL) == "bc675c87c317f858fce6d7582de2e1d6"
+        db.sql(UNION_SQL)
+        (entry,) = db.result_cache._entries
+        assert entry[0] == "bc675c87c317f858fce6d7582de2e1d6"
+
+    def test_mode_tag_separates_configs(self):
+        plain = build_db(rewrites=False, optimizer="syntactic",
+                         compiled_expressions=False)
+        assert plain.statement_key(FILTER_SQL) == (
+            "37936e3be8e88fac07ba4460a9134f0a"
+        )
+
+
+class TestLiveConfig:
+    def test_flipping_band_joins_misses_the_memo(self):
+        """A memoized BandJoin plan must not outlive band_joins=True."""
+        # a ceiling no estimate breaches: the second run is a plain hit
+        db = build_db(feedback=True, qerror_ceiling=1e9)
+        first, second = db.sql(BAND_SQL), db.sql(BAND_SQL)
+        assert (first.memo_decision, second.memo_decision) == ("miss", "hit")
+        assert "BandJoin" in second.plan
+        db.config = db.config.replace(band_joins=False)
+        third = db.sql(BAND_SQL)
+        assert third.memo_decision != "hit"
+        assert "BandJoin" not in third.plan
+        assert third.columns["n"].tobytes() == first.columns["n"].tobytes()
+        assert "band_joins=0" in db.config.plan_signature()
+
+    def test_long_lived_planner_follows_the_config(self):
+        db = build_db()
+        db.config = db.config.replace(rewrites=False, intra_query_workers=3)
+        result = db.sql(VIEW_WRAP_SQL)
+        assert "Rewrite" not in result.plan
+        assert "workers=3" in db.sql(BAND_SQL).plan
+
+
+class TestRunScriptTakesTheSamePath:
+    def test_repeated_select_hits_cache_and_store(self):
+        db = build_db(result_cache=True, query_store=True)
+        first, second = db.run_script(f"{FILTER_SQL};\n{FILTER_SQL};")
+        assert not first.plan.startswith("[answered from cache]")
+        assert second.plan.startswith("[answered from cache]")
+        assert second.columns["n"].tobytes() == first.columns["n"].tobytes()
+        stats = db.sql(
+            "SELECT fingerprint, executions, cache_hits "
+            "FROM sys_query_store_runtime_stats"
+        ).rows()
+        assert stats == [{
+            "fingerprint": db.statement_key(FILTER_SQL),
+            "executions": 2,
+            "cache_hits": 1,
+        }]
+
+    def test_script_statements_reach_the_slow_log(self, everything_is_slow):
+        db = build_db()
+        everything_is_slow.clear()
+        db.run_script(f"{FILTER_SQL}; {BAND_SQL}")
+        assert len(everything_is_slow.entries()) == 2
+
+    def test_a_syntax_error_runs_nothing(self):
+        db = build_db()
+        with pytest.raises(Exception):
+            db.run_script("DELETE FROM obj; SELEKT 1")
+        assert db.table("obj").row_count == 600

@@ -131,7 +131,7 @@ class TestAccessPathSelection:
         assert "NestedLoopJoin" in plan and "BandJoin" not in plan
 
     def test_band_join_disabled_falls_back(self, db):
-        db.band_join_enabled = False
+        db.config = db.config.replace(band_joins=False)
         plan = plan_text(
             db, "SELECT g.objid FROM g JOIN k ON g.zoneid < k.zid"
         )
