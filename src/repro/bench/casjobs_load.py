@@ -9,9 +9,9 @@ whole table) queries — while the service runs in the background.  The
 report carries throughput, per-class p50/p95 wait and run latency, and
 fairness across users and classes.
 
-Used three ways: ``benchmarks/bench_casjobs_load.py`` (the shape
-checks), ``repro casjobs serve`` (the CLI front door), and the
-TUTORIAL's measured table.
+Used three ways: the scheduler stress and cache A/B tests in
+``tests/test_casjobs_scheduler.py``, ``repro casjobs serve`` (the CLI
+front door), and the TUTORIAL's section 9.
 """
 
 from __future__ import annotations
@@ -350,36 +350,6 @@ class CacheComparison:
         """Did caching change any answer byte?  (It must not.)"""
         return self.digest_off == self.digest_on
 
-    @property
-    def speedup(self) -> float:
-        """Throughput ratio, cache on over cache off."""
-        if self.off.throughput_jobs_s == 0:
-            return float("inf")
-        return self.on.throughput_jobs_s / self.off.throughput_jobs_s
-
-    def p95_run_ms(self, report: LoadReport) -> float:
-        """Worst per-class p95 run latency of a report, in ms."""
-        return 1e3 * max(
-            report.stats.p95_run(cls) for cls in QueueClass
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-ready summary (written to ``BENCH_cache.json`` by CI)."""
-        return {
-            "jobs": self.off.spec.n_jobs,
-            "users": self.off.spec.n_users,
-            "distinct_queries": self.off.spec.zipf_queries,
-            "zipf_s": self.off.spec.zipf_s,
-            "catalog_rows": self.off.spec.catalog_rows,
-            "identical_answers": self.identical,
-            "speedup": round(self.speedup, 3),
-            "throughput_off_jobs_s": round(self.off.throughput_jobs_s, 2),
-            "throughput_on_jobs_s": round(self.on.throughput_jobs_s, 2),
-            "p95_run_off_ms": round(self.p95_run_ms(self.off), 3),
-            "p95_run_on_ms": round(self.p95_run_ms(self.on), 3),
-            "cache": self.on.cache,
-        }
-
 
 def run_zipf_cache_comparison(spec: LoadSpec) -> CacheComparison:
     """A/B the cache on one zipfian workload; checks answers byte-match.
@@ -415,7 +385,7 @@ def check_no_lost_or_duplicated(service: CasJobsService, submitted: int) -> None
     """Invariant: every submitted job is terminal exactly once.
 
     Raised as :class:`CasJobsError` on violation; the stress test and
-    the CI smoke step both call this after a run.
+    ``repro casjobs serve`` both call this after a run.
     """
     jobs = service.queue.jobs()
     if len(jobs) != submitted:

@@ -471,9 +471,9 @@ def cmd_explain(args) -> int:
     if not args.no_stats:
         db.sql("ANALYZE")
     if not args.analyze:
-        print(db.explain(args.sql, optimizer=args.optimizer))
+        print(db.explain(args.sql))
         return 0
-    report = db.explain_analyze(args.sql, optimizer=args.optimizer)
+    report = db.explain_analyze(args.sql)
     print(report.render())
     print()
     print(report.quality_report().render())
@@ -683,7 +683,7 @@ def cmd_memo(args) -> int:
 
 
 def _querystore_database(config):
-    """A small shifted 3-table chain (bench_feedback at smoke scale).
+    """A small shifted 3-table chain.
 
     Seeded and ANALYZEd, then the join key ``b.k2`` is skewed onto the
     single value ``c`` holds — the planner's containment estimate is

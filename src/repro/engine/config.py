@@ -43,10 +43,6 @@ PLANNING_KNOBS = (
     "page_compression",
 )
 
-#: Default ceiling on cached result bytes per database (64 MiB — a
-#: fraction of the paper's 2 GB nodes, like a real plan/result cache).
-DEFAULT_CACHE_MAX_BYTES = 64 << 20
-
 #: Default ceiling on cached entries per database.
 DEFAULT_CACHE_MAX_ENTRIES = 512
 
@@ -54,15 +50,6 @@ DEFAULT_CACHE_MAX_ENTRIES = 512
 #: more than 8x off (in either direction) triggers targeted re-ANALYZE
 #: plus learned selectivity overrides and a re-plan.
 DEFAULT_QERROR_CEILING = 8.0
-
-#: Default ceiling on memoized plans per database.
-DEFAULT_PLAN_MEMO_ENTRIES = 256
-
-#: Default Query Store runtime-stat aggregation interval, seconds.
-DEFAULT_QUERY_STORE_INTERVAL_S = 60.0
-
-#: Default ceiling on fingerprints the Query Store tracks.
-DEFAULT_QUERY_STORE_MAX_QUERIES = 256
 
 
 @dataclass(frozen=True)
@@ -105,11 +92,9 @@ class EngineConfig:
         from a prior identical statement's result when every referenced
         table is unchanged since it was stored.  Off by default — the
         CasJobs service and the CLI turn it on for shared catalogs.
-    cache_max_bytes / cache_max_entries:
-        LRU eviction thresholds for the result cache.
-    cache_ttl_s:
-        Optional time-to-live for cached results; ``None`` means
-        entries live until invalidated or evicted.
+    cache_max_entries:
+        LRU bound on cached results (the byte bound is the
+        :class:`~repro.engine.cache.ResultCache` default).
     feedback:
         Enable the adaptive feedback optimizer: chosen plans are
         memoized per statement fingerprint (repeat executions skip
@@ -121,17 +106,11 @@ class EngineConfig:
         Max per-operator q-error tolerated before the feedback loop
         reacts.  Must be > 1 (a ceiling of 1 would re-plan every
         imperfect estimate forever).
-    plan_memo_entries:
-        LRU bound on memoized plans per database.
     query_store:
         Enable the Query Store: per-fingerprint runtime-stat intervals,
         full plan history, plan-regression detection and plan forcing,
         exposed as ``sys_query_store_*`` catalog tables and persisted
         by ``save_database``.  Off by default.
-    query_store_interval_s:
-        Length of one runtime-stat aggregation interval, seconds.
-    query_store_max_queries:
-        Ceiling on tracked fingerprints (least-recently-seen evicted).
     """
 
     pool_pages: int = DEFAULT_POOL_PAGES
@@ -142,15 +121,10 @@ class EngineConfig:
     compiled_expressions: bool = True
     page_compression: bool = True
     result_cache: bool = False
-    cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
     cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES
-    cache_ttl_s: float | None = None
     feedback: bool = False
     qerror_ceiling: float = DEFAULT_QERROR_CEILING
-    plan_memo_entries: int = DEFAULT_PLAN_MEMO_ENTRIES
     query_store: bool = False
-    query_store_interval_s: float = DEFAULT_QUERY_STORE_INTERVAL_S
-    query_store_max_queries: int = DEFAULT_QUERY_STORE_MAX_QUERIES
 
     def __post_init__(self) -> None:
         if self.optimizer not in _OPTIMIZER_MODES:
@@ -161,18 +135,10 @@ class EngineConfig:
         if self.pool_pages <= 0:
             raise EngineError("pool_pages must be positive")
         resolve_workers(self.intra_query_workers)
-        if self.cache_max_bytes <= 0 or self.cache_max_entries <= 0:
-            raise EngineError("cache limits must be positive")
-        if self.cache_ttl_s is not None and self.cache_ttl_s <= 0:
-            raise EngineError("cache_ttl_s must be positive (or None)")
+        if self.cache_max_entries <= 0:
+            raise EngineError("cache_max_entries must be positive")
         if self.qerror_ceiling <= 1.0:
             raise EngineError("qerror_ceiling must be > 1")
-        if self.plan_memo_entries <= 0:
-            raise EngineError("plan_memo_entries must be positive")
-        if self.query_store_interval_s <= 0:
-            raise EngineError("query_store_interval_s must be positive")
-        if self.query_store_max_queries <= 0:
-            raise EngineError("query_store_max_queries must be positive")
 
     def replace(self, **changes) -> "EngineConfig":
         """A copy with the given fields changed (validation re-runs)."""

@@ -65,11 +65,7 @@ class Database:
         self.pool = BufferPool(config.pool_pages)
         #: Shared semantic result cache, or None when disabled.
         self.result_cache: ResultCache | None = (
-            ResultCache(
-                max_bytes=config.cache_max_bytes,
-                max_entries=config.cache_max_entries,
-                ttl_s=config.cache_ttl_s,
-            )
+            ResultCache(max_entries=config.cache_max_entries)
             if config.result_cache
             else None
         )
@@ -88,10 +84,7 @@ class Database:
             from repro.engine.optimizer.planforce import PlanForcer
             from repro.obs.querystore import QueryStore
 
-            self.query_store = QueryStore(
-                interval_s=config.query_store_interval_s,
-                max_queries=config.query_store_max_queries,
-            )
+            self.query_store = QueryStore()
             self.plan_forcer = PlanForcer()
         self._tables: dict[str, Table] = {}
         self._clustered: dict[str, ClusteredIndex] = {}
@@ -565,31 +558,29 @@ class Database:
             )
         return result
 
-    def explain_analyze(self, text: str, optimizer: str | None = None):
+    def explain_analyze(self, text: str):
         """Execute a SELECT with per-operator instrumentation.
 
         Returns an :class:`~repro.engine.instrument.AnalyzeReport` whose
         ``render()`` shows rows/time/I/O and estimated-vs-actual q-error
-        per plan node.  ``optimizer`` overrides the database's mode for
-        this one statement.
+        per plan node.
         """
         from repro.engine.instrument import explain_analyze
 
-        return explain_analyze(self, text, optimizer=optimizer)
+        return explain_analyze(self, text)
 
-    def explain(self, text: str, optimizer: str | None = None) -> str:
+    def explain(self, text: str) -> str:
         """Plan a SELECT and return the operator tree as text."""
         from repro.engine.sql.planner import Planner
 
         stmt = parse(text)
         if not isinstance(stmt, SelectStatement):
             raise EngineError("EXPLAIN supports SELECT statements only")
-        keyed = None
-        if self.result_cache is not None and optimizer in (
-            None, self._config.optimizer
-        ):
-            keyed = plan_fingerprint(stmt, self)
-        plan_text = Planner(self, optimizer).plan_select(
+        keyed = (
+            plan_fingerprint(stmt, self)
+            if self.result_cache is not None else None
+        )
+        plan_text = Planner(self).plan_select(
             stmt, rewritten=keyed.rewritten if keyed is not None else None
         ).explain()
         if (

@@ -193,14 +193,11 @@ def instrument_plan(
     return wrap(plan, 0), records
 
 
-def explain_analyze(
-    database, sql_text: str, optimizer: str | None = None
-) -> AnalyzeReport:
+def explain_analyze(database, sql_text: str) -> AnalyzeReport:
     """Plan, instrument and execute a SELECT; return the measured tree.
 
     Inclusive timings: each node's time contains its children's (the
-    familiar EXPLAIN ANALYZE convention).  ``optimizer`` overrides the
-    database's planner mode for this statement.
+    familiar EXPLAIN ANALYZE convention).
     """
     from repro.engine.sql.ast import SelectStatement
     from repro.engine.sql.parser import parse
@@ -213,7 +210,7 @@ def explain_analyze(
     stmt = parse(sql_text)
     if not isinstance(stmt, SelectStatement):
         raise EngineError("explain_analyze supports SELECT statements only")
-    plan = Planner(database, optimizer).plan_select(stmt)
+    plan = Planner(database).plan_select(stmt)
     # instance attr on the plan root; the _Instrumented wrapper would
     # otherwise shadow it with the PlanNode class default
     rewrite_trace = tuple(getattr(plan, "rewrite_trace", ()))

@@ -320,7 +320,7 @@ class FeedbackController:
     def __init__(self, database, config):
         self.database = database
         self.ceiling = float(config.qerror_ceiling)
-        self.memo = PlanMemo(config.plan_memo_entries)
+        self.memo = PlanMemo()
         self.store = FeedbackStore()
         self.overrides = SelectivityOverrides()
         metrics = get_metrics()

@@ -319,11 +319,12 @@ class TestStress:
         assert report.accepted >= 100  # the floor this test exists to hold
 
     def test_users_and_classes_both_present(self, stressed):
-        spec, service, _ = stressed
+        spec, service, report = stressed
         owners = {j.owner for j in service.queue.jobs()}
         classes = {j.queue_class for j in service.queue.jobs()}
         assert len(owners) >= 10
         assert classes == {QueueClass.QUICK, QueueClass.LONG}
+        assert report.user_fairness > 0.7  # Jain index: users served evenly
 
     def test_quota_invariant_holds_under_concurrency(self, stressed):
         _, service, _ = stressed
@@ -379,12 +380,9 @@ class TestZipfCacheWorkload:
         comparison = run_zipf_cache_comparison(self.SPEC)
         assert comparison.identical
         # the skewed pool repeats queries, so the cached site really hit
-        assert comparison.on.cache.get("hits", 0) > 0
+        assert comparison.on.cache["hit_rate"] > 0.5
         assert comparison.off.cache == {}
         assert comparison.digest_off == comparison.digest_on
-        summary = comparison.as_dict()
-        assert summary["identical_answers"] is True
-        assert summary["jobs"] == self.SPEC.n_jobs
 
 
 class TestSchedulerStatsPercentiles:

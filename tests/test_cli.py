@@ -133,6 +133,24 @@ class TestMemo:
         assert out.count("memo=miss") >= 2 or "memo=replan" in out
 
 
+class TestQueryStore:
+    def test_demo_records_replan_and_forcing(self, capsys):
+        main(["querystore", "--demo"])
+        out = capsys.readouterr().out
+        # the exit code folds in wall-clock verdicts (CI's to judge);
+        # these lines are deterministic
+        for claim in (
+            "feedback re-plan recorded as a plan change",
+            "forcing recorded as a plan change",
+            "SELECT over sys_query_store_queries matches the store",
+            "sys_query_store_plans flags exactly the forced plan",
+            "post-unforce execution is not forced",
+            "every answer byte-identical",
+        ):
+            assert f"[ok] {claim}" in out
+        assert out.count("memo=forced") == 3
+
+
 class TestAnalyze:
     def test_explain_analyze_output(self, capsys):
         code = main([

@@ -415,8 +415,8 @@ class TestSqlExtraction:
 
     def test_syntactic_mode_unchanged(self):
         db = _sql_database()
-        plan = db.explain(BAND_SQL, optimizer="syntactic")
-        assert "BandJoin" not in plan
+        db.config = db.config.replace(optimizer="syntactic")
+        assert "BandJoin" not in db.explain(BAND_SQL)
 
     def test_band_disabled_database_uses_nested_loop(self):
         db = _sql_database(band_joins=False)
@@ -427,6 +427,16 @@ class TestSqlExtraction:
         banded = _sql_database().sql(BAND_SQL)
         baseline = _sql_database(band_joins=False).sql(BAND_SQL)
         assert_batches_identical(banded.columns, baseline.columns)
+
+    def test_all_band_chain_extracts_every_join_step(self):
+        chain = ("SELECT COUNT(*) AS n, SUM(c.gid) AS s FROM grid a "
+                 "JOIN grid b ON ABS(a.mag - b.mag) < 0.05 "
+                 "JOIN grid c ON ABS(b.colour - c.colour) < 0.05")
+        banded, baseline = _sql_database(), _sql_database(band_joins=False)
+        assert banded.explain(chain).count("BandJoin(") == 2
+        assert "BandJoin" not in baseline.explain(chain)
+        assert_batches_identical(banded.sql(chain).columns,
+                                 baseline.sql(chain).columns)
 
     def test_workers_stamped_into_plan(self):
         db = _sql_database(intra_query_workers=4)
@@ -476,15 +486,33 @@ class TestKernelPlan:
         assert "BandJoin" in plan
         assert "NestedLoopJoin" not in plan
         assert "residual" in plan  # the chi² filter rides along vectorized
+        assert "IndexRangeScan(zone.zoneid" in plan  # zone clustered index
 
     def test_kernel_answers_identical_with_and_without_band(self, kernel_db):
+        default = kernel_db.config
         banded = kernel_db.sql(self.KERNEL)
-        kernel_db.config = kernel_db.config.replace(band_joins=False)
+        for knobs in (dict(band_joins=False), dict(intra_query_workers=4),
+                      dict(optimizer="syntactic")):
+            kernel_db.config = default.replace(**knobs)
+            try:
+                other = kernel_db.sql(self.KERNEL)
+            finally:
+                kernel_db.config = default
+            assert_batches_identical(banded.columns, other.columns)
+
+    def test_cost_plan_touches_fewer_rows_under_q_ceiling(self, kernel_db):
+        default = kernel_db.config
+        cost = kernel_db.explain_analyze(self.KERNEL)
+        kernel_db.config = default.replace(optimizer="syntactic")
         try:
-            baseline = kernel_db.sql(self.KERNEL)
+            syntactic = kernel_db.explain_analyze(self.KERNEL)
         finally:
-            kernel_db.config = kernel_db.config.replace(band_joins=True)
-        assert_batches_identical(banded.columns, baseline.columns)
+            kernel_db.config = default
+        # chi² joins, not filter-after-cross-product; statistics keep the
+        # estimates honest (the ceiling catches orders of magnitude)
+        assert sum(n.rows for n in cost.nodes) \
+            < sum(n.rows for n in syntactic.nodes)
+        assert cost.max_q_error <= 64.0
 
 
 class TestClusterDeterminism:

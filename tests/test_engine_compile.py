@@ -226,6 +226,9 @@ def test_cse_shares_repeated_subtrees():
     ) + count_nodes(band) + count_nodes(chi)
     assert after["nodes_evaluated"] - before["nodes_evaluated"] \
         < interpreted_nodes
+    # ... and at least 2x fewer ndarray temporary elements allocated
+    assert after["interp_elements"] - before["interp_elements"] \
+        >= 2 * (after["alloc_elements"] - before["alloc_elements"])
     full_band = np.linspace(0, 3, 50) - np.linspace(1, 2, 50)
     keep = (full_band > 0.2) & (full_band * full_band < 4.0)
     assert identical(values[0], full_band[keep])

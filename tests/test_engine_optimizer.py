@@ -55,7 +55,7 @@ from repro.engine.optimizer.statistics import (
 )
 from repro.engine.sql.parser import parse
 from repro.engine.storage import load_table, save_table
-from repro.errors import EngineError, SqlPlanError
+from repro.errors import EngineError
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +497,22 @@ class TestEstRowsAndQuality:
         )
         assert rows_cost == rows_syn and rows_cost
 
+    def test_cost_mode_defers_the_big_join(self):
+        # hostile FROM order: big x big first, the selective dimension last
+        sql = ("SELECT COUNT(*) AS n FROM big b1 JOIN big b2 ON b1.d = b2.d "
+               "JOIN dim d ON b1.d = d.id WHERE d.cat = 2")
+        cost = _join_db("cost").explain_analyze(sql)
+        syntactic = _join_db("syntactic").explain_analyze(sql)
+        order = [n.description for n in cost.nodes]
+        assert order.index("SeqScan(dim AS d)") \
+            < order.index("SeqScan(big AS b2)")
+        assert sum(n.rows for n in cost.nodes) \
+            < sum(n.rows for n in syntactic.nodes)
+        assert cost.result["n"][0] == syntactic.result["n"][0] > 0
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(EngineError):
             EngineConfig(optimizer="telepathic")
-        db = _join_db()
-        with pytest.raises(SqlPlanError):
-            db.explain("SELECT id FROM big", optimizer="telepathic")
 
 
 class TestOrDisablesIndexRegression:

@@ -198,6 +198,21 @@ def test_explain_analyze_reports_rewrite_trace():
     assert report.rewrite_trace
 
 
+@pytest.mark.parametrize("sql", (
+    "SELECT * FROM (SELECT id, a, b FROM t1) d "
+    "WHERE d.id BETWEEN 100 AND 109 ORDER BY id",
+    "WITH f AS (SELECT id, b FROM t1) "
+    "SELECT id, b FROM f WHERE id BETWEEN 200 AND 204 ORDER BY id",
+), ids=("derived_table", "cte"))
+def test_pushdown_touches_at_least_2x_fewer_rows(sql):
+    """Rows summed over every operator: the selective range filters
+    below the derived-table shell instead of after it."""
+    on = explain_analyze(build_db(True), sql)
+    off = explain_analyze(build_db(False), sql)
+    assert 2 * sum(n.rows for n in on.nodes) <= sum(n.rows for n in off.nodes)
+    assert on.row_count == off.row_count > 0
+
+
 def test_rewrites_off_plans_carry_no_trace():
     db = build_db(False)
     for sql in RULE_QUERIES.values():

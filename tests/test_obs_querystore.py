@@ -166,8 +166,8 @@ class TestPlanChangeVerdicts:
 class TestSqlIntegration:
     def test_executions_recorded_with_decision(self):
         db = make_db()
-        db.sql(JOIN_SQL)
-        db.sql(JOIN_SQL)
+        # recording never changes an answer: 5 groups x 12 t x 8 u rows
+        assert db.sql(JOIN_SQL).scalar() == db.sql(JOIN_SQL).scalar() == 480
         fp = db.statement_key(JOIN_SQL)
         query = db.query_store.query(fp)
         assert query.executions == 2
