@@ -458,11 +458,8 @@ def _demo_database(args):
 
 
 def cmd_analyze(args) -> int:
-    from repro.engine.instrument import explain_analyze
-
     db = _demo_database(args)
-    report = explain_analyze(db, args.execute)
-    print(report.render())
+    print(db.explain_analyze(args.execute).render())
     return 0
 
 

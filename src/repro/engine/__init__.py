@@ -2,12 +2,12 @@
 
 The substrate standing in for Microsoft SQL Server 2000: typed tables
 over 8 KiB pages with an LRU buffer pool (I/O accounting), clustered
-and hash indexes, hash/nested-loop/cross joins, grouped aggregation,
+indexes, hash/nested-loop/cross joins, grouped aggregation,
 and a SQL subset (SELECT/INSERT/UPDATE/DELETE/CREATE/DROP/TRUNCATE).
 """
 
 from repro.engine.database import Database, TableFunction
-from repro.engine.instrument import AnalyzeReport, explain_analyze
+from repro.engine.instrument import AnalyzeReport
 from repro.engine.pages import BufferPool, PAGE_BYTES
 from repro.engine.schema import Column, TableSchema, schema
 from repro.engine.stats import IOCounters, TaskStats, TaskTimer
@@ -27,6 +27,5 @@ __all__ = [
     "TaskStats",
     "TableFunction",
     "TaskTimer",
-    "explain_analyze",
     "schema",
 ]

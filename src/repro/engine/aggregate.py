@@ -73,7 +73,7 @@ class Aggregate(PlanNode):
     group_by: list[tuple[str, Expr]]  # output name, key expression
     aggregates: list[AggregateSpec]
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
 

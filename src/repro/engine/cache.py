@@ -40,7 +40,8 @@ from repro.engine.sql.ast import (
     UnionStatement,
 )
 from repro.engine.sql.printer import statement_to_sql
-from repro.obs.metrics import get_metrics
+from repro.errors import ReproError
+from repro.obs.metrics import count_swallowed_error, get_metrics
 
 #: Fully-qualified cache key: (statement fingerprint, table versions).
 CacheKey = tuple[str, tuple[tuple[str, int], ...]]
@@ -110,8 +111,11 @@ def plan_fingerprint(stmt, database) -> PlanKey | None:
 
         try:
             rewritten = rewrite_statement(stmt, database, price=False)
-        except Exception:
+        except ReproError:
             return None  # unrewritable shape: plan it fresh every time
+        except Exception:
+            count_swallowed_error("cache.plan_fingerprint")
+            return None
         fingerprint_stmt = rewritten[0]
         mode = f"{mode}+rewrite"
     if config.compiled_expressions:

@@ -2,7 +2,7 @@
 
 This is the reproduction's "SQL Server instance".  A
 :class:`Database` owns a buffer pool (default sized to the paper's 2 GB
-nodes), a catalog of tables, optional clustered/hash indexes, and a
+nodes), a catalog of tables, optional clustered indexes, and a
 ``sql()`` method that parses, plans and executes statements.  All I/O
 accounting funnels through ``db.pool.counters`` so a
 :class:`~repro.engine.stats.TaskTimer` wrapped around any workload
@@ -26,7 +26,8 @@ from repro.engine.cache import (
 )
 from repro.engine.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.engine.expressions import batch_length
-from repro.engine.index import ClusteredIndex, HashIndex
+from repro.engine.index import ClusteredIndex
+from repro.engine.instrument import AnalyzeReport, max_q_error
 from repro.engine.matview import MaterializedView
 from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES
 from repro.engine.schema import Column, TableSchema
@@ -50,6 +51,13 @@ class TableFunction:
     name: str
     columns: tuple[str, ...]
     fn: Callable
+
+
+def _cached_plan_text(entry) -> str:
+    """``QueryResult.plan`` of a statement answered by this cache entry."""
+    if entry.plan:
+        return "[answered from cache]\n" + entry.plan
+    return "[answered from cache]"
 
 
 class Database:
@@ -88,7 +96,6 @@ class Database:
             self.plan_forcer = PlanForcer()
         self._tables: dict[str, Table] = {}
         self._clustered: dict[str, ClusteredIndex] = {}
-        self._hash: dict[tuple[str, str], HashIndex] = {}
         self._views: dict[str, object] = {}  # name -> SelectStatement
         self._matviews: dict[str, MaterializedView] = {}
         #: >0 while (re)materializing a view's defining SELECT, so the
@@ -203,8 +210,6 @@ class Database:
         self._tables[key].file.invalidate()
         del self._tables[key]
         self._clustered.pop(key, None)
-        for hash_key in [k for k in self._hash if k[0] == key]:
-            del self._hash[hash_key]
         if self.result_cache is not None:
             self.result_cache.invalidate_table(key)
         if self.feedback is not None:
@@ -409,23 +414,10 @@ class Database:
         index = ClusteredIndex(table, tuple(keys))
         index.build()
         self._clustered[table_name.lower()] = index
-        # physical order changed: row-position-based hash indexes are stale
-        for hash_key in [k for k in self._hash if k[0] == table_name.lower()]:
-            self._hash[hash_key].invalidate()
         return index
 
     def clustered_index(self, table_name: str) -> ClusteredIndex | None:
         return self._clustered.get(table_name.lower())
-
-    def create_hash_index(self, table_name: str, key: str) -> HashIndex:
-        table = self.table(table_name)
-        index = HashIndex(table, key)
-        index.build()
-        self._hash[(table_name.lower(), key.lower())] = index
-        return index
-
-    def hash_index(self, table_name: str, key: str) -> HashIndex | None:
-        return self._hash.get((table_name.lower(), key.lower()))
 
     def invalidate_indexes(self, table_name: str) -> None:
         """Mark indexes stale after DML; clustered order survives appends
@@ -436,8 +428,6 @@ class Database:
         reclaims the memory and makes invalidation observable.)
         """
         self._clustered.pop(table_name.lower(), None)
-        for hash_key in [k for k in self._hash if k[0] == table_name.lower()]:
-            self._hash[hash_key].invalidate()
         if self.result_cache is not None:
             self.result_cache.invalidate_table(table_name)
         if self.feedback is not None:
@@ -477,15 +467,19 @@ class Database:
             for stmt, chunk in zip(statements, chunks)
         ]
 
-    def _run_statement(self, stmt, text: str) -> QueryResult:
+    def _run_statement(
+        self, stmt, text: str, analyze: bool = False
+    ) -> QueryResult:
         """One user statement: the statement-level half of the SELECT path.
 
         fingerprint -> result-cache lookup -> execute (``Executor``,
         inside an ``engine.sql`` trace span) -> Query Store record ->
         cache put -> slow log.  Cache and store are stages that cost one
         ``is None`` test when off; non-queries have no fingerprint and
-        pass straight to the executor.  See DESIGN.md, "Life of a
-        SELECT".
+        pass straight to the executor.  ``analyze`` (EXPLAIN ANALYZE)
+        skips the cache lookup and has the plan's nodes record what
+        they do; every other stage runs as for ``sql()``.  See
+        DESIGN.md, "Life of a SELECT".
         """
         from repro.obs.slowlog import get_slow_log
         from repro.obs.trace import span
@@ -496,7 +490,7 @@ class Database:
         started = time.perf_counter()
         if keyed is not None:
             cache_key = keyed.cache_key(self)
-            entry = cache.get(cache_key)
+            entry = None if analyze else cache.get(cache_key)
             if entry is not None:
                 if store is not None:
                     # a cache hit ran no plan: attach it to the
@@ -510,15 +504,13 @@ class Database:
                         cache_hit=True,
                     )
                 return QueryResult(
-                    columns=entry.columns,
-                    plan="[answered from cache]\n" + entry.plan
-                    if entry.plan else "[answered from cache]",
+                    columns=entry.columns, plan=_cached_plan_text(entry)
                 )
         cpu_started = time.thread_time() if store is not None else 0.0
         reads_before = self.pool.counters.logical_reads
         with span("engine.sql", layer="engine", counters=self.pool.counters,
                   attrs={"db": self.name, "sql": text.strip()[:200]}):
-            result = self._executor.execute(stmt, keyed)
+            result = self._executor.execute(stmt, keyed, analyze)
         elapsed = time.perf_counter() - started
         signature = (
             self._config.plan_signature()
@@ -550,6 +542,10 @@ class Database:
                 if isinstance(stmt, SelectStatement) else text.strip(),
                 elapsed,
                 plan=result.plan or None,
+                max_q_error=(
+                    max_q_error(result.node_stats)
+                    if result.node_stats is not None else None
+                ),
                 database=self.name,
                 fingerprint=result.fingerprint,
                 memo=result.memo_decision,
@@ -558,37 +554,52 @@ class Database:
             )
         return result
 
-    def explain_analyze(self, text: str):
-        """Execute a SELECT with per-operator instrumentation.
+    def explain_analyze(self, text: str) -> AnalyzeReport:
+        """Run a SELECT down the statement path, measured per operator.
 
-        Returns an :class:`~repro.engine.instrument.AnalyzeReport` whose
-        ``render()`` shows rows/time/I/O and estimated-vs-actual q-error
-        per plan node.
+        Every stage of :meth:`sql` runs except the result-cache lookup,
+        so the plan measured is the plan ``sql()`` runs.  The report's
+        ``render()`` shows rows / inclusive time / I/O and
+        estimated-vs-actual q-error per plan node.
         """
-        from repro.engine.instrument import explain_analyze
-
-        return explain_analyze(self, text)
-
-    def explain(self, text: str) -> str:
-        """Plan a SELECT and return the operator tree as text."""
-        from repro.engine.sql.planner import Planner
+        from repro.obs.metrics import get_metrics
 
         stmt = parse(text)
         if not isinstance(stmt, SelectStatement):
-            raise EngineError("EXPLAIN supports SELECT statements only")
-        keyed = (
-            plan_fingerprint(stmt, self)
-            if self.result_cache is not None else None
+            raise EngineError("explain_analyze supports SELECT statements only")
+        result = self._run_statement(stmt, text, analyze=True)
+        nodes, plan = result.node_stats or [], result.plan_node
+        report = AnalyzeReport(
+            nodes=nodes,
+            result=result.columns,
+            total_s=nodes[0].inclusive_s if nodes else 0.0,
+            rewrite_trace=plan.rewrite_trace if plan is not None else (),
+            plan=plan,
         )
-        plan_text = Planner(self).plan_select(
-            stmt, rewritten=keyed.rewritten if keyed is not None else None
-        ).explain()
-        if (
-            keyed is not None
-            and self.result_cache.peek(keyed.cache_key(self)) is not None
-        ):
-            return "[answered from cache]\n" + plan_text
-        return plan_text
+        metrics = get_metrics()
+        metrics.counter("engine.queries.analyzed").inc()
+        metrics.histogram("engine.query.elapsed_s").observe(report.total_s)
+        metrics.histogram(
+            "engine.query.max_q_error", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
+        ).observe(report.max_q_error)
+        return report
+
+    def explain(self, text: str) -> str:
+        """The plan :meth:`sql` would report for a SELECT, without
+        executing it: the statement path up to planning — a cached
+        answer's plan under ``[answered from cache]``, else the forced,
+        memoized or freshly planned (and then memoized) tree."""
+        stmt = parse(text)
+        if not isinstance(stmt, SelectStatement):
+            raise EngineError("EXPLAIN supports SELECT statements only")
+        keyed = None
+        if self.result_cache is not None:
+            keyed = plan_fingerprint(stmt, self)
+            if keyed is not None:
+                entry = self.result_cache.peek(keyed.cache_key(self))
+                if entry is not None:
+                    return _cached_plan_text(entry)
+        return self._executor.plan(stmt, keyed)[1].explain()
 
     # ------------------------------------------------------------------
     # query store and plan forcing

@@ -1,4 +1,4 @@
-"""Secondary access paths: clustered (sorted) and hash indexes.
+"""The secondary access path: the clustered (sorted) index.
 
 The paper's ``spZone`` task "assigns a ZoneID and creates a
 clustered-index on the data" — that is exactly
@@ -20,8 +20,7 @@ class ClusteredIndex:
     """Physical sort order of a table over one or more key columns.
 
     Keys are listed most-significant first, e.g. ``("zoneid", "ra")``.
-    Building the index rewrites the table, so positions held by other
-    indexes become stale — the database invalidates them.
+    Building the index rewrites the table.
     """
 
     def __init__(self, table: Table, keys: tuple[str, ...]):
@@ -64,40 +63,3 @@ class ClusteredIndex:
         """Read (with page accounting) all rows in the leading-key range."""
         start, stop = self.range_rows(lo, hi)
         return self.table.read_rows(start, stop)
-
-
-class HashIndex:
-    """Equality access path: column value -> row positions.
-
-    Probes touch the pages of the matched rows (bookmark lookups), so a
-    selective hash probe is visibly cheaper than a scan in the counters.
-    """
-
-    def __init__(self, table: Table, key: str):
-        if not table.schema.has_column(key):
-            raise EngineError(f"table '{table.name}' has no column '{key}'")
-        self.table = table
-        self.key = key.lower()
-        self._buckets: dict | None = None
-
-    def build(self) -> None:
-        buckets: dict = {}
-        for row, value in enumerate(self.table.column(self.key).tolist()):
-            buckets.setdefault(value, []).append(row)
-        self._buckets = buckets
-
-    def invalidate(self) -> None:
-        self._buckets = None
-
-    def lookup(self, value) -> dict[str, np.ndarray]:
-        """Rows with ``key == value`` (accounted as random page reads)."""
-        if self._buckets is None:
-            raise EngineError("hash index used before build()")
-        rows = np.asarray(self._buckets.get(value, []), dtype=np.int64)
-        return self.table.read_row_ids(rows)
-
-    def lookup_rows(self, value) -> np.ndarray:
-        """Row positions only (no payload fetch, no accounting)."""
-        if self._buckets is None:
-            raise EngineError("hash index used before build()")
-        return np.asarray(self._buckets.get(value, []), dtype=np.int64)

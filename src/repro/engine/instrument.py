@@ -1,25 +1,24 @@
-"""Plan instrumentation: EXPLAIN ANALYZE for the engine.
+"""Plan measurement: EXPLAIN ANALYZE for the engine.
 
-Wraps every node of a physical plan so execution records, per operator,
-the rows produced, wall-clock seconds (exclusive of children) and the
-buffer-pool I/O attributable to it.  This is the observability layer a
-DBA points at when explaining *why* a plan is slow — the reproduction's
-equivalent of the SQL Server statistics the paper quotes.
+A measured execution runs the plan itself: every node adds, to its own
+:class:`NodeStats`, the rows it produced, its wall-clock seconds
+(inclusive of children) and the buffer-pool I/O under it.  This is the
+observability layer a DBA points at when explaining *why* a plan is
+slow — the reproduction's equivalent of the SQL Server statistics the
+paper quotes.
 
 Usage::
 
-    report = explain_analyze(db, "SELECT ... ")
+    report = db.explain_analyze("SELECT ... ")
     print(report.render())
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.expressions import Batch, batch_length
-from repro.engine.operators import PlanNode
+from repro.engine.operators import Execution, PlanNode
 from repro.engine.optimizer.quality import (
     NodeQuality,
     PlanQualityReport,
@@ -76,9 +75,16 @@ class NodeStats:
         return f"{pad}{self.description}  [{measured}]"
 
 
+def max_q_error(nodes) -> float:
+    """Worst q-error over the executed nodes (1.0 = all perfect)."""
+    return max(
+        (q for node in nodes if (q := node.q_error) is not None), default=1.0
+    )
+
+
 @dataclass
 class AnalyzeReport:
-    """The instrumented execution's outcome."""
+    """The measured execution's outcome."""
 
     nodes: list[NodeStats]
     result: Batch
@@ -86,6 +92,8 @@ class AnalyzeReport:
     #: Rewrite-rule audit lines from the logical pass (empty when the
     #: pass is off or fired nothing); rendered ahead of the node tree.
     rewrite_trace: tuple[str, ...] = ()
+    #: The operator tree that ran (``QueryResult.plan_node``).
+    plan: PlanNode | None = None
 
     @property
     def row_count(self) -> int:
@@ -127,115 +135,19 @@ class AnalyzeReport:
         return self.quality_report().max_q_error
 
 
-class _Instrumented(PlanNode):
-    """Delegating wrapper that records one node's execution."""
+def measure(plan: PlanNode, counters: IOCounters | None = None) -> Execution:
+    """An :class:`~repro.engine.operators.Execution` that measures
+    ``plan``: ``measure(plan).run(plan)`` runs the plan itself (same
+    nodes, kernels and fusion) while every node fills its
+    :class:`NodeStats`; ``records.values()`` is the tree in preorder."""
+    records: dict[int, NodeStats] = {}
 
-    def __init__(self, inner: PlanNode, stats: NodeStats,
-                 counters: IOCounters | None):
-        self._inner = inner
-        self._stats = stats
-        self._counters = counters
-
-    def execute(self) -> Batch:
-        io_before = (
-            self._counters.snapshot() if self._counters is not None else None
+    def walk(node: PlanNode, depth: int) -> None:
+        records[id(node)] = NodeStats(
+            description=node._describe(), depth=depth, est_rows=node.est_rows
         )
-        started = time.perf_counter()
-        batch = self._inner.execute()
-        self._stats.inclusive_s += time.perf_counter() - started
-        # accumulate: a node executed multiple times (a re-executed join
-        # input, say) must report every batch, not just its last one
-        self._stats.rows += batch_length(batch)
-        self._stats.calls += 1
-        if io_before is not None and self._counters is not None:
-            self._stats.io_total += self._counters.since(io_before).total
-        return batch
+        for child in node._children():
+            walk(child, depth + 1)
 
-    def _describe(self) -> str:
-        return self._inner._describe()
-
-    def _children(self) -> tuple[PlanNode, ...]:
-        return self._inner._children()
-
-
-def instrument_plan(
-    plan: PlanNode, counters: IOCounters | None = None
-) -> tuple[PlanNode, list[NodeStats]]:
-    """Rebuild a plan tree with every node wrapped for measurement.
-
-    Works generically over the operator dataclasses: any field holding a
-    :class:`PlanNode` (or list of (name, expr) pairs is left alone) is
-    replaced by its instrumented version, preorder.
-    """
-    records: list[NodeStats] = []
-
-    def wrap(node: PlanNode, depth: int) -> PlanNode:
-        # capture est_rows here: dataclasses.replace below would lose the
-        # instance attribute the annotation pass stamped on.
-        stats = NodeStats(description=node._describe(), depth=depth,
-                          est_rows=node.est_rows)
-        records.append(stats)
-        if dataclasses.is_dataclass(node):
-            replacements = {}
-            for f in dataclasses.fields(node):
-                value = getattr(node, f.name)
-                if isinstance(value, PlanNode):
-                    replacements[f.name] = wrap(value, depth + 1)
-            if replacements:
-                compiled = node.compiled
-                node = dataclasses.replace(node, **replacements)
-                # replace() builds a fresh instance, losing the planner's
-                # in-place compiled stamp; restore it or ANALYZE would
-                # silently measure the interpreted path.
-                node.compiled = compiled
-        return _Instrumented(node, stats, counters)
-
-    return wrap(plan, 0), records
-
-
-def explain_analyze(database, sql_text: str) -> AnalyzeReport:
-    """Plan, instrument and execute a SELECT; return the measured tree.
-
-    Inclusive timings: each node's time contains its children's (the
-    familiar EXPLAIN ANALYZE convention).
-    """
-    from repro.engine.sql.ast import SelectStatement
-    from repro.engine.sql.parser import parse
-    from repro.engine.sql.printer import statement_to_sql
-    from repro.engine.sql.planner import Planner
-    from repro.obs.metrics import get_metrics
-    from repro.obs.slowlog import get_slow_log
-    from repro.obs.trace import span
-
-    stmt = parse(sql_text)
-    if not isinstance(stmt, SelectStatement):
-        raise EngineError("explain_analyze supports SELECT statements only")
-    plan = Planner(database).plan_select(stmt)
-    # instance attr on the plan root; the _Instrumented wrapper would
-    # otherwise shadow it with the PlanNode class default
-    rewrite_trace = tuple(getattr(plan, "rewrite_trace", ()))
-    wrapped, records = instrument_plan(plan, database.pool.counters)
-    with span("engine.query", layer="engine", counters=database.pool.counters,
-              attrs={"sql": sql_text.strip()[:200]}):
-        started = time.perf_counter()
-        result = wrapped.execute()
-        total = time.perf_counter() - started
-    report = AnalyzeReport(nodes=records, result=result, total_s=total,
-                           rewrite_trace=rewrite_trace)
-
-    metrics = get_metrics()
-    metrics.counter("engine.queries.analyzed").inc()
-    metrics.histogram("engine.query.elapsed_s").observe(total)
-    max_q = report.max_q_error
-    metrics.histogram(
-        "engine.query.max_q_error", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
-    ).observe(max_q)
-    slow_log = get_slow_log()
-    if slow_log.is_slow(total):
-        try:
-            text = statement_to_sql(stmt)
-        except Exception:  # printer gaps must never lose the log entry
-            text = sql_text.strip()
-        slow_log.record(text, total, plan=plan.explain(),
-                        max_q_error=max_q, database=database.name)
-    return report
+    walk(plan, 0)
+    return Execution(records, counters)

@@ -106,7 +106,7 @@ class HashJoin(PlanNode):
             return right_est <= left_est
         return n_right <= n_left
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         lbatch = self.left.execute()
         rbatch = self.right.execute()
         lkeys = _as_array(self.left_key.eval(lbatch))
@@ -236,7 +236,7 @@ class BandJoin(PlanNode):
     block_rows: int = 0  # 0 = DEFAULT_BLOCK_ROWS
     workers: int = 1
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         lbatch = self.left.execute()
         rbatch = self.right.execute()
         n_left = batch_length(lbatch)
@@ -413,7 +413,7 @@ class NestedLoopJoin(PlanNode):
         return int(min(max(self.PAIR_BYTE_BUDGET // max(per_left_row, 1), 16),
                        65536))
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         lbatch = self.left.execute()
         rbatch = self.right.execute()
         n_left = batch_length(lbatch)
@@ -479,7 +479,7 @@ class CrossJoin(PlanNode):
     right: PlanNode
     workers: int = 1
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         return NestedLoopJoin(
             self.left, self.right, None, workers=self.workers
         ).execute()

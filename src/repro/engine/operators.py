@@ -13,6 +13,8 @@ names when unambiguous.
 
 from __future__ import annotations
 
+import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +43,75 @@ def empty_like(batch: Batch) -> Batch:
     }
 
 
+class Execution:
+    """One top-level run of a plan tree: the state its nodes share.
+
+    ``records`` maps ``id(node)`` to that node's
+    :class:`~repro.engine.instrument.NodeStats` in ``_children()``
+    preorder (empty when nobody measures); I/O is read off
+    ``counters``.  ``subquery_rows`` holds what each
+    :class:`~repro.engine.sql.planner.SubqueryPredicate` materialized,
+    so a subquery runs once per execution and never outlives it.
+    Context-local (morsel workers run in a copy of the context), so
+    threads running one plan object at once each fill their own.
+    """
+
+    __slots__ = ("records", "counters", "subquery_rows")
+
+    def __init__(self, records: dict | None = None, counters=None):
+        self.records = records or {}
+        self.counters = counters
+        self.subquery_rows: dict[Expr, Batch] = {}
+
+    @staticmethod
+    def current() -> "Execution | None":
+        return _EXECUTION.get()
+
+    def run(self, plan: "PlanNode") -> Batch:
+        """Execute ``plan`` as this execution's root."""
+        token = _EXECUTION.set(self)
+        try:
+            return plan.execute()
+        finally:
+            _EXECUTION.reset(token)
+
+    def measured(self, node: "PlanNode", body, count_rows: bool = True) -> Batch:
+        """Run ``body`` and add its time, I/O and rows to ``node``'s
+        record.  Inclusive: ``body`` runs the node's children too.  A
+        node with no record (a subquery's plan) just runs."""
+        stats = self.records.get(id(node))
+        if stats is None:
+            return body()
+        counters = self.counters
+        io_before = counters.snapshot() if counters is not None else None
+        started = time.perf_counter()
+        batch = body()
+        stats.inclusive_s += time.perf_counter() - started
+        # accumulate: a node executed more than once reports every batch
+        stats.calls += 1
+        if count_rows:
+            stats.rows += batch_length(batch)
+        if io_before is not None:
+            stats.io_total += counters.since(io_before).total
+        return batch
+
+    def add_rows(self, node: "PlanNode", rows: int) -> None:
+        stats = self.records.get(id(node))
+        if stats is not None:
+            stats.rows += rows
+
+
+_EXECUTION: ContextVar[Execution | None] = ContextVar(
+    "repro_engine_execution", default=None
+)
+
+
 class PlanNode:
-    """Base class of executable plan nodes."""
+    """Base class of executable plan nodes.
+
+    :meth:`execute` is the one public entry; operators implement
+    ``_execute``.
+    """
 
     #: Optimizer row estimate, stamped by ``annotate_plan`` after
     #: planning.  A class attribute so the operator dataclasses keep
@@ -63,6 +132,17 @@ class PlanNode:
     rewrite_trace: tuple[str, ...] = ()
 
     def execute(self) -> Batch:
+        """Run this node inside the current :class:`Execution`, opening
+        one when this is the top-level call; measured when the
+        execution carries records."""
+        run = _EXECUTION.get()
+        if run is None:
+            return Execution().run(self)
+        if not run.records:
+            return self._execute()
+        return run.measured(self, self._execute)
+
+    def _execute(self) -> Batch:
         raise NotImplementedError
 
     def explain(self, depth: int = 0) -> str:
@@ -98,7 +178,7 @@ class SeqScan(PlanNode):
     alias: str
     reason: str | None = None
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         raw = self.table.scan()
         prefix = self.alias.lower()
         return {f"{prefix}.{name}": arr for name, arr in raw.items()}
@@ -119,7 +199,7 @@ class IndexRangeScan(PlanNode):
     hi: object
     alias: str
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         raw = self.index.range_scan(self.lo, self.hi)
         prefix = self.alias.lower()
         return {f"{prefix}.{name}": arr for name, arr in raw.items()}
@@ -139,7 +219,7 @@ class SubqueryScan(PlanNode):
     child: PlanNode
     alias: str
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         batch = self.child.execute()
         prefix = self.alias.lower()
         return {
@@ -169,7 +249,7 @@ class TableFunctionScan(PlanNode):
     alias: str
     name: str = "tvf"
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         scalar_batch: Batch = {"__scalar": np.zeros(1)}
         values = []
         for arg in self.args:
@@ -214,7 +294,7 @@ class Filter(PlanNode):
             kernel = self._kernel = CompiledKernel(predicate=self.predicate)
         return kernel
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
         if n == 0:
@@ -318,17 +398,23 @@ class Project(PlanNode):
             )
         return kernel
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         fused = self._fusable_child()
         if fused is not None:
-            batch = fused.child.execute()
+            # the absorbed filter is measured as the program that runs:
+            # its input's time and I/O, its survivors as rows, its own
+            # work inside this node's kernel
+            run = Execution.current()
+            batch = run.measured(fused, fused.child.execute, count_rows=False)
             n = batch_length(batch)
             if n:
                 values = self.kernel().fused(batch, n)
-                return {
+                out = {
                     name.lower(): value
                     for (name, _), value in zip(self.outputs, values)
                 }
+                run.add_rows(fused, batch_length(out))
+                return out
             # empty input: the filter is a no-op; fall through and
             # project the empty batch (matching the interpreted chain)
         else:
@@ -378,7 +464,7 @@ class ProjectPassthrough(PlanNode):
             kernel = self._kernel = CompiledKernel(outputs=self.outputs)
         return kernel
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
         out: Batch = dict(batch)
@@ -419,7 +505,7 @@ class Sort(PlanNode):
     child: PlanNode
     keys: list[tuple[Expr, bool]]
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
         if n == 0 or not self.keys:
@@ -450,7 +536,7 @@ class Limit(PlanNode):
     limit: int
     offset: int = 0
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         if self.limit < 0 or self.offset < 0:
             raise SqlPlanError("LIMIT/OFFSET must be non-negative")
         batch = self.child.execute()
@@ -469,7 +555,7 @@ class Limit(PlanNode):
 class Distinct(PlanNode):
     child: PlanNode
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
         if n == 0:
@@ -496,7 +582,7 @@ class Materialized(PlanNode):
     batch: Batch
     label: str = "values"
 
-    def execute(self) -> Batch:
+    def _execute(self) -> Batch:
         return self.batch
 
     def _describe(self) -> str:

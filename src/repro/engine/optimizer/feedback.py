@@ -14,7 +14,8 @@ three pieces of state:
   by join column pair (equi joins) and by band key + predicate shape
   (band joins), applied multiplicatively by the cardinality estimator.
 
-Every SELECT executes instrumented.  After execution the controller
+Every SELECT executes measured (the plan's own nodes record what they
+did; see :mod:`repro.engine.instrument`).  After execution the controller
 folds the observed per-operator actuals back; when a fingerprint's max
 q-error exceeds the configured ceiling it reacts: targeted re-ANALYZE
 of the tables under the offending operators, override ratios computed
@@ -31,13 +32,12 @@ Obs: counters under ``engine.feedback.*`` and spans
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
 
 from repro.engine.cache import PlanKey
-from repro.engine.instrument import NodeStats
+from repro.engine.instrument import NodeStats, max_q_error
 from repro.engine.join import BandJoin, HashJoin
 from repro.engine.memo import PlanMemo
 from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan
@@ -266,33 +266,22 @@ class FeedbackStore:
 
 
 # ----------------------------------------------------------------------
-# plan walking helpers (must mirror instrument_plan's traversal)
+# plan walking helpers
 # ----------------------------------------------------------------------
-def _walk_preorder(node: PlanNode) -> list[PlanNode]:
-    """Nodes in the exact order :func:`instrument_plan` records them:
-    preorder, children in dataclass field order."""
-    order = [node]
-    if dataclasses.is_dataclass(node):
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, PlanNode):
-                order.extend(_walk_preorder(value))
-    return order
+def _preorder(node: PlanNode):
+    """A plan's nodes, parents before their ``_children()``."""
+    yield node
+    for child in node._children():
+        yield from _preorder(child)
 
 
 def _scan_leaves(node: PlanNode):
     """Base-table scans under a node (SeqScan / IndexRangeScan)."""
-    if isinstance(node, SeqScan):
-        yield node.alias.lower(), node.table
-        return
-    if isinstance(node, IndexRangeScan):
-        yield node.alias.lower(), node.index.table
-        return
-    if dataclasses.is_dataclass(node):
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, PlanNode):
-                yield from _scan_leaves(value)
+    for leaf in _preorder(node):
+        if isinstance(leaf, SeqScan):
+            yield leaf.alias.lower(), leaf.table
+        elif isinstance(leaf, IndexRangeScan):
+            yield leaf.alias.lower(), leaf.index.table
 
 
 def _subtree_profiles(node: PlanNode) -> list:
@@ -354,7 +343,7 @@ class FeedbackController:
         """Matview-substituted plans must not memoize: substitution is
         re-decided per statement from the view's freshness, and a
         memoized substitution would outlive it."""
-        for node in _walk_preorder(plan):
+        for node in _preorder(plan):
             reason = getattr(node, "reason", None)
             if reason and "answered from matview" in reason:
                 return False
@@ -421,18 +410,16 @@ class FeedbackController:
         self,
         keyed: PlanKey | None,
         plan: PlanNode,
-        records: list[NodeStats],
+        records: dict[int, NodeStats],
         planning_s: float,
         decision: str | None,
     ) -> float:
-        """Fold one execution's actuals into the store; maybe react."""
+        """Fold one execution's actuals (the measured execution's
+        ``records``, keyed by node identity) into the store; maybe
+        react."""
         with span("engine.feedback.observe", layer="engine",
                   attrs={"decision": decision or ""}):
-            max_q = 1.0
-            for rec in records:
-                q = rec.q_error
-                if q is not None and q > max_q:
-                    max_q = q
+            max_q = max_q_error(records.values())
             self._m_executions.inc()
             self._h_max_q.observe(max_q)
             if keyed is None:
@@ -461,7 +448,7 @@ class FeedbackController:
             return max_q
 
     def _react(
-        self, keyed: PlanKey, plan: PlanNode, records: list[NodeStats]
+        self, keyed: PlanKey, plan: PlanNode, records: dict[int, NodeStats]
     ) -> None:
         """Ceiling breached: re-ANALYZE offenders, learn ratios, re-plan.
 
@@ -470,16 +457,11 @@ class FeedbackController:
         on the observed cardinality in one step instead of chasing a
         moving baseline.
         """
-        nodes = _walk_preorder(plan)
-        if len(nodes) != len(records):  # defensive: never corrupt state
-            self.store.set_pending(keyed.fingerprint, "replan")
-            self.memo.invalidate_fingerprint(keyed.fingerprint)
-            return
-        stats_by_node = {id(node): rec for node, rec in zip(nodes, records)}
         offenders = [
             (node, rec)
-            for node, rec in zip(nodes, records)
-            if rec.q_error is not None and rec.q_error > self.ceiling
+            for node in _preorder(plan)
+            if (rec := records[id(node)]).q_error is not None
+            and rec.q_error > self.ceiling
         ]
 
         # 1. targeted re-ANALYZE of every table under an offending node
@@ -498,7 +480,7 @@ class FeedbackController:
             if not isinstance(node, (HashJoin, BandJoin)):
                 continue
             installed += self._learn_join_ratio(
-                keyed.fingerprint, node, rec, stats_by_node
+                keyed.fingerprint, node, rec, records
             )
         if installed:
             self._m_overrides.inc(installed)
@@ -516,7 +498,7 @@ class FeedbackController:
         fingerprint: str,
         node: HashJoin | BandJoin,
         rec: NodeStats,
-        stats_by_node: dict[int, NodeStats],
+        records: dict[int, NodeStats],
     ) -> int:
         """Install one observed/estimated ratio for a join node.
 
@@ -525,10 +507,8 @@ class FeedbackController:
         zero-row inputs are skipped — there is nothing to learn from an
         empty side, and the ratio would be undefined.
         """
-        left_rec = stats_by_node.get(id(node.left))
-        right_rec = stats_by_node.get(id(node.right))
-        if left_rec is None or right_rec is None:
-            return 0
+        left_rec = records[id(node.left)]
+        right_rec = records[id(node.right)]
         left_rows = left_rec.rows_per_call
         right_rows = right_rec.rows_per_call
         if left_rows <= 0 or right_rows <= 0:

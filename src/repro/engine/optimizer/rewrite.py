@@ -70,8 +70,8 @@ from repro.engine.sql.planner import (
     rewrite as substitute_exprs,
     split_conjuncts,
 )
-from repro.errors import SqlPlanError
-from repro.obs.metrics import get_metrics
+from repro.errors import ReproError, SqlPlanError
+from repro.obs.metrics import count_swallowed_error, get_metrics
 
 #: Upper bound on rule firings per statement scope.  Purely a runaway
 #: backstop — real statements reach their fixpoint in a handful of
@@ -168,7 +168,10 @@ def _plan_metrics(
     try:
         plan = Planner(database, optimizer=optimizer, rewrites=False) \
             .plan_select(stmt)
+    except ReproError:
+        return None, None
     except Exception:
+        count_swallowed_error("rewrite.plan_metrics")
         return None, None
     return _total_est_rows(plan), plan_cost(plan)
 

@@ -21,6 +21,7 @@ before this module existed.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,33 +79,35 @@ def run_morsels(
 
     ``workers <= 1`` (or a single task) executes inline with zero
     overhead.  Otherwise the tasks are submitted to the shared pool;
-    each morsel runs inside an ``engine.morsel`` trace span parented
-    under the dispatching query's span (contextvars do not flow into
-    pool threads on their own, so the context is captured here and
-    re-activated per task), and feeds the ``engine.morsels`` counter
-    and ``engine.morsel.elapsed_s`` histogram.  Results are collected
+    each morsel runs in a copy of the dispatching context (contextvars
+    do not flow into pool threads on their own), so its
+    ``engine.morsel`` trace span is parented under the query's span and
+    it shares the plan's :class:`~repro.engine.operators.Execution`;
+    it feeds the ``engine.morsels`` counter and
+    ``engine.morsel.elapsed_s`` histogram.  Results are collected
     by index: output order is the task order, never completion order.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [task() for task in tasks]
 
     from repro.obs.metrics import get_metrics
-    from repro.obs.trace import activate, current_context, span
+    from repro.obs.trace import span
 
-    ctx = current_context()
     metrics = get_metrics()
     counter = metrics.counter("engine.morsels")
     histogram = metrics.histogram("engine.morsel.elapsed_s")
 
     def run_one(index: int, task: Callable[[], T]) -> T:
         started = time.perf_counter()
-        with activate(ctx):
-            with span(name, layer="engine", attrs={"morsel": index}):
-                result = task()
+        with span(name, layer="engine", attrs={"morsel": index}):
+            result = task()
         counter.inc()
         histogram.observe(time.perf_counter() - started)
         return result
 
     pool = get_pool(min(workers, len(tasks)))
-    futures = [pool.submit(run_one, i, task) for i, task in enumerate(tasks)]
+    futures = [
+        pool.submit(contextvars.copy_context().run, run_one, i, task)
+        for i, task in enumerate(tasks)
+    ]
     return [future.result() for future in futures]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.expressions import Batch, batch_length
-from repro.engine.instrument import instrument_plan
+from repro.engine.instrument import measure
 from repro.engine.sql.ast import (
     AnalyzeStatement,
     CreateMaterializedViewStatement,
@@ -50,7 +50,10 @@ class QueryResult:
     and the slow-query log.  ``plan_origin`` is the decision that first
     *produced* the plan (differs from ``memo_decision`` on memo hits);
     ``plan_node`` is the live operator tree for SELECTs, which the
-    Query Store hashes into a structural plan identity.
+    Query Store hashes into a structural plan identity; ``node_stats``
+    are its per-node :class:`~repro.engine.instrument.NodeStats` in
+    preorder when the execution was measured (feedback on, or EXPLAIN
+    ANALYZE), else None.
     """
 
     columns: Batch = field(default_factory=dict)
@@ -60,6 +63,7 @@ class QueryResult:
     memo_decision: str | None = None
     plan_origin: str | None = None
     plan_node: object | None = None
+    node_stats: list | None = None
 
     @property
     def row_count(self) -> int:
@@ -104,9 +108,11 @@ class Executor:
         self.database = database
         self.planner = Planner(database)
 
-    def execute(self, stmt: Statement, keyed=None) -> QueryResult:
+    def execute(
+        self, stmt: Statement, keyed=None, analyze: bool = False
+    ) -> QueryResult:
         if isinstance(stmt, SelectStatement):
-            return self._select(stmt, keyed)
+            return self._select(stmt, keyed, analyze)
         if isinstance(stmt, CreateTableStatement):
             return self._create_table(stmt)
         if isinstance(stmt, InsertStatement):
@@ -195,27 +201,18 @@ class Executor:
         return QueryResult()
 
     # ------------------------------------------------------------------
-    def _select(self, stmt: SelectStatement, keyed=None) -> QueryResult:
-        """Forced plan / memo / plan -> execute -> feedback: every SELECT.
+    def plan(self, stmt: SelectStatement, keyed=None):
+        """Stages 5-7 of the SELECT path: forced plan / memo / planner.
 
-        The plan-level half of the one SELECT path (DESIGN.md, "Life of
-        a SELECT").  ``keyed`` is the statement's
-        :class:`~repro.engine.cache.PlanKey` when ``Database.sql``
-        already took it for the result cache; SELECTs nested in another
+        Returns ``(keyed, plan, decision, plan_origin, planning_s)`` —
+        the plan the statement runs now.  ``Database.explain`` stops
+        here.  ``keyed`` is the statement's
+        :class:`~repro.engine.cache.PlanKey` when ``Database`` already
+        took it for the result cache; SELECTs nested in another
         statement (INSERT..SELECT, UNION branches, matview refreshes)
         arrive unkeyed and are fingerprinted here if a stage needs it.
         Each stage costs one ``is None`` test when its subsystem is off.
         """
-        if stmt.source is None:
-            # constant SELECT: evaluate items over a one-row batch
-            out: Batch = {}
-            for pos, item in enumerate(stmt.items):
-                if item.expr is None:
-                    raise SqlPlanError("SELECT * requires a FROM clause")
-                name = item.alias or f"col{pos}"
-                value = np.asarray(item.expr.eval(_SCALAR_BATCH))
-                out[name.lower()] = np.broadcast_to(value, (1,)).copy()
-            return QueryResult(columns=out)
         database = self.database
         feedback, forcer = database.feedback, database.plan_forcer
         if keyed is None and (feedback is not None or forcer is not None):
@@ -249,12 +246,41 @@ class Executor:
                 # Query Store without feedback: the optimizer mode is
                 # the decision that produced the plan
                 decision = plan_origin = database.config.optimizer
-        if feedback is None:
+        return keyed, plan, decision, plan_origin, planning_s
+
+    def _select(
+        self, stmt: SelectStatement, keyed=None, analyze: bool = False
+    ) -> QueryResult:
+        """Plan -> execute -> feedback: every SELECT.
+
+        The plan-level half of the one SELECT path (DESIGN.md, "Life of
+        a SELECT").  The plan :meth:`plan` returns is the plan that
+        runs; under feedback or EXPLAIN ANALYZE its nodes also record
+        what they did (``QueryResult.node_stats``).
+        """
+        if stmt.source is None:
+            # constant SELECT: evaluate items over a one-row batch
+            out: Batch = {}
+            for pos, item in enumerate(stmt.items):
+                if item.expr is None:
+                    raise SqlPlanError("SELECT * requires a FROM clause")
+                name = item.alias or f"col{pos}"
+                value = np.asarray(item.expr.eval(_SCALAR_BATCH))
+                out[name.lower()] = np.broadcast_to(value, (1,)).copy()
+            return QueryResult(columns=out)
+        keyed, plan, decision, plan_origin, planning_s = self.plan(stmt, keyed)
+        feedback = self.database.feedback
+        node_stats = None
+        if feedback is None and not analyze:
             batch = plan.execute()
         else:
-            wrapped, records = instrument_plan(plan, database.pool.counters)
-            batch = wrapped.execute()
-            feedback.observe(keyed, plan, records, planning_s, decision)
+            run = measure(plan, self.database.pool.counters)
+            batch = run.run(plan)
+            node_stats = list(run.records.values())
+            if feedback is not None:
+                feedback.observe(
+                    keyed, plan, run.records, planning_s, decision
+                )
         return QueryResult(
             columns=batch,
             plan=plan.explain(),
@@ -262,6 +288,7 @@ class Executor:
             memo_decision=decision,
             plan_origin=plan_origin,
             plan_node=plan,
+            node_stats=node_stats,
         )
 
     def _create_table(self, stmt: CreateTableStatement) -> QueryResult:

@@ -49,6 +49,7 @@ from repro.engine.expressions import (
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
 from repro.engine.operators import (
     Distinct,
+    Execution,
     Filter,
     IndexRangeScan,
     Limit,
@@ -181,10 +182,14 @@ def find_subquery_exprs(expr: Expr) -> list[Expr]:
 class SubqueryPredicate(Expr):
     """Evaluatable form of ``EXISTS`` / ``IN (SELECT ...)``.
 
-    The planned subquery executes once (memoized); each outer row then
-    tests membership of its ``outer_exprs`` tuple against the
-    subquery's ``inner_names`` output columns.  With no outer
-    expressions this is an uncorrelated EXISTS — a non-empty check.
+    The planned subquery executes once per top-level execution of the
+    plan that holds it (its rows live on that
+    :class:`~repro.engine.operators.Execution`, never on this node: a
+    memoized or forced plan run again reads the tables as they are
+    then); each outer row then tests membership of its ``outer_exprs``
+    tuple against the subquery's ``inner_names`` output columns.  With
+    no outer expressions this is an uncorrelated EXISTS — a non-empty
+    check.
     NULL (NaN) follows the engine's comparison semantics: a NaN key
     never matches anything, on either side.
     """
@@ -198,11 +203,13 @@ class SubqueryPredicate(Expr):
         return self.outer_exprs
 
     def _materialize(self):
-        cached = getattr(self, "_rows", None)
-        if cached is None:
-            cached = self.subplan.execute()
-            object.__setattr__(self, "_rows", cached)
-        return cached
+        run = Execution.current()
+        if run is None:  # evaluated outside any plan execution
+            return self.subplan.execute()
+        rows = run.subquery_rows.get(self)
+        if rows is None:
+            rows = run.subquery_rows[self] = self.subplan.execute()
+        return rows
 
     def eval(self, batch):
         from repro.engine.expressions import batch_length

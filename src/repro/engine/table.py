@@ -121,15 +121,6 @@ class Table:
             for page_no in np.unique(rows // self.file.rows_per_page):
                 self.file.read_page(int(page_no))
 
-    def read_row_ids(self, rows: np.ndarray) -> dict[str, np.ndarray]:
-        """Random row fetches (bookmark lookups): touch each distinct page."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size:
-            pages = np.unique(rows // self.file.rows_per_page)
-            for page_no in pages:
-                self.file.read_page(int(page_no))
-        return {n: a[rows] for n, a in self._columns.items()}
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

@@ -283,3 +283,12 @@ _REGISTRY = MetricsRegistry()
 def get_metrics() -> MetricsRegistry:
     """The process-wide registry every layer feeds."""
     return _REGISTRY
+
+
+def count_swallowed_error(site: str) -> None:
+    """Count an exception a query-path ``except`` at ``site`` caught
+    without naming it (it names ``ReproError``; anything else degrades
+    the same way but lands here): ``engine.swallowed_errors`` and
+    ``engine.swallowed_errors.<site>``, 0 on clean runs."""
+    _REGISTRY.counter("engine.swallowed_errors").inc()
+    _REGISTRY.counter(f"engine.swallowed_errors.{site}").inc()

@@ -34,6 +34,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
+from repro.obs.metrics import get_metrics
 
 #: dataset seeds x queries-per-template: 4 * 81 = 324 queries total.
 DATASET_SEEDS = (11, 23, 47, 91)
@@ -529,6 +530,8 @@ def test_rewrite_differential_smoke():
     db_on = make_database(t1, t2, t3, rewrites=True)
     db_off = make_database(t1, t2, t3, rewrites=False)
     rng = np.random.default_rng(seed * 1000 + 7)
+    swallowed = get_metrics().counter("engine.swallowed_errors")
+    swallowed_before = swallowed.value
 
     ran = 0
     for template in TEMPLATES:
@@ -540,6 +543,9 @@ def test_rewrite_differential_smoke():
                               ordered=ordered)
             ran += 1
     assert ran == 2 * len(TEMPLATES)
+    # a clean corpus degrades nowhere: no query-path ``except`` caught
+    # an exception it did not name
+    assert swallowed.value == swallowed_before
 
 
 @pytest.mark.parametrize("seed", DATASET_SEEDS[:2])
@@ -555,6 +561,8 @@ def test_differential_queries_with_result_cache(seed):
     cached_db = make_database(t1, t2, t3, result_cache=True)
     plain_db = make_database(t1, t2, t3, result_cache=False)
     rng = np.random.default_rng(seed * 1000 + 7)
+    swallowed = get_metrics().counter("engine.swallowed_errors")
+    swallowed_before = swallowed.value
 
     cache_hits = 0
     for template in TEMPLATES:
@@ -568,6 +576,8 @@ def test_differential_queries_with_result_cache(seed):
                 assert_rows_equal(rows, oracle_rows, sql, ordered=ordered)
     # the corpus avoids TVFs, so essentially everything is cacheable
     assert cache_hits == len(TEMPLATES) * QUERIES_PER_TEMPLATE
+    # fingerprinting named every exception it caught (see the smoke)
+    assert swallowed.value == swallowed_before
 
 
 def assert_rows_byte_identical(a: list[dict], b: list[dict],

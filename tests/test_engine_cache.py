@@ -157,6 +157,31 @@ class TestDatabaseCache:
         db.sql(self.Q)
         assert db.explain(self.Q).startswith("[answered from cache]")
 
+    @pytest.mark.parametrize(
+        "error, counted", [(SqlPlanError("no"), 0), (ValueError("bug"), 1)]
+    )
+    def test_unrewritable_statement_runs_uncached(
+        self, db, monkeypatch, error, counted
+    ):
+        """A failing rewrite turns caching off for the statement; only an
+        exception that is not the engine's own counts as swallowed."""
+        from repro.engine.optimizer import rewrite
+        from repro.obs.metrics import get_metrics
+
+        def failing_rewrite(*args, **kwargs):
+            raise error
+
+        swallowed = get_metrics().counter("engine.swallowed_errors")
+        site = get_metrics().counter(
+            "engine.swallowed_errors.cache.plan_fingerprint"
+        )
+        before = swallowed.value, site.value
+        monkeypatch.setattr(rewrite, "rewrite_statement", failing_rewrite)
+        assert db.statement_key(self.Q) is None
+        assert (swallowed.value, site.value) == (
+            before[0] + counted, before[1] + counted
+        )
+
     def test_dml_invalidates(self, db):
         before = db.sql(self.Q)
         db.sql("INSERT INTO galaxy VALUES (9001, 3, 15.5)")

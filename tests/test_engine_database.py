@@ -83,13 +83,6 @@ class TestIndexes:
         full = db.pool.counters.logical_reads - before
         assert ranged < full
 
-    def test_hash_index(self, db):
-        index = db.create_hash_index("galaxy", "zoneid")
-        rows = index.lookup(7)
-        assert np.all(rows["zoneid"] == 7)
-        assert db.hash_index("galaxy", "zoneid") is index
-        assert db.hash_index("galaxy", "nothere") is None
-
 
 class TestStats:
     def test_stats_summary(self, db):

@@ -1,9 +1,9 @@
-"""Clustered and hash indexes."""
+"""The clustered index."""
 
 import numpy as np
 import pytest
 
-from repro.engine.index import ClusteredIndex, HashIndex
+from repro.engine.index import ClusteredIndex
 from repro.engine.pages import BufferPool
 from repro.engine.schema import schema
 from repro.engine.table import Table
@@ -80,36 +80,3 @@ class TestClusteredIndex:
         with pytest.raises(EngineError):
             ClusteredIndex(table, ())
 
-
-class TestHashIndex:
-    def test_lookup(self, table):
-        index = HashIndex(table, "zoneid")
-        index.build()
-        rows = index.lookup(7)
-        assert np.all(rows["zoneid"] == 7)
-        want = int((table.column("zoneid") == 7).sum())
-        assert rows["zoneid"].size == want
-
-    def test_lookup_missing_value(self, table):
-        index = HashIndex(table, "zoneid")
-        index.build()
-        assert index.lookup(999)["zoneid"].size == 0
-
-    def test_lookup_rows_no_accounting(self, table):
-        index = HashIndex(table, "zoneid")
-        index.build()
-        pool = table.file.pool
-        before = pool.counters.logical_reads
-        index.lookup_rows(3)
-        assert pool.counters.logical_reads == before
-
-    def test_invalidate(self, table):
-        index = HashIndex(table, "zoneid")
-        index.build()
-        index.invalidate()
-        with pytest.raises(EngineError):
-            index.lookup(1)
-
-    def test_use_before_build(self, table):
-        with pytest.raises(EngineError):
-            HashIndex(table, "zoneid").lookup(1)

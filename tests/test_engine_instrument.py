@@ -1,10 +1,10 @@
-"""EXPLAIN ANALYZE: instrumented plan execution."""
+"""EXPLAIN ANALYZE: the plan that runs, measured by its own nodes."""
 
 import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.instrument import explain_analyze, instrument_plan
+from repro.engine.instrument import measure
 from repro.errors import EngineError
 
 
@@ -24,7 +24,7 @@ def db() -> Database:
 
 class TestExplainAnalyze:
     def test_rows_recorded_per_node(self, db):
-        report = explain_analyze(db, "SELECT objid FROM g WHERE v > 0.5")
+        report = db.explain_analyze("SELECT objid FROM g WHERE v > 0.5")
         scan = report.node("SeqScan")
         filtered = report.node("Filter")
         assert scan.rows == 5000
@@ -33,7 +33,7 @@ class TestExplainAnalyze:
 
     def test_same_answer_as_plain_execution(self, db):
         text = "SELECT zoneid, COUNT(*) AS c FROM g GROUP BY zoneid"
-        report = explain_analyze(db, text)
+        report = db.explain_analyze(text)
         plain = db.sql(text)
         assert report.row_count == plain.row_count
         assert sorted(report.result["c"].tolist()) == sorted(
@@ -41,13 +41,13 @@ class TestExplainAnalyze:
         )
 
     def test_io_attributed_to_scan(self, db):
-        report = explain_analyze(db, "SELECT objid FROM g")
+        report = db.explain_analyze("SELECT objid FROM g")
         scan = report.node("SeqScan")
         assert scan.io_total >= db.table("g").page_count
 
     def test_render_shows_tree(self, db):
-        report = explain_analyze(
-            db, "SELECT objid FROM g WHERE v > 0.9 ORDER BY objid LIMIT 3"
+        report = db.explain_analyze(
+            "SELECT objid FROM g WHERE v > 0.9 ORDER BY objid LIMIT 3"
         )
         text = report.render()
         assert "Limit" in text and "Sort" in text and "rows=" in text
@@ -56,8 +56,7 @@ class TestExplainAnalyze:
     def test_join_nodes_instrumented(self, db):
         db.create_table("k", {"zoneid": np.arange(100),
                               "w": np.linspace(0, 1, 100)})
-        report = explain_analyze(
-            db,
+        report = db.explain_analyze(
             "SELECT g.objid FROM g JOIN k ON g.zoneid = k.zoneid "
             "WHERE k.w > 0.5",
         )
@@ -65,17 +64,17 @@ class TestExplainAnalyze:
         assert join.rows > 0
 
     def test_timings_nested(self, db):
-        report = explain_analyze(db, "SELECT objid FROM g WHERE v > 0.5")
+        report = db.explain_analyze("SELECT objid FROM g WHERE v > 0.5")
         outer = report.nodes[0]
         inner = report.nodes[-1]
         assert outer.inclusive_s >= inner.inclusive_s
 
     def test_rejects_non_select(self, db):
         with pytest.raises(EngineError):
-            explain_analyze(db, "DELETE FROM g")
+            db.explain_analyze("DELETE FROM g")
 
     def test_missing_node_lookup(self, db):
-        report = explain_analyze(db, "SELECT objid FROM g")
+        report = db.explain_analyze("SELECT objid FROM g")
         with pytest.raises(EngineError):
             report.node("CrossJoin")
 
@@ -95,10 +94,10 @@ class TestInstrumentPlan:
         stmt = parse("SELECT objid FROM g WHERE v BETWEEN 0.2 AND 0.4")
         plan = Planner(db).plan_select(stmt)
         expected = plan.execute()
-        wrapped, records = instrument_plan(plan)
-        got = wrapped.execute()
+        run = measure(plan)
+        got = run.run(plan)
         assert np.array_equal(got["objid"], expected["objid"])
-        assert all(r.calls == 1 for r in records)
+        assert all(r.calls == 1 for r in run.records.values())
 
 
 class TestRowAccumulation:
@@ -111,12 +110,12 @@ class TestRowAccumulation:
 
         stmt = parse("SELECT objid FROM g WHERE v > 0.5")
         plan = Planner(db).plan_select(stmt)
-        wrapped, records = instrument_plan(plan)
-        first = wrapped.execute()
-        second = wrapped.execute()
+        run = measure(plan)
+        first = run.run(plan)
+        second = run.run(plan)
         n = len(first["objid"])
         assert len(second["objid"]) == n
-        root = records[0]
+        root = run.records[id(plan)]
         assert root.calls == 2
         assert root.rows == 2 * n
         assert root.rows_per_call == pytest.approx(n)
@@ -145,3 +144,36 @@ class TestRowAccumulation:
         stats = NodeStats(description="x", depth=0)
         assert stats.rows_per_call == 0.0
         assert stats.q_error is None
+
+
+class TestFusedFilter:
+    """A Filter absorbed by its Project is measured as the program that
+    runs: one call, the survivors as rows, its work inside the Project."""
+
+    SQL = "SELECT objid, v * 2 AS d FROM g WHERE v > 0.5 AND zoneid < 50"
+
+    def test_absorbed_filter_reports_the_projects_rows(self, db):
+        report = db.explain_analyze(self.SQL)
+        project, filtered, scan = report.nodes
+        assert "[fused:" in project.description
+        assert project.calls == filtered.calls == scan.calls == 1
+        assert filtered.rows == project.rows == report.row_count
+        assert 0 < filtered.rows < scan.rows == 5000
+        # the filter's time is its input's; the predicate runs in the
+        # Project's kernel
+        assert project.inclusive_s >= filtered.inclusive_s >= scan.inclusive_s
+        assert filtered.io_total == scan.io_total
+
+    def test_measuring_does_not_turn_fusion_off(self, db, monkeypatch):
+        from repro.engine.compile import CompiledKernel
+
+        ran = []
+        real_fused = CompiledKernel.fused
+        monkeypatch.setattr(
+            CompiledKernel, "fused",
+            lambda self, *args: ran.append(self) or real_fused(self, *args),
+        )
+        plain = db.sql(self.SQL)
+        report = db.explain_analyze(self.SQL)
+        assert len(ran) == 2
+        assert report.result["d"].tobytes() == plain.columns["d"].tobytes()

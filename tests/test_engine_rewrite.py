@@ -22,7 +22,6 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.engine.instrument import explain_analyze
 from repro.engine.optimizer.rewrite import REWRITE_RULES, rewrite_statement
 from repro.engine.sql.parser import parse
 from repro.obs.metrics import get_metrics
@@ -191,8 +190,9 @@ def test_explain_lists_every_fired_rule_with_estimates():
 
 def test_explain_analyze_reports_rewrite_trace():
     db = build_db()
-    report = explain_analyze(
-        db, "SELECT id FROM t1 WHERE 1 = 1 AND a > 0 ORDER BY id")
+    report = db.explain_analyze(
+        "SELECT id FROM t1 WHERE 1 = 1 AND a > 0 ORDER BY id"
+    )
     assert any(line.startswith("Rewrite constant_folding")
                for line in report.render().splitlines())
     assert report.rewrite_trace
@@ -207,8 +207,8 @@ def test_explain_analyze_reports_rewrite_trace():
 def test_pushdown_touches_at_least_2x_fewer_rows(sql):
     """Rows summed over every operator: the selective range filters
     below the derived-table shell instead of after it."""
-    on = explain_analyze(build_db(True), sql)
-    off = explain_analyze(build_db(False), sql)
+    on = build_db(True).explain_analyze(sql)
+    off = build_db(False).explain_analyze(sql)
     assert 2 * sum(n.rows for n in on.nodes) <= sum(n.rows for n in off.nodes)
     assert on.row_count == off.row_count > 0
 

@@ -9,14 +9,18 @@ fingerprints, which saved ``querystore.json`` files depend on.
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.engine.compile import CompiledKernel
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.optimizer import rewrite as rewrite_module
+from repro.engine.optimizer.planforce import plan_structure
 from repro.engine.sql.planner import Planner
 from repro.obs.slowlog import get_slow_log
 
@@ -246,3 +250,107 @@ class TestRunScriptTakesTheSamePath:
         with pytest.raises(Exception):
             db.run_script("DELETE FROM obj; SELEKT 1")
         assert db.table("obj").row_count == 600
+
+
+PROJECT_SQL = "SELECT id, mag * 2 AS m2 FROM obj WHERE mag < 18 AND zoneid > 3"
+
+
+class TestTheMeasuredPlanIsThePlanThatRuns:
+    """EXPLAIN and EXPLAIN ANALYZE are stops on the path, not forks of
+    it: they see the forced plan and the memo, and measuring a plan runs
+    that plan's own nodes."""
+
+    @pytest.mark.parametrize("corner", ["default", "feedback", "store"])
+    def test_analyze_measures_the_structure_sql_runs(self, corner):
+        db = build_db(**CORNERS[corner])
+        for sql in (PROJECT_SQL, BAND_SQL, VIEW_WRAP_SQL):
+            ran = db.sql(sql)
+            report = db.explain_analyze(sql)
+            assert plan_structure(report.plan) == plan_structure(ran.plan_node)
+            assert report.result.keys() == ran.columns.keys()
+            for name, column in ran.columns.items():
+                assert report.result[name].tobytes() == column.tobytes()
+
+    def test_a_memoized_plan_is_measured_in_place(self):
+        db = build_db(feedback=True, qerror_ceiling=1e9)
+        ran = db.sql(PROJECT_SQL)
+        assert db.explain_analyze(PROJECT_SQL).plan is ran.plan_node
+        assert db.explain(PROJECT_SQL) == ran.plan
+
+    def test_explain_and_analyze_see_the_forced_plan(self):
+        db = build_db(query_store=True, feedback=True)
+        pinned = db.sql(BAND_SQL)
+        fp = db.statement_key(BAND_SQL)
+        db.force_plan(fp, db.query_store.query(fp).current_plan_id)
+        # the planner would no longer choose the pinned BandJoin
+        db.config = db.config.replace(band_joins=False)
+        assert db.statement_key(BAND_SQL) == fp
+        assert db.sql(BAND_SQL).memo_decision == "forced"
+        assert db.explain(BAND_SQL) == pinned.plan
+        report = db.explain_analyze(BAND_SQL)
+        assert report.plan is pinned.plan_node
+        assert report.node("BandJoin").calls == 1
+        db.unforce_plan(fp)
+        assert "BandJoin" not in db.explain(BAND_SQL)
+
+    def test_explain_of_a_cached_statement_is_the_cached_plan(self):
+        db = build_db(result_cache=True)
+        ran = db.sql(PROJECT_SQL)
+        assert db.explain(PROJECT_SQL) == db.sql(PROJECT_SQL).plan
+        assert db.explain(PROJECT_SQL) == "[answered from cache]\n" + ran.plan
+        # EXPLAIN ANALYZE skips the lookup: it measures an execution
+        assert db.explain_analyze(PROJECT_SQL).node("SeqScan").calls == 1
+
+    def test_kernels_compile_once_per_memoized_plan(self, monkeypatch):
+        built = Counter()
+        real_init = CompiledKernel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built["kernels"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledKernel, "__init__", counting_init)
+        db = build_db(feedback=True, qerror_ceiling=1e9)
+        decisions = [db.sql(PROJECT_SQL).memo_decision for _ in range(8)]
+        assert decisions == ["miss"] + ["hit"] * 7
+        db.explain_analyze(PROJECT_SQL)
+        # the fused Project's program and the absorbed Filter's own
+        # (built to describe it): 2, not 2 per execution
+        assert built["kernels"] == 2
+
+    def test_concurrent_executions_of_one_plan_keep_their_own_records(self):
+        """The ``ThreadJobPool`` case: worker threads run one memoized
+        plan object at once; each execution's records are its own."""
+        db = build_db(feedback=True, qerror_ceiling=1e9)
+        expected = db.sql(PROJECT_SQL)
+        workers, rounds = 4, 25
+        barrier = threading.Barrier(workers)
+        results: list = []
+
+        def worker():
+            barrier.wait(timeout=30)
+            for _ in range(rounds):
+                results.append(db.sql(PROJECT_SQL))
+
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == workers * rounds
+        for result in results:
+            assert result.plan_node is expected.plan_node
+            assert result.columns["id"].tobytes() == (
+                expected.columns["id"].tobytes()
+            )
+            stats = result.node_stats
+            assert [n.calls for n in stats] == [1] * len(expected.node_stats)
+            assert [n.rows for n in stats] == [
+                n.rows for n in expected.node_stats
+            ]

@@ -73,10 +73,6 @@ class TestAccess:
         rows = table.read_rows(-5, 100)
         assert rows["objid"].size == 3
 
-    def test_read_row_ids(self, table):
-        rows = table.read_row_ids(np.array([2, 0]))
-        assert rows["objid"].tolist() == [3, 1]
-
     def test_pk_lookup(self, table):
         assert table.pk_lookup(2) == 1
         assert table.pk_lookup(99) is None

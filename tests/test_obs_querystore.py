@@ -206,6 +206,23 @@ class TestSqlIntegration:
                  if s.fingerprint == fp}
         assert users == {"alice", ""}
 
+    @pytest.mark.parametrize("rewrites", [True, False])
+    def test_forced_plan_reads_subquery_tables_as_they_are_now(self, rewrites):
+        """A pinned plan object runs for as long as the pin lasts; the
+        rows of an EXISTS subquery inside it must not."""
+        db = make_db(rewrites=rewrites)
+        sql = "SELECT id FROM t WHERE EXISTS (SELECT id FROM u WHERE id > 39)"
+        assert db.sql(sql).row_count == 0
+        fp = db.statement_key(sql)
+        (plan,) = db.query_store.plans(fp)
+        db.force_plan(fp, plan.plan_id)
+        db.sql("INSERT INTO u VALUES (40, 0)")
+        forced = db.sql(sql)
+        assert forced.memo_decision == "forced"
+        assert forced.row_count == 60
+        assert db.unforce_plan(fp)
+        assert db.sql(sql).row_count == 60
+
 
 class TestSystemViews:
     def test_views_queryable_and_match_store(self):
