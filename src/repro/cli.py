@@ -713,7 +713,7 @@ def _querystore_database(config):
         "k1": rng.integers(0, n_a, n_hot).astype(np.int64),
         "k2": np.zeros(n_hot, dtype=np.int64),
     })
-    db.invalidate_indexes("b")
+    db.invalidate_caches("b")
     return db
 
 

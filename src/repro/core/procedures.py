@@ -157,7 +157,6 @@ class MaxBCGSqlApplication:
         mask = region.contains(columns["ra"], columns["dec"])
         galaxy = db.table("galaxy")
         galaxy.truncate()
-        db.invalidate_indexes("galaxy")
         selected = {name: columns[name][mask] for name in GALAXY_COLUMNS}
         if selected["objid"].size:
             galaxy.insert(selected)

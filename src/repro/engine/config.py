@@ -47,8 +47,9 @@ PLANNING_KNOBS = (
 DEFAULT_CACHE_MAX_ENTRIES = 512
 
 #: Default q-error ceiling before the feedback loop reacts: one node
-#: more than 8x off (in either direction) triggers targeted re-ANALYZE
-#: plus learned selectivity overrides and a re-plan.
+#: more than 8x off (in either direction) triggers learned selectivity
+#: overrides and a re-plan, plus a re-ANALYZE of the tables under it
+#: whose statistics are stale.
 DEFAULT_QERROR_CEILING = 8.0
 
 
@@ -100,8 +101,10 @@ class EngineConfig:
         memoized per statement fingerprint (repeat executions skip
         planning), per-operator actuals are folded back after every
         execution, and a fingerprint whose max q-error exceeds
-        ``qerror_ceiling`` triggers targeted re-ANALYZE, learned
-        selectivity overrides and a re-plan.  Off by default.
+        ``qerror_ceiling`` triggers learned selectivity overrides and
+        a re-plan, re-ANALYZEing the tables under the offending nodes
+        whose statistics are stale (none yet, or 500 + 20 % of their
+        rows modified since).  Off by default.
     qerror_ceiling:
         Max per-operator q-error tolerated before the feedback loop
         reacts.  Must be > 1 (a ceiling of 1 would re-plan every

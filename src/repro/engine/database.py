@@ -95,7 +95,6 @@ class Database:
             self.query_store = QueryStore()
             self.plan_forcer = PlanForcer()
         self._tables: dict[str, Table] = {}
-        self._clustered: dict[str, ClusteredIndex] = {}
         self._views: dict[str, object] = {}  # name -> SelectStatement
         self._matviews: dict[str, MaterializedView] = {}
         #: >0 while (re)materializing a view's defining SELECT, so the
@@ -209,11 +208,7 @@ class Database:
             raise TableNotFoundError(f"no table '{name}' to drop")
         self._tables[key].file.invalidate()
         del self._tables[key]
-        self._clustered.pop(key, None)
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(key)
-        if self.feedback is not None:
-            self.feedback.memo.invalidate_table(key)
+        self.invalidate_caches(key)
 
     # ------------------------------------------------------------------
     # views, table functions, procedures
@@ -317,7 +312,7 @@ class Database:
         if result.row_count:
             table.insert({k: np.asarray(v)
                           for k, v in result.columns.items()})
-        self.invalidate_indexes(view.name)
+        self.invalidate_caches(view.name)
         view.source_versions = {
             t: self._tables[t].version for t in view.source_tables
         }
@@ -409,30 +404,29 @@ class Database:
     # indexes
     # ------------------------------------------------------------------
     def create_clustered_index(self, table_name: str, *keys: str) -> ClusteredIndex:
-        """Build (or rebuild) the table's clustered index — ``spZone``'s job."""
-        table = self.table(table_name)
-        index = ClusteredIndex(table, tuple(keys))
+        """Build (or rebuild) the table's clustered index — ``spZone``'s
+        job, and the only rebuild: writes keep the order afterwards."""
+        index = ClusteredIndex(self.table(table_name), tuple(keys))
         index.build()
-        self._clustered[table_name.lower()] = index
         return index
 
     def clustered_index(self, table_name: str) -> ClusteredIndex | None:
-        return self._clustered.get(table_name.lower())
+        """The index whose order the table's base follows, or None."""
+        table = self._tables.get(table_name.lower())
+        return table.clustered if table is not None else None
 
-    def invalidate_indexes(self, table_name: str) -> None:
-        """Mark indexes stale after DML; clustered order survives appends
-        only logically — we rebuild lazily by dropping it.
+    def invalidate_caches(self, table_name: str) -> None:
+        """Drop result-cache entries and memoized plans that read the
+        table, after a write.
 
-        Also eagerly drops result-cache entries that read the table.
-        (Version-keyed lookups would miss them regardless; dropping now
-        reclaims the memory and makes invalidation observable.)
+        Both are keyed on table versions, so lookups would miss them
+        regardless; dropping now reclaims the memory and makes the
+        invalidation observable.  Indexes need nothing here: the table
+        keeps them through every write.
         """
-        self._clustered.pop(table_name.lower(), None)
         if self.result_cache is not None:
             self.result_cache.invalidate_table(table_name)
         if self.feedback is not None:
-            # version-keyed memo lookups would miss anyway; eager drop
-            # reclaims the plans and makes the invalidation observable
             self.feedback.memo.invalidate_table(table_name)
 
     # ------------------------------------------------------------------
@@ -678,6 +672,7 @@ class Database:
         for name in names:
             table = self.table(name)
             table.stats = build_table_stats(table)
+            table.modified_rows = 0
             # statistics generation moved: any plan chosen under the old
             # stats must miss the memo and re-plan, even though the data
             # (table.version) has not changed

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.expressions import Batch, Expr, batch_length
-from repro.engine.index import ClusteredIndex
+from repro.engine.index import ClusteredIndex, PrimaryKeyIndex
 from repro.engine.table import Table
 from repro.errors import SqlPlanError
 
@@ -192,9 +192,10 @@ class SeqScan(PlanNode):
 
 @dataclass
 class IndexRangeScan(PlanNode):
-    """Clustered-index range scan on the leading key."""
+    """Index range scan on the leading key: a clustered range (sorted
+    base plus append tail) or a primary-key seek."""
 
-    index: ClusteredIndex
+    index: ClusteredIndex | PrimaryKeyIndex
     lo: object
     hi: object
     alias: str
@@ -205,10 +206,13 @@ class IndexRangeScan(PlanNode):
         return {f"{prefix}.{name}": arr for name, arr in raw.items()}
 
     def _describe(self) -> str:
-        return (
+        text = (
             f"IndexRangeScan({self.index.table.name}.{self.index.leading_key} "
             f"in [{self.lo}, {self.hi}] AS {self.alias})"
         )
+        if isinstance(self.index, PrimaryKeyIndex):
+            text += " [primary key]"
+        return text
 
 
 @dataclass

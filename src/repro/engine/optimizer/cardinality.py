@@ -35,6 +35,7 @@ from repro.engine.expressions import (
     UnaryOp,
     batch_length,
 )
+from repro.engine.index import PrimaryKeyIndex
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
 from repro.engine.operators import (
     Distinct,
@@ -394,6 +395,9 @@ def profile_for_table(table, alias: str) -> RelationProfile:
 def _index_range_rows(node: IndexRangeScan,
                       estimator: CardinalityEstimator) -> float:
     table = node.index.table
+    if isinstance(node.index, PrimaryKeyIndex):
+        # a key value names at most one row
+        return float(min(1, table.row_count))
     ref = ColumnRef(node.index.leading_key, node.alias)
     lo = node.lo if isinstance(node.lo, (int, float)) else None
     hi = node.hi if isinstance(node.hi, (int, float)) else None

@@ -6,7 +6,8 @@ truths the optimizer must respect:
 
 * a page read costs far more than touching a row already in memory
   (the paper's Table 1 is dominated by I/O);
-* an index range scan reads only the pages its key range covers;
+* an index range scan reads only the pages its key range covers, plus
+  the unsorted tail writes appended since the last clustered build;
 * a hash join is linear in both inputs, a nested loop is quadratic —
   which is exactly why the appendix's zone join beats the cursor.
 """
@@ -35,11 +36,14 @@ class CostModel:
         return pages * self.page_io + rows * self.cpu_row
 
     def index_range_scan(
-        self, est_rows: float, table_rows: float, pages: float
+        self, est_rows: float, table_rows: float, pages: float,
+        tail_pages: float = 0.0,
     ) -> float:
-        """Clustered range scan: touch only the covered page fraction."""
+        """Index range scan: touch the covered page fraction plus every
+        tail page — never more pages than the table has."""
         fraction = 0.0 if table_rows <= 0 else min(est_rows / table_rows, 1.0)
-        return pages * fraction * self.page_io + est_rows * self.cpu_row
+        read = min(pages * fraction + tail_pages, pages)
+        return read * self.page_io + est_rows * self.cpu_row
 
     def filter(self, input_rows: float) -> float:
         return input_rows * self.cpu_row

@@ -17,10 +17,12 @@ three pieces of state:
 Every SELECT executes measured (the plan's own nodes record what they
 did; see :mod:`repro.engine.instrument`).  After execution the controller
 folds the observed per-operator actuals back; when a fingerprint's max
-q-error exceeds the configured ceiling it reacts: targeted re-ANALYZE
-of the tables under the offending operators, override ratios computed
-against the *fresh* statistics (so the corrected estimate lands on the
-observed cardinality, not on a stale baseline), and the memo entry
+q-error exceeds the configured ceiling it reacts: re-ANALYZE of the
+tables under the offending operators whose statistics are stale (none
+yet, or at least 500 + 20 % of their rows modified since — the
+auto-update-statistics rule of the paper's SQL Server), override ratios
+computed against those statistics (so the corrected estimate lands on
+the observed cardinality, not on a stale baseline), and the memo entry
 dropped so the next execution re-plans.  Plans thereby stop being a
 pure function of stale statistics and become a converging function of
 observed execution.
@@ -53,6 +55,20 @@ from repro.obs.trace import span
 #: never recover from.
 MIN_OVERRIDE_RATIO = 1e-6
 MAX_OVERRIDE_RATIO = 1e6
+
+#: A table's statistics are stale once this many rows plus this share
+#: of the rows it had at its last ANALYZE have been modified since.
+REANALYZE_MIN_ROWS = 500
+REANALYZE_SHARE = 0.2
+
+
+def stats_stale(table) -> bool:
+    """Does the re-ANALYZE rule fire for this table?"""
+    stats = table.stats
+    if stats is None:
+        return True
+    threshold = REANALYZE_MIN_ROWS + REANALYZE_SHARE * stats.row_count
+    return table.modified_rows >= threshold
 
 
 # ----------------------------------------------------------------------
@@ -450,12 +466,14 @@ class FeedbackController:
     def _react(
         self, keyed: PlanKey, plan: PlanNode, records: dict[int, NodeStats]
     ) -> None:
-        """Ceiling breached: re-ANALYZE offenders, learn ratios, re-plan.
+        """Ceiling breached: re-ANALYZE stale offenders, learn ratios,
+        re-plan.
 
-        Overrides are computed against the estimator's *fresh* (post
+        Overrides are computed against the estimator's current (post
         re-ANALYZE) base selectivities, so the corrected estimate lands
         on the observed cardinality in one step instead of chasing a
-        moving baseline.
+        moving baseline.  A breach on fresh statistics skips straight to
+        the overrides and the re-plan.
         """
         offenders = [
             (node, rec)
@@ -464,17 +482,19 @@ class FeedbackController:
             and rec.q_error > self.ceiling
         ]
 
-        # 1. targeted re-ANALYZE of every table under an offending node
+        # 1. re-ANALYZE every table under an offending node whose
+        #    statistics are stale
         doomed_tables: dict[str, object] = {}
         for node, _rec in offenders:
             for alias, table in _scan_leaves(node):
-                doomed_tables[table.name.lower()] = table
+                if stats_stale(table):
+                    doomed_tables[table.name.lower()] = table
         for name in sorted(doomed_tables):
             self.database.analyze(name)
             self._m_reanalyzed.inc()
 
         # 2. learn selectivity ratios for the offending joins, against
-        #    the now-fresh statistics
+        #    the current statistics
         installed = 0
         for node, rec in offenders:
             if not isinstance(node, (HashJoin, BandJoin)):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine.expressions import Expr
-from repro.engine.index import ClusteredIndex
+from repro.engine.index import ClusteredIndex, PrimaryKeyIndex
 from repro.engine.operators import PlanNode
 from repro.engine.table import Table
 from repro.errors import EngineError
@@ -60,6 +60,8 @@ def _structure_tokens(value, out: list[str]) -> None:
     elif isinstance(value, ClusteredIndex):
         keys = ",".join(k.lower() for k in value.keys)
         out.append(f"cindex:{value.table.name.lower()}[{keys}]")
+    elif isinstance(value, PrimaryKeyIndex):
+        out.append(f"pkindex:{value.table.name.lower()}[{value.leading_key}]")
     elif isinstance(value, Expr):
         out.append(f"expr:{value!r}")
     elif isinstance(value, (tuple, list)):

@@ -132,7 +132,8 @@ def plan_cost(plan: PlanNode, model: CostModel = DEFAULT_COST_MODEL) -> float:
     if isinstance(plan, IndexRangeScan):
         table = plan.index.table
         return total + model.index_range_scan(
-            est, float(table.row_count), float(table.page_count)
+            est, float(table.row_count), float(table.page_count),
+            plan.index.tail_pages,
         )
     if isinstance(plan, Filter):
         return total + model.filter(plan.child.est_rows or 0.0)

@@ -124,7 +124,7 @@ class Executor:
         if isinstance(stmt, TruncateStatement):
             self._guard_matview(stmt.table, "TRUNCATE")
             self.database.table(stmt.table).truncate()
-            self.database.invalidate_indexes(stmt.table)
+            self.database.invalidate_caches(stmt.table)
             return QueryResult()
         if isinstance(stmt, DropTableStatement):
             self.database.drop_table(stmt.table, if_exists=stmt.if_exists)
@@ -359,7 +359,7 @@ class Executor:
                 f"missing {sorted({c.lower() for c in table.schema.column_names} - set(data))}"
             )
         inserted = table.insert(data)
-        self.database.invalidate_indexes(stmt.table)
+        self.database.invalidate_caches(stmt.table)
         return QueryResult(rows_affected=inserted)
 
     def _matching_rows(self, table, where) -> np.ndarray:
@@ -384,7 +384,7 @@ class Executor:
             for column, expr in stmt.assignments
         }
         affected = table.update_rows(rows, values)
-        self.database.invalidate_indexes(stmt.table)
+        self.database.invalidate_caches(stmt.table)
         return QueryResult(rows_affected=affected)
 
     def _delete(self, stmt: DeleteStatement) -> QueryResult:
@@ -392,5 +392,5 @@ class Executor:
         table = self.database.table(stmt.table)
         rows = self._matching_rows(table, stmt.where)
         affected = table.delete_rows(rows)
-        self.database.invalidate_indexes(stmt.table)
+        self.database.invalidate_caches(stmt.table)
         return QueryResult(rows_affected=affected)

@@ -14,10 +14,11 @@ Both modes share the two moves the paper credits for the SQL win
 
 * **early filtering** — WHERE conjuncts that mention a single relation
   are pushed below the joins onto that relation's scan;
-* **index-aware access paths** — a pushed range predicate on a table's
-  clustered-index leading key becomes an
-  :class:`~repro.engine.operators.IndexRangeScan` instead of a full scan,
-  and equi-join conjuncts select a hash join over a nested loop.
+* **index-aware access paths** — a pushed ``pk = literal`` on a base
+  table becomes a primary-key seek and a pushed range predicate on its
+  clustered-index leading key a range scan (both an
+  :class:`~repro.engine.operators.IndexRangeScan`) instead of a full
+  scan, and equi-join conjuncts select a hash join over a nested loop.
 
 Every finished plan — under either mode — gets an ``est_rows``
 annotation pass so EXPLAIN ANALYZE can report per-operator q-error.
@@ -46,6 +47,7 @@ from repro.engine.expressions import (
     Literal,
     UnaryOp,
 )
+from repro.engine.index import PrimaryKeyIndex
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
 from repro.engine.operators import (
     Distinct,
@@ -78,6 +80,7 @@ from repro.engine.sql.ast import (
     TableRef,
 )
 from repro.engine.sql.parser import AGGREGATE_FUNCS
+from repro.engine.types import ColumnType
 from repro.errors import SqlPlanError
 
 #: Recognized planner modes.
@@ -759,15 +762,24 @@ class Planner:
 
     # ------------------------------------------------------------------
     def _access_path(self, rel: _Relation, conjuncts: list[Expr]) -> PlanNode:
-        """Choose index range scan vs filtered seq scan for one relation."""
-        # derived relations (subqueries/views/CTEs) never have their own
-        # index; a CTE may even shadow an indexed base table's name
-        index = (
-            None if rel.derived
-            else self.database.clustered_index(rel.ref.table)
-        )
+        """Choose primary-key seek, clustered range scan or filtered seq
+        scan for one relation."""
         scan: PlanNode = rel.scan
-        if index is not None and conjuncts:
+        # only base tables have indexes: derived relations (subqueries,
+        # views, CTEs — which may shadow an indexed table's name) and
+        # table-valued functions bind to other scans
+        if not isinstance(scan, SeqScan) or not conjuncts:
+            return self._filtered(scan, conjuncts)
+        table = scan.table
+        for pos, conjunct in enumerate(conjuncts):
+            key = _seek_key(conjunct, table)
+            if key is not None:
+                seek = IndexRangeScan(
+                    PrimaryKeyIndex(table), key, key, rel.ref.alias
+                )
+                return self._filtered(seek, conjuncts[:pos] + conjuncts[pos + 1:])
+        index = table.clustered
+        if index is not None:
             leading = index.leading_key
             sargable = [
                 (pos, bounds)
@@ -778,16 +790,18 @@ class Planner:
                 pos, (lo, hi) = self._best_sargable(rel, index, sargable)
                 scan = IndexRangeScan(index, lo, hi, rel.ref.alias)
                 conjuncts = conjuncts[:pos] + conjuncts[pos + 1:]
-            elif isinstance(scan, SeqScan):
+            else:
                 # OR predicates silently disable the index: say so, so
                 # EXPLAIN shows the missed access path instead of hiding it.
                 reason = _or_disables_index(conjuncts, leading)
                 if reason is not None:
                     scan.reason = reason
+        return self._filtered(scan, conjuncts)
+
+    @staticmethod
+    def _filtered(scan: PlanNode, conjuncts: list[Expr]) -> PlanNode:
         predicate = and_all(conjuncts)
-        if predicate is not None:
-            scan = Filter(scan, predicate)
-        return scan
+        return scan if predicate is None else Filter(scan, predicate)
 
     def _best_sargable(
         self,
@@ -952,7 +966,8 @@ class Planner:
             return inner + model.filter(scan.child.est_rows or 0.0)
         if isinstance(scan, IndexRangeScan):
             return model.index_range_scan(
-                scan.est_rows or 0.0, profile.table_rows, profile.pages
+                scan.est_rows or 0.0, profile.table_rows, profile.pages,
+                scan.index.tail_pages,
             )
         if isinstance(scan, SeqScan):
             return model.seq_scan(profile.table_rows, profile.pages)
@@ -1142,6 +1157,24 @@ def _range_bounds(conjunct: Expr, key: str) -> tuple[object, object] | None:
         if value is not None:
             return value, value
     return None
+
+
+def _seek_key(conjunct: Expr, table) -> object | None:
+    """The literal of a ``pk = literal`` conjunct on ``table``, when its
+    type compares with the key column's; else None."""
+    pk = table.schema.primary_key
+    if pk is None or not (
+        isinstance(conjunct, BinaryOp) and conjunct.op == "="
+    ):
+        return None
+    bounds = _range_bounds(conjunct, pk)
+    if bounds is None:
+        return None
+    value = bounds[0]
+    if table.schema.column(pk).type is ColumnType.STRING:
+        return value if isinstance(value, str) else None
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return value if numeric else None
 
 
 def _is_equi_shape(conjunct: Expr, owners: frozenset[str]) -> bool:

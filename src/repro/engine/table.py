@@ -3,10 +3,19 @@
 A :class:`Table` owns one numpy array per column plus a
 :class:`~repro.engine.pages.PagedFile` describing how those rows would
 lay out on 8 KiB pages.  Reads that go through :meth:`scan` /
-:meth:`read_rows` touch the buffer pool and therefore show up in the
+:meth:`fetch` touch the buffer pool and therefore show up in the
 I/O statistics; internal array access (index construction, planners)
 uses :meth:`column` and is free, mirroring how a real engine's memory
 structures do not count as page I/O.
+
+A clustered table is a sorted base ``[0, base_rows)`` plus an unsorted
+append tail: INSERT appends, DELETE shrinks the base by the base rows it
+removes, an UPDATE of a non-key column keeps the order, and only a
+key-column UPDATE, a TRUNCATE or a reorder ends it.  Every mutation
+path keeps that order, the primary-key index and the modification
+count itself, so no caller has to remember a hook.  Column arrays are
+never written in place (UPDATE replaces the array), so a batch handed
+out earlier never changes under its holder.
 """
 
 from __future__ import annotations
@@ -48,9 +57,20 @@ class Table:
         #: when ``EngineConfig.page_compression`` is on and at least one
         #: column beats raw storage; None means raw pages.
         self.compression = None
-        self._pk_index: dict | None = None
+        #: The :class:`~repro.engine.index.ClusteredIndex` whose key
+        #: order rows ``[0, base_rows)`` follow, or None; rows from
+        #: ``base_rows`` on are the unsorted append tail.
+        self.clustered = None
+        self.base_rows = 0
+        #: Rows inserted, updated or deleted since the last ANALYZE (the
+        #: staleness count of the feedback loop's re-ANALYZE rule).
+        self.modified_rows = 0
+        # primary-key index: the keys in sorted order and the row each
+        # one lives on (None without a primary key)
+        self._pk_keys: np.ndarray | None = None
+        self._pk_rows: np.ndarray | None = None
         if schema.primary_key is not None:
-            self._pk_index = {}
+            self._rebuild_pk()
 
     # ------------------------------------------------------------------
     # metadata
@@ -107,12 +127,25 @@ class Table:
         self.file.read_range(0, self.row_count)
         return dict(self._columns)
 
-    def read_rows(self, row_start: int, row_stop: int) -> dict[str, np.ndarray]:
-        """Read a contiguous row range (clustered-index range scan)."""
-        row_start = max(0, row_start)
-        row_stop = min(self.row_count, row_stop)
-        self.file.read_range(row_start, row_stop)
-        return {n: a[row_start:row_stop] for n, a in self._columns.items()}
+    def fetch(self, rows: np.ndarray, *spans: tuple[int, int]) -> dict[str, np.ndarray]:
+        """The given row positions as owned arrays (index access paths).
+
+        Charges every page overlapping the row ``spans`` — ascending,
+        non-overlapping ``[start, stop)`` ranges the caller read to find
+        ``rows`` — each page once.  The arrays are copies, so a result
+        never pins, or shares memory with, the table's storage.
+        """
+        touched = -1
+        for start, stop in spans:
+            if stop <= start:
+                continue
+            last = self.file.page_of_row(stop - 1)
+            for page_no in range(
+                max(self.file.page_of_row(start), touched + 1), last + 1
+            ):
+                self.file.read_page(page_no)
+            touched = max(touched, last)
+        return {n: a[rows] for n, a in self._columns.items()}
 
     def touch_rows(self, rows: np.ndarray) -> None:
         """Account page reads for the given rows without fetching them."""
@@ -150,40 +183,36 @@ class Table:
             coerced[col.name.lower()] = arr
         assert n_new is not None
 
-        if self._pk_index is not None and n_new:
-            pk = self.schema.primary_key.lower()  # type: ignore[union-attr]
-            new_keys = coerced[pk]
-            seen = self._pk_index
-            for key in new_keys.tolist():
-                if key in seen:
-                    raise SchemaError(
-                        f"duplicate primary key {key!r} in table '{self.name}'"
-                    )
-            base = self.row_count
-            for offset, key in enumerate(new_keys.tolist()):
-                seen[key] = base + offset
-
         start = self.row_count
+        if self._pk_keys is not None and n_new:
+            self._add_pk(coerced[self.schema.primary_key.lower()], start)
         for name, arr in coerced.items():
             self._columns[name] = np.concatenate([self._columns[name], arr])
         self.file.write_range(start, start + n_new)
         if n_new:
             self.version += 1
+            self.modified_rows += n_new
         return n_new
 
     def truncate(self) -> None:
-        """Remove all rows (the paper's ``TRUNCATE TABLE`` steps)."""
+        """Remove all rows (the paper's ``TRUNCATE TABLE`` steps); ends
+        the clustered order."""
+        self.modified_rows += self.row_count
         for col in self.schema.columns:
             self._columns[col.name.lower()] = np.empty(
                 0, dtype=col.type.numpy_dtype
             )
-        if self._pk_index is not None:
-            self._pk_index = {}
+        self._rebuild_pk()
+        self._end_order()
         self.file.invalidate()
         self.version += 1
 
     def delete_rows(self, rows: np.ndarray) -> int:
-        """Delete rows by position; rewrites the table (counted as writes)."""
+        """Delete rows by position; rewrites the table (counted as writes).
+
+        The survivors keep their relative order, so the sorted base only
+        shrinks by the base rows deleted.
+        """
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         if rows.size == 0:
             return 0
@@ -191,57 +220,116 @@ class Table:
         keep[rows] = False
         for name, arr in self._columns.items():
             self._columns[name] = arr[keep]
-        self._rebuild_pk()
+        self.base_rows -= int(np.searchsorted(rows, self.base_rows))
+        if self._pk_keys is not None:
+            # drop the deleted rows and shift the survivors down by the
+            # number of deleted rows in front of them
+            kept = keep[self._pk_rows]
+            survivors = self._pk_rows[kept]
+            self._pk_keys = self._pk_keys[kept]
+            self._pk_rows = survivors - np.searchsorted(rows, survivors)
         self.file.write_range(0, self.row_count)
         self.version += 1
+        self.modified_rows += int(rows.size)
         return int(rows.size)
 
     def update_rows(self, rows: np.ndarray, values: dict[str, np.ndarray]) -> int:
-        """Overwrite columns at the given row positions (UPDATE path)."""
+        """Overwrite columns at the given row positions (UPDATE path).
+
+        Copy-on-write: each updated column gets a new array, so batches
+        returned earlier keep the values they were read with.  Updating
+        a clustered key column ends the clustered order.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return 0
+        updated = set()
         for name, new_values in values.items():
             column = self.schema.column(name)
-            arr = self._columns[column.name.lower()]
+            key = column.name.lower()
+            arr = self._columns[key].copy()
             arr[rows] = column.type.coerce(np.asarray(new_values))
+            self._columns[key] = arr
+            updated.add(key)
         pk = self.schema.primary_key
-        if pk is not None and pk.lower() in {n.lower() for n in values}:
+        if pk is not None and pk.lower() in updated:
             self._rebuild_pk()
+        if self.clustered is not None and updated & set(self.clustered.keys):
+            self._end_order()
         for page_no in np.unique(rows // self.file.rows_per_page):
             self.file.pool.write(PageId(self.file.file_id, int(page_no)))
         self.version += 1
+        self.modified_rows += int(rows.size)
         return int(rows.size)
 
-    def reorder(self, order: np.ndarray) -> None:
-        """Physically re-sort rows (clustered-index build); counted as a
-        full rewrite, which is what ``spZone``'s cost is made of."""
+    def reorder(self, order: np.ndarray, clustered=None) -> None:
+        """Physically re-sort rows; counted as a full rewrite, which is
+        what ``spZone``'s cost is made of.
+
+        ``clustered`` is the index whose key order ``order`` produces
+        (its build); any other permutation leaves the table unclustered.
+        """
         order = np.asarray(order, dtype=np.int64)
         if order.size != self.row_count:
             raise SchemaError("reorder permutation length mismatch")
         for name, arr in self._columns.items():
             self._columns[name] = arr[order]
         self._rebuild_pk()
+        self.clustered = clustered
+        self.base_rows = self.row_count if clustered is not None else 0
         self.file.read_range(0, self.row_count)
         self.file.write_range(0, self.row_count)
         # physical order changed: uncorrelated cached results may rely
         # on scan order, so a reorder is a version event too
         self.version += 1
 
-    def _rebuild_pk(self) -> None:
-        if self._pk_index is None:
-            return
-        pk = self.schema.primary_key.lower()  # type: ignore[union-attr]
-        self._pk_index = {
-            key: row for row, key in enumerate(self._columns[pk].tolist())
-        }
+    def _end_order(self) -> None:
+        self.clustered = None
+        self.base_rows = 0
 
     # ------------------------------------------------------------------
+    # primary-key index
+    # ------------------------------------------------------------------
+    def _rebuild_pk(self) -> None:
+        if self.schema.primary_key is None:
+            return
+        keys = self._columns[self.schema.primary_key.lower()]
+        self._pk_rows = np.argsort(keys, kind="stable").astype(np.int64)
+        self._pk_keys = keys[self._pk_rows]
+
+    def _add_pk(self, new_keys: np.ndarray, first_row: int) -> None:
+        """Merge appended keys into the index; rejects duplicates
+        against existing and incoming keys."""
+        order = np.argsort(new_keys, kind="stable")
+        incoming = new_keys[order]
+        at = np.searchsorted(self._pk_keys, incoming)
+        clash = np.zeros(incoming.size, dtype=bool)
+        clash[1:] = incoming[1:] == incoming[:-1]
+        if self._pk_keys.size:
+            found = self._pk_keys[np.minimum(at, self._pk_keys.size - 1)]
+            clash |= found == incoming
+        if clash.any():
+            key = incoming[clash].tolist()[0]
+            raise SchemaError(
+                f"duplicate primary key {key!r} in table '{self.name}'"
+            )
+        self._pk_keys = np.insert(self._pk_keys, at, incoming)
+        self._pk_rows = np.insert(self._pk_rows, at, first_row + order)
+
+    def pk_rows(self, lo, hi) -> np.ndarray:
+        """Positions of the rows with ``lo <= primary key <= hi``, in
+        physical order; no I/O accounting."""
+        if self._pk_keys is None:
+            raise SchemaError(f"table '{self.name}' has no primary key")
+        start = np.searchsorted(self._pk_keys, lo, side="left")
+        stop = np.searchsorted(self._pk_keys, hi, side="right")
+        return np.sort(self._pk_rows[start:stop])
+
     def pk_lookup(self, key) -> int | None:
         """Primary-key point lookup; touches the row's page on a hit."""
-        if self._pk_index is None:
-            raise SchemaError(f"table '{self.name}' has no primary key")
-        row = self._pk_index.get(key)
-        if row is not None:
-            self.file.read_page(self.file.page_of_row(row))
+        rows = self.pk_rows(key, key)
+        if rows.size == 0:
+            return None
+        row = int(rows[0])
+        self.file.read_page(self.file.page_of_row(row))
         return row

@@ -633,7 +633,6 @@ class QueryStore:
                     table = database.create_table_from_schema(schema)
                 else:
                     table.truncate()
-                    database.invalidate_indexes(name)
                 rows = len(next(iter(batch.values())))
                 if rows:
                     table.insert(batch)

@@ -350,6 +350,45 @@ class TestFeedbackLoop:
         assert summary["memo_hits"] >= 0
         assert summary["executions"] >= 2
 
+    def test_reanalyze_waits_for_the_modification_threshold(self):
+        """Small INSERTs re-ANALYZE nothing until 500 + 20 % of the rows
+        ANALYZE saw have changed, then exactly once; every breach on
+        fresh statistics just re-plans."""
+        from repro.engine.optimizer.feedback import stats_stale
+        from repro.obs.metrics import get_metrics
+
+        db = make_db(EngineConfig(feedback=True, qerror_ceiling=2.0))
+        table = db.table("b")
+        assert table.modified_rows == 0
+        threshold = 500 + 0.2 * table.stats.row_count  # 900 rows
+        reanalyzed = get_metrics().counter("engine.feedback.reanalyzed_tables")
+        breaches = get_metrics().counter("engine.feedback.breaches")
+        start, breaches_0 = reanalyzed.value, breaches.value
+        values = ", ".join(f"({i % 40}, 0)" for i in range(100))
+        changed = 0
+        for _ in range(12):
+            db.sql(f"INSERT INTO b VALUES {values}")
+            changed += 100
+            db.sql("SELECT COUNT(*) AS n FROM b WHERE k2 = 0")
+            want = 1 if changed >= threshold else 0
+            assert reanalyzed.value - start == want, changed
+        assert breaches.value - breaches_0 == 12
+        assert table.modified_rows == changed - threshold
+        assert not stats_stale(table)
+        db.sql("ANALYZE b")
+        assert table.modified_rows == 0
+
+    def test_missing_stats_reanalyze_on_first_breach(self):
+        from repro.obs.metrics import get_metrics
+
+        db = make_db(EngineConfig(feedback=True, qerror_ceiling=2.0))
+        db.table("b").stats = None
+        reanalyzed = get_metrics().counter("engine.feedback.reanalyzed_tables")
+        start = reanalyzed.value
+        db.sql("SELECT COUNT(*) AS n FROM b WHERE k2 = 0")
+        assert reanalyzed.value - start == 1
+        assert db.table("b").stats is not None
+
     def test_store_tracks_trajectory(self):
         db = make_db(EngineConfig(feedback=True, qerror_ceiling=2.0))
         for _ in range(4):

@@ -69,9 +69,18 @@ class TestAccess:
         with pytest.raises(ColumnNotFoundError):
             table.column("nope")
 
-    def test_read_rows_clamps(self, table):
-        rows = table.read_rows(-5, 100)
-        assert rows["objid"].size == 3
+    def test_fetch_charges_each_page_once(self):
+        t = Table(schema("t", {"a": ColumnType.INT64}), BufferPool(1000))
+        t.insert({"a": np.arange(5000)})
+        per_page = t.file.rows_per_page
+        pool = t.file.pool
+        before = pool.counters.logical_reads
+        rows = np.array([0, 1, per_page, 3 * per_page])
+        spans = [(0, 2), (2, per_page + 1), (3 * per_page, 3 * per_page + 1)]
+        got = t.fetch(rows, *spans)
+        assert pool.counters.logical_reads - before == 3  # pages 0, 1, 3
+        assert got["a"].tolist() == rows.tolist()
+        assert not np.shares_memory(got["a"], t.column("a"))
 
     def test_pk_lookup(self, table):
         assert table.pk_lookup(2) == 1
@@ -122,3 +131,21 @@ class TestMutation:
     def test_reorder_bad_length(self, table):
         with pytest.raises(SchemaError):
             table.reorder(np.array([0, 1]))
+
+    def test_duplicate_pk_within_one_insert_rejected(self, table):
+        with pytest.raises(SchemaError):
+            table.insert({"objid": [8, 9, 8], "ra": [1.0, 2.0, 3.0]})
+        assert table.row_count == 3 and table.pk_lookup(9) is None
+
+    def test_update_is_copy_on_write(self, table):
+        held = table.column("ra")
+        table.update_rows(np.array([0]), {"ra": np.array([99.0])})
+        assert held[0] == 10.0 and table.column("ra")[0] == 99.0
+
+    def test_modified_rows_counts_every_write(self, table):
+        table.insert({"objid": [4, 5], "ra": [1.0, 2.0]})
+        table.update_rows(np.array([0, 1]), {"ra": np.array([0.0, 0.0])})
+        table.delete_rows(np.array([4]))
+        assert table.modified_rows == 3 + 2 + 2 + 1  # load + writes
+        table.truncate()
+        assert table.modified_rows == 8 + 4

@@ -83,6 +83,24 @@ GOLDEN_QUERIES = {
 }
 
 
+#: name -> SQL planned after writes on a clustered, primary-keyed t1:
+#: the range scan that survives them (its cost charges the append tail)
+#: and the primary-key seek.  One snapshot each, `<name>.txt`.
+POST_DML_QUERIES = {
+    "post_dml_range": "SELECT id, a FROM t1 WHERE k BETWEEN 2 AND 3",
+    "pk_seek": "SELECT id, a, b FROM t1 WHERE id = 17",
+}
+
+
+def build_post_dml_db() -> Database:
+    db = build_db(rewrites=True)
+    db.create_clustered_index("t1", "k", "id")
+    db.sql("INSERT INTO t1 SELECT id + 1000, k, a, b FROM t1 WHERE id < 40")
+    db.sql("DELETE FROM t1 WHERE id BETWEEN 100 AND 109")
+    db.sql("UPDATE t1 SET a = a + 1 WHERE id < 20")
+    return db
+
+
 def _check(path: Path, actual: str, context: str) -> None:
     if UPDATE:
         path.write_text(actual + "\n")
@@ -118,3 +136,11 @@ def test_golden_plan_rewrites_off(name):
     actual = db.explain(GOLDEN_QUERIES[name])
     assert "Rewrite " not in actual
     _check(GOLDEN_DIR / f"{name}.off.txt", actual, f"{name} (rewrites off)")
+
+
+@pytest.mark.parametrize("name", sorted(POST_DML_QUERIES))
+def test_golden_plan_after_dml(name):
+    db = build_post_dml_db()
+    actual = db.explain(POST_DML_QUERIES[name])
+    assert "IndexRangeScan" in actual
+    _check(GOLDEN_DIR / f"{name}.txt", actual, f"{name} (after DML)")
