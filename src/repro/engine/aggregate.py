@@ -94,7 +94,10 @@ class Aggregate(PlanNode):
         if n == 0:
             out = {name.lower(): np.empty(0) for name, _ in self.group_by}
             for spec in self.aggregates:
-                out[spec.name.lower()] = np.empty(0)
+                counts = spec.func.lower() in ("count", "count_distinct")
+                out[spec.name.lower()] = np.empty(
+                    0, dtype=np.int64 if counts else np.float64
+                )
             return out
 
         # Group via sorted composite keys: stable and fully vectorized
@@ -128,17 +131,29 @@ class Aggregate(PlanNode):
         out = {}
         for (name, _), values in zip(self.group_by, uniques):
             out[name.lower()] = values
+        by_group = None  # row order grouping the rows, built on demand
         for spec, values in zip(self.aggregates, agg_values):
             func = spec.func.lower()
+            if func == "count":
+                # every group in one pass; COUNT(expr) skips NULLs
+                counted = group_ids
+                if spec.argument is not None and values.dtype.kind == "f":
+                    counted = group_ids[~np.isnan(values)]
+                out[spec.name.lower()] = np.bincount(
+                    counted, minlength=n_groups
+                ).astype(np.int64)
+                continue
+            if by_group is None:
+                by_group = np.argsort(group_ids, kind="stable")
+                sorted_groups = group_ids[by_group]
+                groups = np.arange(n_groups)
+                starts = np.searchsorted(sorted_groups, groups, side="left")
+                stops = np.searchsorted(sorted_groups, groups, side="right")
             result = np.empty(n_groups, dtype=np.float64)
-            order = np.argsort(group_ids, kind="stable")
-            sorted_vals = values[order]
-            sorted_groups = group_ids[order]
-            starts = np.searchsorted(sorted_groups, np.arange(n_groups), side="left")
-            stops = np.searchsorted(sorted_groups, np.arange(n_groups), side="right")
+            sorted_vals = values[by_group]
             for g in range(n_groups):
                 result[g] = _reduce(func, sorted_vals[starts[g]:stops[g]])
-            if func in ("count", "count_distinct"):
+            if func == "count_distinct":
                 out[spec.name.lower()] = result.astype(np.int64)
             else:
                 out[spec.name.lower()] = result

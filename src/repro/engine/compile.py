@@ -41,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.expressions import (
-    SCALAR_FUNCTIONS,
     Batch,
     Between,
     BinaryOp,
@@ -52,6 +51,7 @@ from repro.engine.expressions import (
     Literal,
     UnaryOp,
     batch_length,
+    call_function,
     isin_fast,
     resolve_column,
 )
@@ -343,19 +343,9 @@ class CompiledKernel:
                 result |= value == self._evaluate(option, frame)
             return result
         if isinstance(node, FuncCall):
-            lowered = node.name.lower()
-            if lowered == "pi":
-                return np.full(frame.n, np.pi)
-            entry = SCALAR_FUNCTIONS.get(lowered)
-            if entry is None:
-                raise SqlPlanError(f"unknown function '{node.name}'")
-            arity, fn = entry
-            if arity >= 0 and len(node.args) != arity:
-                raise SqlPlanError(
-                    f"function '{node.name}' expects {arity} args, "
-                    f"got {len(node.args)}"
-                )
-            return fn(*[self._evaluate(arg, frame) for arg in node.args])
+            return call_function(
+                node, lambda arg: self._evaluate(arg, frame), frame.n
+            )
         # Unknown node type (e.g. the planner's SubqueryPredicate):
         # evaluate interpreted over the narrowed batch — correctness
         # first, fusion where the type set is known.

@@ -356,6 +356,40 @@ SCALAR_FUNCTIONS: dict[str, tuple[int, Callable]] = {
 }
 
 
+def call_function(
+    node: "FuncCall", evaluate: Callable[[Expr], np.ndarray], n: int
+) -> np.ndarray:
+    """Apply a scalar function, with ``evaluate`` computing its arguments.
+
+    ``Literal`` arguments reach the function as their Python value, not
+    as an ``n``-row array: ``POWER(x, 2)`` takes numpy's scalar-exponent
+    square (the bits of ``x ** 2``) instead of libm ``pow`` per element,
+    and ``POWER(0.57, 2)`` is computed once.  A result that is still
+    0-d (every argument a literal) is broadcast to ``n`` rows.  This
+    applies to function arguments only: a scalar ``BinaryOp`` operand
+    would not widen an int32 or float32 column the way a full array
+    does under numpy's promotion rules.
+    """
+    lowered = node.name.lower()
+    if lowered == "pi":
+        return _fn_pi(n)
+    entry = SCALAR_FUNCTIONS.get(lowered)
+    if entry is None:
+        raise SqlPlanError(f"unknown function '{node.name}'")
+    arity, fn = entry
+    if arity >= 0 and len(node.args) != arity:
+        raise SqlPlanError(
+            f"function '{node.name}' expects {arity} args, got {len(node.args)}"
+        )
+    result = fn(*[
+        arg.value if isinstance(arg, Literal) else evaluate(arg)
+        for arg in node.args
+    ])
+    if np.ndim(result) == 0:
+        return np.full(n, result)
+    return result
+
+
 @dataclass(frozen=True)
 class FuncCall(Expr):
     name: str
@@ -365,18 +399,9 @@ class FuncCall(Expr):
         return self.args
 
     def eval(self, batch: Batch) -> np.ndarray:
-        lowered = self.name.lower()
-        if lowered == "pi":
-            return _fn_pi(batch_length(batch))
-        entry = SCALAR_FUNCTIONS.get(lowered)
-        if entry is None:
-            raise SqlPlanError(f"unknown function '{self.name}'")
-        arity, fn = entry
-        if arity >= 0 and len(self.args) != arity:
-            raise SqlPlanError(
-                f"function '{self.name}' expects {arity} args, got {len(self.args)}"
-            )
-        return fn(*[a.eval(batch) for a in self.args])
+        return call_function(
+            self, lambda arg: arg.eval(batch), batch_length(batch)
+        )
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"

@@ -61,6 +61,21 @@ def _row_bytes(*batches: Batch) -> int:
     return max(total, 1)
 
 
+def _sort_order(keys: np.ndarray, n_finite: int) -> np.ndarray | None:
+    """The stable argsort of ``keys``, or None when it is the identity.
+
+    ``keys`` is already in order when its first ``n_finite`` keys are
+    non-decreasing and any NaNs trail them — a clustered table's scan.
+    The O(n) check spares the sort, and band pairs drawn from identity
+    order come out canonical with no sort at all.
+    """
+    head, tail = keys[:n_finite], keys[n_finite:]
+    if (tail.size == 0 or bool(np.isnan(tail).all())) \
+            and bool(np.all(head[1:] >= head[:-1])):
+        return None
+    return np.argsort(keys, kind="stable")
+
+
 def _predicate_kernel(node: PlanNode, predicate: Expr):
     """Lazily compile a join's residual/theta predicate (one kernel per
     plan node, shared across blocks and morsel workers)."""
@@ -198,14 +213,16 @@ class HashJoin(PlanNode):
 class BandJoin(PlanNode):
     """Sort-based band join: the paper-era fix for range theta-joins.
 
-    The right side is sorted on ``right_key`` once; for every left row
-    the bounds ``[low(l), high(l)]`` (expressions over the left batch —
-    column arithmetic or constants) select a *contiguous* slice of the
-    sorted keys by binary search, so the pair space shrinks from
-    |L|·|R| to exactly the rows inside each band.  The remaining theta
-    conjuncts run as a vectorized ``residual`` filter over only the
-    band survivors — and only over the columns the residual references;
-    the full output batch is materialized for final pairs alone.
+    The right side is sorted on ``right_key`` once, unless an O(n)
+    check finds it already in key order (a clustered table's scan is).
+    For every left row the bounds ``[low(l), high(l)]`` (expressions
+    over the left batch — column arithmetic or constants) select a
+    *contiguous* slice of the sorted keys by binary search, so the pair
+    space shrinks from |L|·|R| to exactly the rows inside each band.
+    The remaining theta conjuncts run as a vectorized ``residual``
+    filter over only the band survivors — and only over the columns the
+    residual references; the full output batch is materialized for
+    final pairs alone.
 
     Semantics are *identical* to a :class:`NestedLoopJoin` over
     ``low ⋈ key ⋈ high AND residual``:
@@ -215,7 +232,9 @@ class BandJoin(PlanNode):
     * NaN bounds match nothing (as every SQL comparison with NaN is
       false), and NaN key rows are never visited (they sort past the
       finite region and the search is clamped to it);
-    * output pairs are canonically ordered (left row, right row).
+    * output pairs are canonically ordered (left row, right row): free
+      when the right side was already in key order, else restored by
+      one sort over the residual's survivors, not every band pair.
 
     ``workers > 1`` dispatches left-row blocks to the shared morsel
     pool; block boundaries depend only on :attr:`block_rows`, so the
@@ -247,13 +266,13 @@ class BandJoin(PlanNode):
             )
 
         rkeys = _as_array(self.right_key.eval(rbatch))
-        order = np.argsort(rkeys, kind="stable")
-        sorted_keys = rkeys[order]
         # NaN keys sort past every finite key; clamping the search stops
         # to the finite region guarantees they are never visited.
         n_finite = n_right
-        if sorted_keys.dtype.kind == "f":
-            n_finite = n_right - int(np.isnan(sorted_keys).sum())
+        if rkeys.dtype.kind == "f":
+            n_finite = n_right - int(np.isnan(rkeys).sum())
+        order = _sort_order(rkeys, n_finite)
+        sorted_keys = rkeys if order is None else rkeys[order]
 
         lo = hi = None
         invalid = np.zeros(n_left, dtype=bool)
@@ -306,11 +325,9 @@ class BandJoin(PlanNode):
             within = np.arange(total, dtype=np.int64) - np.repeat(
                 group_first, counts
             )
-            r_rows = order[np.repeat(starts, counts) + within]
-            # canonical order: per left row, right rows by original
-            # position (the sorted slice visits them in key order)
-            perm = np.lexsort((r_rows, l_rows))
-            r_rows = r_rows[perm]
+            r_rows = np.repeat(starts, counts) + within
+            if order is not None:
+                r_rows = order[r_rows]
 
             if self.residual is not None:
                 pair = {
@@ -328,6 +345,13 @@ class BandJoin(PlanNode):
                     mask = np.asarray(self.residual.eval(pair), dtype=bool)
                     l_rows = l_rows[mask]
                     r_rows = r_rows[mask]
+            if order is not None and r_rows.size:
+                # canonical order: per left row, right rows by original
+                # position (the sorted slice visited them in key order);
+                # left rows are already ascending, so one stable sort on
+                # the combined key restores it for the survivors alone
+                perm = np.argsort(l_rows * n_right + r_rows, kind="stable")
+                r_rows = r_rows[perm]
             return l_rows, r_rows
 
         block = self.block_rows or self.DEFAULT_BLOCK_ROWS

@@ -41,12 +41,17 @@ class JoinRel:
 
 @dataclass(frozen=True)
 class JoinPred:
-    """One conjunct spanning ``aliases``; applicable once all are bound."""
+    """One conjunct spanning ``aliases``; applicable once all are bound.
+
+    ``band_keys`` are the aliases that can own a band join's sorted key
+    column.  A band is built only on the relation being joined, so the
+    conjunct prices as a band only on a step that adds one of them.
+    """
 
     aliases: frozenset[str]
     selectivity: float
     equi: bool = False
-    band: bool = False
+    band_keys: frozenset[str] = frozenset()
 
 
 def _applicable(
@@ -74,7 +79,7 @@ def _step(
     for pred in preds:
         selectivity *= pred.selectivity
         has_equi = has_equi or pred.equi
-        has_band = has_band or pred.band
+        has_band = has_band or rel.alias in pred.band_keys
     out_rows = rows * rel.rows * selectivity
     join_cost = model.join(rows, rel.rows, out_rows, has_equi, has_band)
     return out_rows, cost + rel.cost + join_cost

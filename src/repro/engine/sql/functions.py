@@ -22,7 +22,9 @@ __all__ = ["SCALAR_FUNCTIONS", "register_function", "function_names"]
 def register_function(name: str, arity: int, fn: Callable) -> None:
     """Add a scalar function to the SQL dialect.
 
-    ``fn`` must be vectorized (accept/return numpy arrays).  Re-registering
+    ``fn`` must be vectorized (accept/return numpy arrays); a literal
+    argument arrives as its Python scalar, as numpy ufuncs accept it, and
+    a 0-d result is broadcast to the batch's rows.  Re-registering
     a built-in name raises, to keep the paper's SQL semantics stable.
     """
     lowered = name.lower()

@@ -903,7 +903,7 @@ class Planner:
                 aliases=owners,
                 selectivity=estimator.selectivity(conjunct),
                 equi=_is_equi_shape(conjunct, owners),
-                band=_is_band_shape(conjunct, owners),
+                band_keys=_band_key_aliases(conjunct, owners, relations),
             )
             for conjunct, owners in pool
         ]
@@ -1186,39 +1186,27 @@ def _is_equi_shape(conjunct: Expr, owners: frozenset[str]) -> bool:
     )
 
 
-def _is_band_shape(conjunct: Expr, owners: frozenset[str]) -> bool:
-    """Does this conjunct look like a band bound (for cost purposes)?
+def _band_key_aliases(
+    conjunct: Expr, owners: frozenset[str], relations: list[_Relation]
+) -> frozenset[str]:
+    """The aliases that can own this conjunct's band key (for cost).
 
-    A cross-relation BETWEEN on a column, a range comparison with a
-    bare column on one side, or ``abs(a-b) < c`` may extract into a
-    :class:`BandJoin`; the join-order search prices such steps with the
-    band cost instead of the nested loop.  Deliberately conservative:
-    a complex expression compared to a literal (the chi² filter) is
-    *not* band-shaped, so the DP never under-prices a step that will
-    execute as a nested loop.
+    A cross-relation BETWEEN's value column, the bare column of a range
+    comparison, or either column of ``abs(a - b) < c`` may extract into
+    a :class:`BandJoin` — but only on the step that joins the key's
+    relation, because :func:`_extract_band` builds the band on the
+    relation being joined.  The join-order search prices the band cost
+    only on those steps, so it never under-prices a step that will run
+    as a nested loop (nor a complex expression compared to a literal,
+    like the chi² filter, which is no band in any order).
     """
     if len(owners) < 2:
-        return False
-    if isinstance(conjunct, Between):
-        return isinstance(conjunct.value, ColumnRef)
-    if not (isinstance(conjunct, BinaryOp)
-            and conjunct.op in ("<", "<=", ">", ">=")):
-        return False
-
-    def abs_diff(expr: Expr) -> bool:
-        return (
-            isinstance(expr, FuncCall)
-            and expr.name.lower() == "abs"
-            and len(expr.args) == 1
-            and isinstance(expr.args[0], BinaryOp)
-            and expr.args[0].op == "-"
-        )
-
-    return (
-        isinstance(conjunct.left, ColumnRef)
-        or isinstance(conjunct.right, ColumnRef)
-        or abs_diff(conjunct.left)
-        or abs_diff(conjunct.right)
+        return frozenset()
+    by_alias = {rel.ref.alias.lower(): rel for rel in relations}
+    return frozenset(
+        alias for alias in owners
+        if _band_bounds(conjunct, set(owners - {alias}), by_alias[alias],
+                        relations) is not None
     )
 
 

@@ -104,6 +104,69 @@ class TestGroupedAggregates:
         assert plan.execute()["c"].dtype == np.int64
 
 
+def loop_counts(keys: list[np.ndarray], values: np.ndarray) -> dict:
+    """The per-group reference: COUNT(*) and COUNT(v) for each key tuple."""
+    out: dict = {}
+    for row, key in enumerate(zip(*[k.tolist() for k in keys])):
+        star, counted = out.get(key, (0, 0))
+        out[key] = (star + 1, counted + int(not np.isnan(values[row])))
+    return out
+
+
+def grouped_counts(keys: dict[str, np.ndarray], values: np.ndarray) -> dict:
+    batch = {f"t.{name}": arr for name, arr in keys.items()}
+    batch["t.v"] = values
+    plan = Aggregate(
+        Materialized(batch),
+        [(name, col(name, "t")) for name in keys],
+        [AggregateSpec("count", None, "star"),
+         AggregateSpec("count", col("v", "t"), "counted"),
+         AggregateSpec("sum", col("v", "t"), "total")],
+    )
+    return plan.execute()
+
+
+class TestGroupedCount:
+    """COUNT(*) and COUNT(expr) count every group in one pass; the
+    answers must equal the per-group loop and stay int64."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_keys", [1, 2])
+    def test_matches_per_group_loop(self, seed, n_keys):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 400))
+        keys = {f"k{i}": rng.integers(0, 6, n) for i in range(n_keys)}
+        values = rng.normal(size=n)
+        values[rng.random(n) < 0.3] = np.nan
+        # group 0 of the first key holds NULLs only
+        values[keys["k0"] == 0] = np.nan
+        out = grouped_counts(keys, values)
+        assert out["star"].dtype == np.int64
+        assert out["counted"].dtype == np.int64
+        got = {
+            key: (star, counted) for key, star, counted in zip(
+                zip(*[out[name].tolist() for name in keys]),
+                out["star"].tolist(), out["counted"].tolist(),
+            )
+        }
+        assert got == loop_counts(list(keys.values()), values)
+
+    def test_all_null_group_counts_zero(self):
+        out = grouped_counts(
+            {"g": np.array([1, 1, 2, 2, 2])},
+            np.array([np.nan, np.nan, 1.0, np.nan, 3.0]),
+        )
+        assert out["g"].tolist() == [1, 2]
+        assert out["star"].tolist() == [2, 3]
+        assert out["counted"].tolist() == [0, 2]
+
+    def test_empty_input_keeps_integer_counts(self):
+        out = grouped_counts({"g": np.empty(0, np.int64)}, np.empty(0))
+        assert out["star"].dtype == np.int64 and out["star"].size == 0
+        assert out["counted"].dtype == np.int64 and out["counted"].size == 0
+        assert out["total"].dtype == np.float64
+
+
 class TestAggregateSpecValidation:
     def test_unknown_function(self):
         with pytest.raises(SqlPlanError):

@@ -20,7 +20,13 @@ import pytest
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.expressions import BinaryOp, FuncCall, and_, col, lit
-from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
+from repro.engine.join import (
+    BandJoin,
+    CrossJoin,
+    HashJoin,
+    NestedLoopJoin,
+    _sort_order,
+)
 from repro.engine.operators import Materialized
 from repro.engine.parallel import MAX_WORKERS, resolve_workers, run_morsels
 from repro.errors import EngineError
@@ -205,65 +211,118 @@ class TestBandJoinEdgeCases:
         assert out["r.key"].tolist() == [2.0]
 
 
+def random_band_case(rng, rkey: np.ndarray, **band_kwargs):
+    """A seeded left side and band spec over the given right keys,
+    checked against the nested loop."""
+    n_left = int(rng.integers(0, 120))
+    lx = rng.uniform(-10, 10, n_left)
+    lx[rng.random(n_left) < 0.1] = np.nan
+    left = Materialized({
+        "l.id": np.arange(n_left, dtype=np.int64),
+        "l.x": lx,
+        "l.y": rng.uniform(-5, 5, n_left),
+    })
+    right = Materialized({
+        "r.key": rkey,
+        "r.w": rng.uniform(0, 1, rkey.size),
+    })
+
+    width = float(rng.uniform(0.1, 6.0))
+    shape = rng.integers(0, 4)
+    low = high = None
+    low_strict = bool(rng.integers(0, 2))
+    high_strict = bool(rng.integers(0, 2))
+    if shape == 0:  # symmetric band around l.x
+        low = BinaryOp("-", col("x", "l"), lit(width))
+        high = BinaryOp("+", col("x", "l"), lit(width))
+    elif shape == 1:  # one-sided
+        if rng.random() < 0.5:
+            low = col("x", "l")
+        else:
+            high = col("x", "l")
+    elif shape == 2:  # literal bounds
+        lo_value = float(rng.uniform(-8, 4))
+        low = lit(lo_value)
+        high = lit(lo_value + width)
+    else:  # asymmetric expression bounds
+        low = BinaryOp("-", col("x", "l"), lit(width))
+        high = BinaryOp("+", BinaryOp("*", col("x", "l"), lit(0.5)),
+                        lit(width))
+    residual = None
+    if rng.random() < 0.5:
+        residual = BinaryOp(
+            ">", BinaryOp("+", col("y", "l"), col("w", "r")),
+            lit(float(rng.uniform(-4, 4))),
+        )
+    return assert_band_equals_nested_loop(
+        left, right, col("key", "r"),
+        low=low, high=high,
+        low_strict=low_strict, high_strict=high_strict,
+        residual=residual,
+        block_rows=int(rng.integers(1, 40)),
+        **band_kwargs,
+    )
+
+
 class TestBandJoinDifferential:
-    """50 randomized seeded band specs: BandJoin ≡ NestedLoopJoin."""
+    """Randomized seeded band specs: BandJoin ≡ NestedLoopJoin."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_band_equivalence(self, seed):
         rng = np.random.default_rng(9000 + seed)
-        n_left = int(rng.integers(0, 120))
         n_right = int(rng.integers(0, 90))
-        lx = rng.uniform(-10, 10, n_left)
-        lx[rng.random(n_left) < 0.1] = np.nan
-        left = Materialized({
-            "l.id": np.arange(n_left, dtype=np.int64),
-            "l.x": lx,
-            "l.y": rng.uniform(-5, 5, n_left),
-        })
         if rng.random() < 0.3:
             rkey = rng.integers(-10, 10, n_right).astype(np.int64)
         else:
             rkey = rng.uniform(-12, 12, n_right)
             rkey[rng.random(n_right) < 0.15] = np.nan
-        right = Materialized({
-            "r.key": rkey,
-            "r.w": rng.uniform(0, 1, n_right),
-        })
+        random_band_case(rng, rkey)
 
-        width = float(rng.uniform(0.1, 6.0))
-        shape = rng.integers(0, 4)
-        low = high = None
-        low_strict = bool(rng.integers(0, 2))
-        high_strict = bool(rng.integers(0, 2))
-        if shape == 0:  # symmetric band around l.x
-            low = BinaryOp("-", col("x", "l"), lit(width))
-            high = BinaryOp("+", col("x", "l"), lit(width))
-        elif shape == 1:  # one-sided
-            if rng.random() < 0.5:
-                low = col("x", "l")
-            else:
-                high = col("x", "l")
-        elif shape == 2:  # literal bounds
-            lo_value = float(rng.uniform(-8, 4))
-            low = lit(lo_value)
-            high = lit(lo_value + width)
-        else:  # asymmetric expression bounds
-            low = BinaryOp("-", col("x", "l"), lit(width))
-            high = BinaryOp("+", BinaryOp("*", col("x", "l"), lit(0.5)),
-                            lit(width))
-        residual = None
-        if rng.random() < 0.5:
-            residual = BinaryOp(
-                ">", BinaryOp("+", col("y", "l"), col("w", "r")),
-                lit(float(rng.uniform(-4, 4))),
-            )
-        assert_band_equals_nested_loop(
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sorted_build_side_equivalence(self, seed, workers):
+        """A build side already in key order (a clustered scan) skips
+        the sort, and its pairs need no reordering: duplicate keys and
+        trailing NaN keys included."""
+        rng = np.random.default_rng(9100 + seed)
+        n_right = int(rng.integers(1, 90))
+        if seed % 3 == 0:
+            rkey = np.sort(rng.integers(-10, 10, n_right)).astype(np.int64)
+        else:
+            # one decimal: runs of duplicate keys, then NaNs at the end
+            rkey = np.sort(np.round(rng.uniform(-12, 12, n_right), 1))
+            rkey = np.concatenate([rkey, np.full(int(rng.integers(0, 8)),
+                                                 np.nan)])
+        assert _sort_order(rkey, int(np.isfinite(rkey).sum())) is None
+        random_band_case(rng, rkey, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_unsorted_build_side_selective_residual(self, workers):
+        """Out of key order, the residual runs first and only its few
+        survivors are put back in canonical order."""
+        rng = np.random.default_rng(9200)
+        n_left, n_right = 300, 400
+        left = Materialized({
+            "l.id": np.arange(n_left, dtype=np.int64),
+            "l.x": rng.uniform(-10, 10, n_left),
+        })
+        rkey = rng.uniform(-10, 10, n_right)
+        rkey[rng.random(n_right) < 0.1] = np.nan
+        right = Materialized({"r.key": rkey, "r.w": rng.uniform(0, 1, n_right)})
+        assert _sort_order(rkey, int(np.isfinite(rkey).sum())) is not None
+        out = assert_band_equals_nested_loop(
             left, right, col("key", "r"),
-            low=low, high=high,
-            low_strict=low_strict, high_strict=high_strict,
-            residual=residual,
-            block_rows=int(rng.integers(1, 40)),
+            low=BinaryOp("-", col("x", "l"), lit(5.0)),
+            high=BinaryOp("+", col("x", "l"), lit(5.0)),
+            residual=BinaryOp(">", col("w", "r"), lit(0.97)),
+            block_rows=64, workers=workers,
         )
+        candidates = BandJoin(
+            left, right, col("key", "r"),
+            low=BinaryOp("-", col("x", "l"), lit(5.0)),
+            high=BinaryOp("+", col("x", "l"), lit(5.0)),
+        ).execute()
+        assert 0 < out["l.id"].size < candidates["l.id"].size // 10
 
 
 class TestHashJoinBuildSide:

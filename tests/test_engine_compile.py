@@ -444,6 +444,58 @@ def test_result_cache_entries_disjoint_per_compiled_mode():
     assert hit.plan.startswith("[answered from cache]")
 
 
+def same_bits(a, b) -> np.ndarray:
+    """Per-element bit equality of two float64 arrays, NaN equal to NaN."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+class TestPowerMatchesNumpySquare:
+    """``POWER(v, 2)`` carries the bits of numpy's ``v ** 2``: its
+    literal exponent reaches numpy as a scalar (the square fast path),
+    not as an array that sends every element through libm ``pow``."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        rng = np.random.default_rng(2005)
+        v = rng.standard_normal(self.N)  # half of the bases negative
+        v[rng.random(self.N) < 0.01] = np.nan
+        return v
+
+    def _db(self, values, compiled: bool) -> Database:
+        db = Database("power", config=EngineConfig(
+            compiled_expressions=compiled))
+        db.create_table("t", {
+            "id": np.arange(self.N, dtype=np.int64),
+            "v": values,
+            "sq": values ** 2,
+        }, primary_key="id")
+        return db
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_select_position(self, values, compiled):
+        out = self._db(values, compiled).sql(
+            "SELECT id, POWER(v, 2) AS p FROM t").columns
+        assert out["p"].dtype == np.float64
+        assert same_bits(out["p"], values[out["id"]] ** 2).all()
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_where_position(self, values, compiled):
+        # every non-NULL row survives only if each square is bit-exact
+        out = self._db(values, compiled).sql(
+            "SELECT id FROM t WHERE POWER(v, 2) = sq").columns
+        assert np.array_equal(out["id"], np.flatnonzero(~np.isnan(values)))
+
+    def test_literal_only_call_broadcasts(self):
+        batch = {"x": np.arange(4.0)}
+        expr = FuncCall("power", (lit(0.57), lit(2)))
+        for value in (expr.eval(batch),
+                      CompiledKernel(outputs=[("p", expr)]).project_values(batch)[0]):
+            assert value.shape == (4,) and same_bits(value, 0.57 ** 2).all()
+
+
 def test_compile_metrics_flow_to_registry():
     from repro.obs.metrics import get_metrics
 

@@ -395,6 +395,24 @@ class TestJoinOrderDP:
         first_two = {rels[order[0]].alias, rels[order[1]].alias}
         assert first_two in ({"a", "b"}, {"b", "c"})
 
+    def test_band_priced_only_when_key_side_joins(self):
+        """A band is built on the relation being joined, so a step that
+        adds the other side costs a nested loop, not a band."""
+        model = DEFAULT_COST_MODEL
+        probe, keyed = JoinRel("a", 16.0, 16.0), JoinRel("b", 24_000.0, 24_000.0)
+        pred = JoinPred(frozenset({"a", "b"}), 1e-3, band_keys=frozenset({"b"}))
+        out_rows = 16.0 * 24_000.0 * 1e-3
+        _, cost_band = _step(probe.rows, probe.cost, keyed, [pred], model)
+        _, cost_nested = _step(keyed.rows, keyed.cost, probe, [pred], model)
+        assert cost_band == pytest.approx(
+            probe.cost + keyed.cost
+            + model.band_join(16.0, 24_000.0, out_rows))
+        assert cost_nested == pytest.approx(
+            keyed.cost + probe.cost
+            + model.nested_loop_join(24_000.0, 16.0, out_rows))
+        # the search therefore probes with the small side
+        assert order_relations([keyed, probe], [pred]) == [1, 0]
+
 
 # ---------------------------------------------------------------------------
 # q-error and the plan-quality report

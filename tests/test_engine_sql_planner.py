@@ -123,12 +123,50 @@ class TestAccessPathSelection:
         assert "BandJoin" in plan and "NestedLoopJoin" not in plan
 
     def test_non_extractable_theta_join_nested_loop(self, db):
-        # predicate over an expression of the right column, not the
-        # column itself — no band to extract
+        # an expression on both sides, no bare column on either — no
+        # band to extract in either join order
+        plan = plan_text(
+            db,
+            "SELECT g.objid FROM g JOIN k ON g.zoneid + g.i < k.zid * k.zid",
+        )
+        assert "NestedLoopJoin" in plan and "BandJoin" not in plan
+
+    def test_one_sided_band_plans_with_key_side_joined(self, db):
+        # only g has a bare column, so only g can own the band key: the
+        # search must put k outer and probe g's sorted zoneids
         plan = plan_text(
             db, "SELECT g.objid FROM g JOIN k ON g.zoneid < k.zid * k.zid"
         )
-        assert "NestedLoopJoin" in plan and "BandJoin" not in plan
+        assert "BandJoin(g.zoneid in" in plan and "NestedLoopJoin" not in plan
+
+    @pytest.mark.parametrize("order", ["a JOIN zone b", "b JOIN zone a"])
+    def test_neighbour_self_join_is_band_in_both_from_orders(self, db, order):
+        rng = np.random.default_rng(5)
+        n = 2000
+        db.create_table("zone", {
+            "objid": np.arange(n),
+            "zoneid": np.sort(rng.integers(0, 40, n)),
+            "ra": rng.uniform(0.0, 2.0, n),
+            "i": rng.uniform(14, 21, n),
+        }, primary_key="objid")
+        db.create_clustered_index("zone", "zoneid", "ra")
+        db.sql("ANALYZE")
+        text = (
+            f"SELECT a.objid, COUNT(*) AS n FROM zone {order} "
+            "ON b.zoneid BETWEEN a.zoneid - 1 AND a.zoneid + 1 "
+            "AND b.ra BETWEEN a.ra - 0.01 AND a.ra + 0.01 "
+            "WHERE a.i < 14.1 GROUP BY a.objid"
+        )
+        plan = plan_text(db, text)
+        assert "NestedLoopJoin" not in plan
+        assert "BandJoin(b.zoneid in [(a.zoneid - 1), (a.zoneid + 1)]" in plan
+        # the band's right input (the sorted side) is b, the key's owner
+        lines = plan.splitlines()
+        band = next(i for i, line in enumerate(lines) if "BandJoin" in line)
+        depth = len(lines[band]) - len(lines[band].lstrip()) + 2
+        inputs = [line.strip() for line in lines[band + 1:]
+                  if len(line) - len(line.lstrip()) == depth]
+        assert len(inputs) == 2 and "AS b" in inputs[1]
 
     def test_band_join_disabled_falls_back(self, db):
         db.config = db.config.replace(band_joins=False)

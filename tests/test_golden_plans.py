@@ -101,6 +101,44 @@ def build_post_dml_db() -> Database:
     return db
 
 
+#: name -> SQL over a zone table clustered on (zoneid, ra): the
+#: appendix's neighbour self-join, a band on zoneid probed by the
+#: filtered side with the ra window and the chord test as residual.
+#: One snapshot each, `<name>.txt`.
+ZONE_QUERIES = {
+    "neighbour_band":
+        "SELECT a.objid AS objid, COUNT(*) AS n "
+        "FROM zone a JOIN zone b "
+        "ON b.zoneid BETWEEN a.zoneid - 1 AND a.zoneid + 1 "
+        "AND b.ra BETWEEN a.ra - 0.02 AND a.ra + 0.02 "
+        "WHERE a.i < 15.0 "
+        "AND POWER(a.cx - b.cx, 2) + POWER(a.cy - b.cy, 2) "
+        "+ POWER(a.cz - b.cz, 2) < 1e-7 "
+        "GROUP BY a.objid",
+}
+
+
+def build_zone_db() -> Database:
+    db = build_db(rewrites=True)
+    rng = np.random.default_rng(2005)
+    n = 600
+    ra = rng.uniform(180.0, 181.0, n)
+    dec = rng.uniform(0.0, 0.5, n)
+    cos_dec = np.cos(np.deg2rad(dec))
+    db.create_table("zone", {
+        "objid": np.arange(n, dtype=np.int64),
+        "zoneid": np.floor((dec + 90.0) / 0.05).astype(np.int64),
+        "ra": ra,
+        "cx": cos_dec * np.cos(np.deg2rad(ra)),
+        "cy": cos_dec * np.sin(np.deg2rad(ra)),
+        "cz": np.sin(np.deg2rad(dec)),
+        "i": rng.uniform(14.0, 22.0, n),
+    }, primary_key="objid")
+    db.create_clustered_index("zone", "zoneid", "ra")
+    db.sql("ANALYZE")
+    return db
+
+
 def _check(path: Path, actual: str, context: str) -> None:
     if UPDATE:
         path.write_text(actual + "\n")
@@ -144,3 +182,11 @@ def test_golden_plan_after_dml(name):
     actual = db.explain(POST_DML_QUERIES[name])
     assert "IndexRangeScan" in actual
     _check(GOLDEN_DIR / f"{name}.txt", actual, f"{name} (after DML)")
+
+
+@pytest.mark.parametrize("name", sorted(ZONE_QUERIES))
+def test_golden_plan_zone_band(name):
+    db = build_zone_db()
+    actual = db.explain(ZONE_QUERIES[name])
+    assert "BandJoin(b.zoneid" in actual and "NestedLoopJoin" not in actual
+    _check(GOLDEN_DIR / f"{name}.txt", actual, f"{name} (zone band)")
