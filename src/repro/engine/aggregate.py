@@ -92,7 +92,11 @@ class Aggregate(PlanNode):
 
         key_arrays = [np.asarray(expr.eval(batch)) for _, expr in self.group_by]
         if n == 0:
-            out = {name.lower(): np.empty(0) for name, _ in self.group_by}
+            # each key keeps its own dtype, as a non-empty grouping does
+            out = {
+                name.lower(): key[:0]
+                for (name, _), key in zip(self.group_by, key_arrays)
+            }
             for spec in self.aggregates:
                 counts = spec.func.lower() in ("count", "count_distinct")
                 out[spec.name.lower()] = np.empty(

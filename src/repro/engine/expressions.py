@@ -12,7 +12,8 @@ SQRT, LOG, ABS, FLOOR, SIN, COS, RADIANS, PI, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -108,6 +109,36 @@ class Expr:
     def children(self) -> tuple["Expr", ...]:
         return ()
 
+    def with_children(self, children: tuple["Expr", ...]) -> "Expr":
+        """This node over new ``children``: the inverse of :meth:`children`."""
+        return self
+
+
+def transform(
+    expr: Expr,
+    post: Callable[[Expr], Expr] | None = None,
+    pre: Callable[[Expr], Expr | None] | None = None,
+) -> Expr:
+    """Map an expression tree, rebuilding only the nodes that change.
+
+    ``pre`` sees each node on the way down: a non-None result replaces
+    the node whole and is not descended into.  Otherwise the children
+    are mapped, the node is rebuilt only when a child came back as a
+    different object, and ``post`` sees the result on the way up.  A
+    tree nothing applies to comes back as the same object.  Subquery
+    bodies are not children, so they stay separate scopes.
+    """
+    if pre is not None:
+        replaced = pre(expr)
+        if replaced is not None:
+            return replaced
+    children = expr.children()
+    if children:
+        mapped = tuple([transform(child, post, pre) for child in children])
+        if any(map(operator.is_not, mapped, children)):
+            expr = expr.with_children(mapped)
+    return expr if post is None else post(expr)
+
 
 @dataclass(frozen=True)
 class Literal(Expr):
@@ -162,6 +193,9 @@ class BinaryOp(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        return BinaryOp(self.op, *children)
+
     def eval(self, batch: Batch) -> np.ndarray:
         op = self.op.upper() if self.op.isalpha() else self.op
         if op == "AND":
@@ -202,6 +236,9 @@ class UnaryOp(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
 
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        return UnaryOp(self.op, *children)
+
     def eval(self, batch: Batch) -> np.ndarray:
         value = self.operand.eval(batch)
         if self.op == "-":
@@ -224,6 +261,9 @@ class Between(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return (self.value, self.low, self.high)
+
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        return Between(*children)
 
     def eval(self, batch: Batch) -> np.ndarray:
         v = self.value.eval(batch)
@@ -273,6 +313,9 @@ class InList(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.value, *self.options)
 
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        return InList(children[0], children[1:])
+
     def eval(self, batch: Batch) -> np.ndarray:
         v = np.asarray(self.value.eval(batch))
         fast = isin_fast(v, self.options)
@@ -298,6 +341,13 @@ class Case(Expr):
         if self.default is not None:
             out.append(self.default)
         return tuple(out)
+
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        n = 2 * len(self.whens)
+        return Case(
+            tuple(zip(children[0:n:2], children[1:n:2])),
+            None if self.default is None else children[n],
+        )
 
     def eval(self, batch: Batch) -> np.ndarray:
         n = batch_length(batch)
@@ -397,6 +447,9 @@ class FuncCall(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return self.args
+
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        return FuncCall(self.name, children)
 
     def eval(self, batch: Batch) -> np.ndarray:
         return call_function(

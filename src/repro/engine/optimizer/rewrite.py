@@ -1,12 +1,13 @@
 """Rule-driven logical query rewrites, applied between parse and plan.
 
 The pass transforms the *statement* (the frozen AST), never the physical
-plan: each rule is a pure function ``stmt -> stmt | None`` that fires
-when a structural precondition holds.  The driver applies rules to a
-fixpoint (one firing per iteration, bounded by :data:`MAX_PASSES`) and
-records a :class:`RuleFiring` per applied rule — EXPLAIN renders the
-firings ahead of the operator tree, and the ``engine.rewrite.*``
-counters aggregate them process-wide.
+plan: each rule is a pure function ``stmt -> (stmt, detail) | None``
+that returns a new statement only when it changed something.  The
+driver applies rules to a fixpoint (one firing per iteration, bounded
+by :data:`MAX_PASSES`) and records a :class:`RuleFiring` per applied
+rule — EXPLAIN renders the firings ahead of the operator tree, and the
+``engine.rewrite.*`` counters aggregate them process-wide.  A statement
+no rule applies to comes back as the same object.
 
 Two properties are load-bearing:
 
@@ -30,18 +31,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.engine.expressions import (
     Between,
     BinaryOp,
-    Case,
     ColumnRef,
     Expr,
     FuncCall,
     InList,
     Literal,
     UnaryOp,
+    transform,
 )
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
 from repro.engine.operators import (
@@ -70,7 +72,7 @@ from repro.engine.sql.planner import (
     rewrite as substitute_exprs,
     split_conjuncts,
 )
-from repro.errors import ReproError, SqlPlanError
+from repro.errors import ReproError, SqlPlanError, TableNotFoundError
 from repro.obs.metrics import count_swallowed_error, get_metrics
 
 #: Upper bound on rule firings per statement scope.  Purely a runaway
@@ -206,75 +208,55 @@ def price_firings(
 # ----------------------------------------------------------------------
 # expression utilities
 # ----------------------------------------------------------------------
-def _transform_expr(expr: Expr, fn) -> Expr:
-    """Bottom-up structural map: rebuild children, then apply ``fn``.
+def _with(node, **fields):
+    """``node`` with ``fields`` replaced, or ``node`` itself when every
+    field already holds that very object."""
+    for name, value in fields.items():
+        if getattr(node, name) is not value:
+            return dataclasses.replace(node, **fields)
+    return node
 
-    Subquery bodies (``Exists``/``InSubquery.select``) are separate
-    scopes and are never descended into.
+
+def _same(new: tuple, old: tuple) -> tuple:
+    """``old`` when ``new`` holds the same objects, else ``new``."""
+    return old if all(map(operator.is_, new, old)) else new
+
+
+def _map_statement_exprs(
+    stmt: SelectStatement, map_expr, map_predicate=None
+) -> SelectStatement:
+    """Apply an expression map to every clause of a statement.
+
+    ``map_predicate``, when given, maps the predicate positions (WHERE,
+    HAVING, ON) instead, and a None ``map_expr`` leaves the other
+    clauses as they are.  Returns ``stmt`` itself when every clause
+    comes back as the same object.
     """
-    if isinstance(expr, BinaryOp):
-        node: Expr = BinaryOp(
-            expr.op,
-            _transform_expr(expr.left, fn),
-            _transform_expr(expr.right, fn),
-        )
-    elif isinstance(expr, UnaryOp):
-        node = UnaryOp(expr.op, _transform_expr(expr.operand, fn))
-    elif isinstance(expr, Between):
-        node = Between(
-            _transform_expr(expr.value, fn),
-            _transform_expr(expr.low, fn),
-            _transform_expr(expr.high, fn),
-        )
-    elif isinstance(expr, InList):
-        node = InList(
-            _transform_expr(expr.value, fn),
-            tuple(_transform_expr(o, fn) for o in expr.options),
-        )
-    elif isinstance(expr, FuncCall):
-        node = FuncCall(
-            expr.name, tuple(_transform_expr(a, fn) for a in expr.args)
-        )
-    elif isinstance(expr, Case):
-        node = Case(
-            tuple(
-                (_transform_expr(c, fn), _transform_expr(v, fn))
-                for c, v in expr.whens
-            ),
-            None if expr.default is None
-            else _transform_expr(expr.default, fn),
-        )
-    elif isinstance(expr, InSubquery):
-        node = InSubquery(_transform_expr(expr.value, fn), expr.select)
-    else:
-        node = expr
-    return fn(node)
+    map_predicate = map_predicate or map_expr
 
+    def predicate(expr: Expr | None) -> Expr | None:
+        return None if expr is None else map_predicate(expr)
 
-def _map_statement_exprs(stmt: SelectStatement, map_expr) -> SelectStatement:
-    """Apply an expression transform to every clause of a statement."""
-    items = tuple(
-        item if item.star
-        else dataclasses.replace(item, expr=map_expr(item.expr))
-        for item in stmt.items
-    )
-    joins = tuple(
-        join if join.condition is None
-        else dataclasses.replace(join, condition=map_expr(join.condition))
-        for join in stmt.joins
-    )
-    return dataclasses.replace(
-        stmt,
-        items=items,
-        joins=joins,
-        where=None if stmt.where is None else map_expr(stmt.where),
-        group_by=tuple(map_expr(e) for e in stmt.group_by),
-        having=None if stmt.having is None else map_expr(stmt.having),
-        order_by=tuple(
-            dataclasses.replace(o, expr=map_expr(o.expr))
-            for o in stmt.order_by
-        ),
-    )
+    fields = {
+        "joins": _same(tuple([
+            _with(join, condition=predicate(join.condition))
+            for join in stmt.joins
+        ]), stmt.joins),
+        "where": predicate(stmt.where),
+        "having": predicate(stmt.having),
+    }
+    if map_expr is not None:
+        fields["items"] = _same(tuple([
+            item if item.star else _with(item, expr=map_expr(item.expr))
+            for item in stmt.items
+        ]), stmt.items)
+        fields["group_by"] = _same(
+            tuple([map_expr(e) for e in stmt.group_by]), stmt.group_by
+        )
+        fields["order_by"] = _same(tuple([
+            _with(o, expr=map_expr(o.expr)) for o in stmt.order_by
+        ]), stmt.order_by)
+    return _with(stmt, **fields)
 
 
 def _statement_exprs(stmt: SelectStatement) -> list[Expr]:
@@ -348,7 +330,7 @@ def _boolish(expr: Expr) -> bool:
 
 
 # ----------------------------------------------------------------------
-# rule: constant folding
+# rule: expression simplification
 # ----------------------------------------------------------------------
 _COMPARES = {
     "=": lambda a, b: a == b,
@@ -463,47 +445,6 @@ def _fold_node(expr: Expr) -> Expr:
     return expr
 
 
-def _rule_constant_folding(stmt: SelectStatement, database):
-    folded = _map_statement_exprs(
-        stmt, lambda e: _transform_expr(e, _fold_node)
-    )
-    if folded == stmt:
-        return None
-    return folded, "folded constant subexpressions"
-
-
-# ----------------------------------------------------------------------
-# rule: tautology elimination
-# ----------------------------------------------------------------------
-def _rule_tautology(stmt: SelectStatement, database):
-    changes: dict = {}
-    details: list[str] = []
-    for attr in ("where", "having"):
-        predicate = getattr(stmt, attr)
-        if predicate is None:
-            continue
-        conjuncts = split_conjuncts(predicate)
-        if any(_is_bool_literal(c, False) for c in conjuncts):
-            if predicate != Literal(False):
-                changes[attr] = Literal(False)
-                details.append(f"{attr.upper()} is contradictory")
-            continue
-        kept = [c for c in conjuncts if not _is_bool_literal(c, True)]
-        if len(kept) != len(conjuncts):
-            changes[attr] = and_all(kept)
-            dropped = len(conjuncts) - len(kept)
-            details.append(
-                f"dropped {dropped} tautological conjunct(s) "
-                f"from {attr.upper()}"
-            )
-    if not changes:
-        return None
-    return dataclasses.replace(stmt, **changes), "; ".join(details)
-
-
-# ----------------------------------------------------------------------
-# rule: double negation elimination
-# ----------------------------------------------------------------------
 def _denot_node(expr: Expr) -> Expr:
     if (
         isinstance(expr, UnaryOp) and expr.op.upper() == "NOT"
@@ -514,87 +455,85 @@ def _denot_node(expr: Expr) -> Expr:
     return expr
 
 
-def _rule_double_negation(stmt: SelectStatement, database):
-    # Only predicate positions: there the result feeds a boolean
-    # coercion, so NOT NOT x == x even for non-boolean x.
-    def strip(expr: Expr) -> Expr:
-        return _transform_expr(expr, _denot_node)
+def _drop_true_conjuncts(predicate: Expr | None) -> Expr | None:
+    conjuncts = split_conjuncts(predicate)
+    kept = [c for c in conjuncts if not _is_bool_literal(c, True)]
+    return predicate if len(kept) == len(conjuncts) else and_all(kept)
 
-    changes: dict = {}
-    if stmt.where is not None:
-        changes["where"] = strip(stmt.where)
-    if stmt.having is not None:
-        changes["having"] = strip(stmt.having)
-    joins = tuple(
-        join if join.condition is None
-        else dataclasses.replace(join, condition=strip(join.condition))
-        for join in stmt.joins
+
+def _rule_simplify(stmt: SelectStatement, database):
+    """Fold constants in every clause, drop TRUE conjuncts from WHERE
+    and HAVING, then collapse ``NOT NOT x`` in predicate positions —
+    there the result feeds a boolean coercion, so ``NOT NOT x == x``
+    even for non-boolean ``x``.  (Folding has already collapsed any
+    conjunct chain holding a FALSE into a bare FALSE.)"""
+    folded = _map_statement_exprs(stmt, lambda e: transform(e, _fold_node))
+    tautless = _with(
+        folded,
+        where=_drop_true_conjuncts(folded.where),
+        having=_drop_true_conjuncts(folded.having),
     )
-    changes["joins"] = joins
-    stripped = dataclasses.replace(stmt, **changes)
-    if stripped == stmt:
+    simplified = _map_statement_exprs(
+        tautless, None, lambda e: transform(e, _denot_node)
+    )
+    details = [
+        detail for before, after, detail in (
+            (stmt, folded, "folded constant subexpressions"),
+            (folded, tautless, "dropped tautological conjunct(s)"),
+            (tautless, simplified, "collapsed double negation"),
+        )
+        if after is not before
+    ]
+    if not details:
         return None
-    return stripped, "collapsed double negation"
+    return simplified, "; ".join(details)
 
 
 # ----------------------------------------------------------------------
-# rules: CTE and view inlining
+# rule: CTE and view inlining
 # ----------------------------------------------------------------------
-def _convert_refs(stmt: SelectStatement, convert):
-    """Rebuild FROM/JOIN refs through ``convert``; returns (stmt, hits)."""
-    hits: list[str] = []
-
-    def step(ref: TableRef) -> TableRef:
-        converted = convert(ref)
-        if converted is not ref:
-            hits.append(ref.table.lower())
-        return converted
-
-    source = None if stmt.source is None else step(stmt.source)
-    joins = tuple(
-        dataclasses.replace(join, table=step(join.table))
-        for join in stmt.joins
+def _convert_refs(stmt: SelectStatement, convert) -> SelectStatement:
+    """Rebuild FROM/JOIN refs through ``convert`` (``stmt`` itself when
+    every ref comes back as the same object)."""
+    return _with(
+        stmt,
+        source=None if stmt.source is None else convert(stmt.source),
+        joins=_same(tuple(
+            _with(join, table=convert(join.table)) for join in stmt.joins
+        ), stmt.joins),
     )
-    return dataclasses.replace(stmt, source=source, joins=joins), hits
 
 
-def _rule_cte_inline(stmt: SelectStatement, database):
-    if not stmt.ctes:
-        return None
+def _rule_inline(stmt: SelectStatement, database):
+    """Replace CTE and view references by derived tables over their
+    bodies (a CTE name shadows a view), then drop the CTEs."""
     bodies = {name.lower(): body for name, body in stmt.ctes}
+    hits: dict[str, list[str]] = {"CTE(s)": [], "view(s)": []}
 
     def convert(ref: TableRef) -> TableRef:
-        if (not ref.is_subquery and not ref.is_function
-                and ref.table.lower() in bodies):
-            return TableRef("", ref.alias,
-                            subquery=bodies[ref.table.lower()])
+        if ref.is_subquery or ref.is_function:
+            return ref
+        name = ref.table.lower()
+        if name in bodies:
+            hits["CTE(s)"].append(name)
+            return TableRef("", ref.alias, subquery=bodies[name])
+        if database.has_view(name):
+            hits["view(s)"].append(name)
+            return TableRef("", ref.alias, subquery=database.view(name))
         return ref
 
-    converted, hits = _convert_refs(stmt, convert)
-    converted = dataclasses.replace(converted, ctes=())
-    if hits:
-        names = ", ".join(f"'{n}'" for n in dict.fromkeys(hits))
-        detail = f"inlined CTE(s) {names} as derived tables"
-    else:
-        detail = "dropped unreferenced CTE(s)"
-    return converted, detail
-
-
-def _rule_view_inline(stmt: SelectStatement, database):
-    if stmt.ctes:
-        return None  # CTE names shadow views; wait for cte_inline
-
-    def convert(ref: TableRef) -> TableRef:
-        if (not ref.is_subquery and not ref.is_function
-                and database.has_view(ref.table)):
-            return TableRef("", ref.alias, subquery=database.view(ref.table))
-        return ref
-
-    converted, hits = _convert_refs(stmt, convert)
-    if not hits:
+    converted = _convert_refs(stmt, convert)
+    if converted is stmt and not stmt.ctes:
         return None
-    names = ", ".join(f"'{n}'" for n in dict.fromkeys(hits))
-    return converted, f"inlined view(s) {names} as derived tables"
+    inlined = [
+        kind + " " + ", ".join(f"'{n}'" for n in dict.fromkeys(names))
+        for kind, names in hits.items() if names
+    ]
+    detail = (
+        f"inlined {' and '.join(inlined)} as derived tables" if inlined
+        else "dropped unreferenced CTE(s)"
+    )
+    return _with(converted, ctes=()), detail
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +588,7 @@ def _rule_join_elimination(stmt: SelectStatement, database):
             continue
         try:
             table = database.table(ref.table)
-        except Exception:
+        except TableNotFoundError:
             continue
         primary_key = getattr(table.schema, "primary_key", None)
         if primary_key is None:
@@ -725,8 +664,32 @@ def _rule_join_elimination(stmt: SelectStatement, database):
 
 
 # ----------------------------------------------------------------------
-# rule: derived table merge (subquery flattening)
+# derived tables: output resolution, merge, predicate pushdown
 # ----------------------------------------------------------------------
+def _derived_outputs(body: SelectStatement, database) -> dict[str, Expr] | None:
+    """Output name -> defining expression of a star-free derived body.
+
+    None when its output names do not resolve or repeat.  Outputs that
+    aggregate or hold a subquery are left out: an outer reference to
+    one cannot be replaced by its definition.
+    """
+    try:
+        names = Planner(database, rewrites=False).select_output_names(body)
+    except ReproError:
+        return None
+    if len(set(names)) != len(names):
+        return None
+    outputs: dict[str, Expr] = {}
+    for name, item in zip(names, body.items):
+        try:
+            if find_aggregates(item.expr) or find_subquery_exprs(item.expr):
+                continue
+        except SqlPlanError:
+            continue  # nested aggregates
+        outputs[name] = item.expr
+    return outputs
+
+
 def _mergeable_inner(inner: SelectStatement) -> bool:
     return (
         inner.source is not None
@@ -744,7 +707,6 @@ def _mergeable_inner(inner: SelectStatement) -> bool:
 def _rule_derived_merge(stmt: SelectStatement, database):
     if stmt.ctes or stmt.source is None:
         return None
-    planner = Planner(database, rewrites=False)
     slots: list[tuple[int | None, TableRef]] = [(None, stmt.source)]
     slots += [(i, join.table) for i, join in enumerate(stmt.joins)]
     single_outer = len(slots) == 1
@@ -761,127 +723,75 @@ def _rule_derived_merge(stmt: SelectStatement, database):
         if any(find_subquery_exprs(c) for c in inner_where):
             continue  # requalification can't reach into subquery bodies
         star_items = [item for item in inner.items if item.star]
-        identity = bool(star_items)
-        if identity and not (
+        if star_items and not (
             len(inner.items) == 1 and star_items[0].star_qualifier is None
         ):
             continue
-        if not identity:
-            exprs = [item.expr for item in inner.items
-                     if item.expr is not None]
-            try:
-                if any(find_aggregates(e) for e in exprs):
-                    continue
-            except SqlPlanError:
-                continue
-            if any(find_subquery_exprs(e) for e in exprs):
-                continue
-            try:
-                names = planner.select_output_names(inner)
-            except Exception:
-                continue
-            if len(set(names)) != len(names):
-                continue
         alias = ref.alias.lower()
         assert inner.source is not None
         inner_alias = inner.source.alias.lower()
 
-        def requal(expr: Expr) -> Expr:
-            def fix(node: Expr) -> Expr:
-                if isinstance(node, ColumnRef):
-                    qualifier = (
-                        node.qualifier.lower() if node.qualifier else None
-                    )
-                    if qualifier is None or qualifier == inner_alias:
-                        return ColumnRef(node.name, ref.alias)
-                return node
-            return _transform_expr(expr, fix)
+        def requal(node: Expr) -> Expr:
+            if isinstance(node, ColumnRef):
+                qualifier = node.qualifier.lower() if node.qualifier else None
+                if qualifier is None or qualifier == inner_alias:
+                    return ColumnRef(node.name, ref.alias)
+            return node
 
-        if identity:
-            mapping: dict[Expr, Expr] = {}
-        else:
-            mapping = {}
-            for name, item in zip(names, inner.items):
-                assert item.expr is not None
-                target = requal(item.expr)
+        mapping: dict[Expr, Expr] = {}
+        if not star_items:
+            outputs = _derived_outputs(inner, database)
+            if outputs is None or len(outputs) != len(inner.items):
+                continue
+            for name, expr in outputs.items():
+                target = transform(expr, requal)
                 mapping[ColumnRef(name, ref.alias)] = target
                 if single_outer:
                     mapping[ColumnRef(name)] = target
+            names = set(outputs)
+            exprs = _statement_exprs(stmt)
             # Star items expanding the derived table would change from
             # the derived output list to the inner table's columns.
-            bad = False
-            for item in stmt.items:
-                if item.star and (
-                    item.star_qualifier is None
-                    or item.star_qualifier.lower() == alias
-                ):
-                    bad = True
+            if any(
+                item.star and (item.star_qualifier is None
+                               or item.star_qualifier.lower() == alias)
+                for item in stmt.items
+            ):
+                continue
             # Bare outer refs that match a derived output are ambiguous
             # to re-map when other relations are in scope.
-            if not single_outer:
-                output_names = set(names)
-                for expr in _statement_exprs(stmt):
-                    for column in expr.column_refs():
-                        if (column.qualifier is None
-                                and column.name.lower() in output_names):
-                            bad = True
+            if not single_outer and any(
+                column.qualifier is None and column.name.lower() in names
+                for expr in exprs for column in expr.column_refs()
+            ):
+                continue
             # Correlated subquery expressions referencing the derived
             # table can't be requalified (their bodies are not walked).
-            for expr in _statement_exprs(stmt):
-                for node in find_subquery_exprs(expr):
-                    if _select_mentions(node.select, alias, set(names)):
-                        bad = True
-            if bad:
+            if any(
+                _select_mentions(node.select, alias, names)
+                for expr in exprs for node in find_subquery_exprs(expr)
+            ):
                 continue
 
-        merged_ref = dataclasses.replace(inner.source, alias=ref.alias)
-        if mapping:
-            def map_expr(expr: Expr) -> Expr:
-                return substitute_exprs(expr, mapping)
-        else:
-            def map_expr(expr: Expr) -> Expr:
-                return expr
+        def map_expr(expr: Expr) -> Expr:
+            return substitute_exprs(expr, mapping)
 
-        new_items = []
-        for pos, item in enumerate(stmt.items):
-            if item.star:
-                new_items.append(item)
-                continue
-            assert item.expr is not None
-            new_expr = map_expr(item.expr)
-            item_alias = item.alias
-            if item_alias is None and new_expr != item.expr:
-                # keep the output column name the derived table gave it
-                item_alias = Planner._output_name(item, pos)
-            new_items.append(
-                SelectItem(new_expr, item_alias, item.star,
-                           item.star_qualifier)
-            )
-        outer_where = [map_expr(c) for c in split_conjuncts(stmt.where)]
-        merged_where = and_all(outer_where + [requal(c) for c in inner_where])
-        joins = tuple(
-            dataclasses.replace(
-                join,
-                table=merged_ref if slot == pos else join.table,
-                condition=(
-                    None if join.condition is None
-                    else map_expr(join.condition)
-                ),
-            )
-            for pos, join in enumerate(stmt.joins)
+        mapped = _map_statement_exprs(stmt, map_expr)
+        items = tuple(
+            # keep the output column name the derived table gave it
+            _with(new, alias=Planner._output_name(old, pos))
+            if not old.star and old.alias is None and new.expr != old.expr
+            else new
+            for pos, (old, new) in enumerate(zip(stmt.items, mapped.items))
         )
-        new_stmt = dataclasses.replace(
-            stmt,
-            items=tuple(new_items),
-            source=merged_ref if slot is None else stmt.source,
-            joins=joins,
-            where=merged_where,
-            group_by=tuple(map_expr(e) for e in stmt.group_by),
-            having=None if stmt.having is None else map_expr(stmt.having),
-            order_by=tuple(
-                dataclasses.replace(o, expr=map_expr(o.expr))
-                for o in stmt.order_by
-            ),
+        where = and_all(
+            [map_expr(c) for c in split_conjuncts(stmt.where)]
+            + [transform(c, requal) for c in inner_where]
+        )
+        merged_ref = dataclasses.replace(inner.source, alias=ref.alias)
+        new_stmt = _convert_refs(
+            dataclasses.replace(mapped, items=items, where=where),
+            lambda r: merged_ref if r is ref else r,
         )
         return new_stmt, (
             f"merged derived table '{ref.alias}' into the outer query"
@@ -889,13 +799,9 @@ def _rule_derived_merge(stmt: SelectStatement, database):
     return None
 
 
-# ----------------------------------------------------------------------
-# rule: predicate pushdown into derived tables
-# ----------------------------------------------------------------------
 def _rule_predicate_pushdown(stmt: SelectStatement, database):
     if stmt.source is None or stmt.where is None:
         return None
-    planner = Planner(database, rewrites=False)
     refs = [stmt.source] + [j.table for j in stmt.joins]
     single_outer = len(refs) == 1
     nullable = {
@@ -904,49 +810,37 @@ def _rule_predicate_pushdown(stmt: SelectStatement, database):
         if join.kind == "left"
     }
     derived = {
-        ref.alias.lower(): ref
+        ref.alias.lower(): ref.subquery
         for ref in refs
         if ref.is_subquery and ref.alias.lower() not in nullable
     }
     if not derived:
         return None
 
-    moved: dict[str, list[Expr]] = {}
-    kept: list[Expr] = []
-    for conjunct in split_conjuncts(stmt.where):
+    def translate(conjunct: Expr):
+        """(alias, outer column -> inner expression) when ``conjunct``
+        reads exactly one derived table and can be evaluated inside it,
+        else None."""
         try:
-            has_aggs = bool(find_aggregates(conjunct))
+            if find_aggregates(conjunct) or find_subquery_exprs(conjunct):
+                return None
         except SqlPlanError:
-            has_aggs = True
-        if has_aggs or find_subquery_exprs(conjunct):
-            kept.append(conjunct)
-            continue
-        columns = list(conjunct.column_refs())
-        if not columns:
-            kept.append(conjunct)
-            continue
+            return None
+        columns = conjunct.column_refs()
         aliases: set[str] = set()
-        resolvable = True
         for column in columns:
             if column.qualifier is not None:
                 aliases.add(column.qualifier.lower())
             elif single_outer:
                 aliases.add(refs[0].alias.lower())
             else:
-                resolvable = False
-                break
-        if not resolvable or len(aliases) != 1:
-            kept.append(conjunct)
-            continue
+                return None
+        if len(aliases) != 1:
+            return None
         alias = aliases.pop()
-        if alias not in derived:
-            kept.append(conjunct)
-            continue
-        sub = derived[alias].subquery
-        assert sub is not None
-        if sub.limit is not None or sub.offset is not None:
-            kept.append(conjunct)
-            continue
+        sub = derived.get(alias)
+        if sub is None or sub.limit is not None or sub.offset is not None:
+            return None
         stars = [item for item in sub.items if item.star]
         if stars:
             # only the plain pass-through star is translatable
@@ -955,55 +849,30 @@ def _rule_predicate_pushdown(stmt: SelectStatement, database):
                 and not sub.joins and sub.source is not None
                 and not sub.group_by
             ):
-                kept.append(conjunct)
-                continue
-            inner_alias = sub.source.alias
-            mapping: dict[Expr, Expr] = {}
-            for column in columns:
-                mapping[column] = ColumnRef(column.name, inner_alias)
-        else:
-            try:
-                names = planner.select_output_names(sub)
-            except Exception:
-                kept.append(conjunct)
-                continue
-            if len(set(names)) != len(names):
-                kept.append(conjunct)
-                continue
-            by_name = {
-                name: item.expr for name, item in zip(names, sub.items)
+                return None
+            return alias, {
+                column: ColumnRef(column.name, sub.source.alias)
+                for column in columns
             }
-            targets = []
-            ok = True
-            for column in columns:
-                target = by_name.get(column.name.lower())
-                if target is None:
-                    ok = False
-                    break
-                targets.append(target)
-            if ok:
-                for target in targets:
-                    try:
-                        if find_aggregates(target):
-                            ok = False
-                    except SqlPlanError:
-                        ok = False
-                    if find_subquery_exprs(target):
-                        ok = False
-            if ok and sub.group_by:
-                # below a GROUP BY the filter must bind to group keys:
-                # those are constant per group, so pre-filtering rows
-                # removes exactly the groups the outer filter would.
-                group_exprs = set(sub.group_by)
-                if any(target not in group_exprs for target in targets):
-                    ok = False
-            if not ok:
-                kept.append(conjunct)
-                continue
-            mapping = {
-                column: target
-                for column, target in zip(columns, targets)
-            }
+        outputs = _derived_outputs(sub, database) or {}
+        targets = [outputs.get(column.name.lower()) for column in columns]
+        if any(target is None for target in targets):
+            return None
+        # below a GROUP BY the filter must bind to group keys: those are
+        # constant per group, so pre-filtering rows removes exactly the
+        # groups the outer filter would.
+        if sub.group_by and not set(targets) <= set(sub.group_by):
+            return None
+        return alias, dict(zip(columns, targets))
+
+    moved: dict[str, list[Expr]] = {}
+    kept: list[Expr] = []
+    for conjunct in split_conjuncts(stmt.where):
+        translated = translate(conjunct)
+        if translated is None:
+            kept.append(conjunct)
+            continue
+        alias, mapping = translated
         moved.setdefault(alias, []).append(
             substitute_exprs(conjunct, mapping)
         )
@@ -1021,8 +890,7 @@ def _rule_predicate_pushdown(stmt: SelectStatement, database):
             ref, subquery=dataclasses.replace(sub, where=new_where)
         )
 
-    converted, _ = _convert_refs(stmt, convert)
-    converted = dataclasses.replace(converted, where=and_all(kept))
+    converted = _with(_convert_refs(stmt, convert), where=and_all(kept))
     total = sum(len(v) for v in moved.values())
     aliases_text = ", ".join(f"'{a}'" for a in sorted(moved))
     return converted, (
@@ -1042,6 +910,9 @@ def _rule_decorrelate(stmt: SelectStatement, database):
         return None
     if any(item.star and item.star_qualifier is None for item in stmt.items):
         return None  # a new join would widen the * expansion
+    where_conjuncts = split_conjuncts(stmt.where)
+    if not any(isinstance(c, (Exists, InSubquery)) for c in where_conjuncts):
+        return None
     planner = Planner(database, rewrites=False)
     ctes = {name.lower(): body for name, body in stmt.ctes}
     outer_refs = [stmt.source] + [j.table for j in stmt.joins]
@@ -1058,10 +929,9 @@ def _rule_decorrelate(stmt: SelectStatement, database):
             )
             for ref in outer_refs
         ]
-    except Exception:
+    except ReproError:
         return None
     taken = {ref.alias.lower() for ref in outer_refs}
-    where_conjuncts = split_conjuncts(stmt.where)
     for index, conjunct in enumerate(where_conjuncts):
         if not isinstance(conjunct, (Exists, InSubquery)):
             continue
@@ -1189,7 +1059,7 @@ def _rule_aggregate_pushdown(stmt: SelectStatement, database):
     try:
         keep_table = database.table(keep_ref.table)
         agg_table = database.table(agg_ref.table)
-    except Exception:
+    except TableNotFoundError:
         return None
     keep_alias = keep_ref.alias.lower()
     agg_alias = agg_ref.alias.lower()
@@ -1311,22 +1181,10 @@ def _rule_aggregate_pushdown(stmt: SelectStatement, database):
         BinaryOp("=", keep_key, ColumnRef("__pk", alias)),
     )
 
-    def map_expr(expr: Expr) -> Expr:
-        return substitute_exprs(expr, mapping)
-
     new_stmt = dataclasses.replace(
-        stmt,
-        items=tuple(
-            item if item.star
-            else dataclasses.replace(item, expr=map_expr(item.expr))
-            for item in stmt.items
-        ),
+        _map_statement_exprs(stmt, lambda e: substitute_exprs(e, mapping)),
         joins=(new_join,),
         where=and_all(keep_where),
-        order_by=tuple(
-            dataclasses.replace(o, expr=map_expr(o.expr))
-            for o in stmt.order_by
-        ),
     )
     return new_stmt, (
         f"pushed {len(deduped)} aggregate(s) below the join, "
@@ -1340,11 +1198,8 @@ def _rule_aggregate_pushdown(stmt: SelectStatement, database):
 #: (name, rule) in priority order; the driver applies the first rule
 #: that fires, re-prices, and iterates to a fixpoint.
 REWRITE_RULES: tuple[tuple[str, object], ...] = (
-    ("constant_folding", _rule_constant_folding),
-    ("tautology_elimination", _rule_tautology),
-    ("double_negation_elimination", _rule_double_negation),
-    ("cte_inline", _rule_cte_inline),
-    ("view_inline", _rule_view_inline),
+    ("simplify_expressions", _rule_simplify),
+    ("inline_ctes_and_views", _rule_inline),
     ("filter_before_aggregate", _rule_having_pushdown),
     ("redundant_join_elimination", _rule_join_elimination),
     ("derived_table_merge", _rule_derived_merge),
@@ -1363,41 +1218,21 @@ def _fire_once(stmt: SelectStatement, database):
     """
     for rule, apply in REWRITE_RULES:
         outcome = apply(stmt, database)  # type: ignore[operator]
-        if outcome is None:
-            continue
-        new_stmt, detail = outcome
-        if new_stmt != stmt:
+        if outcome is not None:
+            new_stmt, detail = outcome
             return new_stmt, rule, detail
-    source = stmt.source
-    if source is not None and source.is_subquery:
-        assert source.subquery is not None
-        nested = _fire_once(source.subquery, database)
-        if nested is not None:
-            body, rule, detail = nested
-            new_source = dataclasses.replace(source, subquery=body)
-            return (
-                dataclasses.replace(stmt, source=new_source),
-                rule,
-                f"[in derived '{source.alias}'] {detail}",
-            )
-    for index, join in enumerate(stmt.joins):
-        if not join.table.is_subquery:
+    for ref in [stmt.source] + [join.table for join in stmt.joins]:
+        if ref is None or not ref.is_subquery:
             continue
-        assert join.table.subquery is not None
-        nested = _fire_once(join.table.subquery, database)
+        nested = _fire_once(ref.subquery, database)
         if nested is None:
             continue
         body, rule, detail = nested
-        new_ref = dataclasses.replace(join.table, subquery=body)
-        joins = (
-            stmt.joins[:index]
-            + (dataclasses.replace(join, table=new_ref),)
-            + stmt.joins[index + 1:]
-        )
+        new_ref = dataclasses.replace(ref, subquery=body)
         return (
-            dataclasses.replace(stmt, joins=joins),
+            _convert_refs(stmt, lambda r: new_ref if r is ref else r),
             rule,
-            f"[in derived '{join.table.alias}'] {detail}",
+            f"[in derived '{ref.alias}'] {detail}",
         )
     return None
 

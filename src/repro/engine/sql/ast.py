@@ -123,6 +123,9 @@ class InSubquery(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.value,)
 
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        return InSubquery(children[0], self.select)
+
     def eval(self, batch):  # pragma: no cover - always planned away
         raise NotImplementedError(
             "IN (SELECT ...) must be planned by the SQL planner "

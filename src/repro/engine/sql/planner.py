@@ -39,13 +39,12 @@ from repro.engine.aggregate import Aggregate, AggregateSpec
 from repro.engine.expressions import (
     Between,
     BinaryOp,
-    Case,
     ColumnRef,
     Expr,
     FuncCall,
-    InList,
     Literal,
     UnaryOp,
+    transform,
 )
 from repro.engine.index import PrimaryKeyIndex
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
@@ -112,39 +111,11 @@ def rewrite(expr: Expr, mapping: dict[Expr, Expr]) -> Expr:
     """Structurally replace subtrees (used to slot in aggregate outputs).
 
     Matching is by node equality (the nodes are frozen dataclasses, so
-    identical shapes compare equal).
+    identical shapes compare equal); a replaced subtree is not searched
+    further, and subquery bodies are never rewritten through an outer
+    mapping.
     """
-    if expr in mapping:
-        return mapping[expr]
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(expr.op, rewrite(expr.left, mapping), rewrite(expr.right, mapping))
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, rewrite(expr.operand, mapping))
-    if isinstance(expr, Between):
-        return Between(
-            rewrite(expr.value, mapping),
-            rewrite(expr.low, mapping),
-            rewrite(expr.high, mapping),
-        )
-    if isinstance(expr, InList):
-        return InList(
-            rewrite(expr.value, mapping),
-            tuple(rewrite(o, mapping) for o in expr.options),
-        )
-    if isinstance(expr, FuncCall):
-        return FuncCall(expr.name, tuple(rewrite(a, mapping) for a in expr.args))
-    if isinstance(expr, Case):
-        return Case(
-            tuple(
-                (rewrite(c, mapping), rewrite(v, mapping)) for c, v in expr.whens
-            ),
-            None if expr.default is None else rewrite(expr.default, mapping),
-        )
-    if isinstance(expr, InSubquery):
-        # only the outer-scope value participates; the subquery body is
-        # its own scope and never rewritten through an outer mapping
-        return InSubquery(rewrite(expr.value, mapping), expr.select)
-    return expr
+    return transform(expr, pre=mapping.get)
 
 
 def find_aggregates(expr: Expr) -> list[FuncCall]:
@@ -204,6 +175,10 @@ class SubqueryPredicate(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return self.outer_exprs
+
+    def with_children(self, children: tuple[Expr, ...]) -> Expr:
+        # planned: the outer expressions are bound to the subplan's keys
+        return self
 
     def _materialize(self):
         run = Execution.current()

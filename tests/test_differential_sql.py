@@ -34,6 +34,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
+from repro.engine.optimizer.rewrite import REWRITE_RULES
 from repro.obs.metrics import get_metrics
 
 #: dataset seeds x queries-per-template: 4 * 81 = 324 queries total.
@@ -523,15 +524,22 @@ def test_rewrite_differential_smoke():
     """CI smoke subset: one draw per template, both rewrite modes.
 
     Fast enough to run on every push; the slow-marked test above covers
-    the full corpus.
+    the full corpus.  It is also the rule census: every registered
+    rewrite rule must fire somewhere in it, so a rule no corpus shape
+    reaches fails here instead of lingering.
     """
     seed = DATASET_SEEDS[0]
     t1, t2, t3 = make_tables(seed)
     db_on = make_database(t1, t2, t3, rewrites=True)
     db_off = make_database(t1, t2, t3, rewrites=False)
     rng = np.random.default_rng(seed * 1000 + 7)
-    swallowed = get_metrics().counter("engine.swallowed_errors")
+    metrics = get_metrics()
+    swallowed = metrics.counter("engine.swallowed_errors")
     swallowed_before = swallowed.value
+    fired_before = {
+        rule: metrics.counter(f"engine.rewrite.{rule}").value
+        for rule, _ in REWRITE_RULES
+    }
 
     ran = 0
     for template in TEMPLATES:
@@ -546,6 +554,11 @@ def test_rewrite_differential_smoke():
     # a clean corpus degrades nowhere: no query-path ``except`` caught
     # an exception it did not name
     assert swallowed.value == swallowed_before
+    idle = [
+        rule for rule, before in fired_before.items()
+        if metrics.counter(f"engine.rewrite.{rule}").value == before
+    ]
+    assert not idle, f"rules no smoke query fires: {idle}"
 
 
 @pytest.mark.parametrize("seed", DATASET_SEEDS[:2])

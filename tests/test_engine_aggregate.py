@@ -96,6 +96,25 @@ class TestGroupedAggregates:
         batch = plan.execute()
         assert batch["c"].size == 0
 
+    @pytest.mark.parametrize("keys", [
+        {"zid": np.empty(0, np.int64)},
+        {"name": np.empty(0, dtype=object)},
+        {"zid": np.empty(0, np.int32), "name": np.empty(0, dtype=object)},
+    ], ids=["int", "string", "multi_key"])
+    def test_empty_grouped_input_keeps_key_dtypes(self, keys):
+        """No groups still means columns of the keys' own types."""
+        batch = {f"t.{name}": arr for name, arr in keys.items()}
+        batch["t.n"] = np.empty(0)
+        plan = Aggregate(
+            Materialized(batch),
+            [(name, col(name, "t")) for name in keys],
+            [AggregateSpec("count", None, "c")],
+        )
+        out = plan.execute()
+        for name, arr in keys.items():
+            assert out[name].dtype == arr.dtype and out[name].size == 0
+        assert out["c"].dtype == np.int64
+
     def test_count_dtype_integer(self):
         plan = Aggregate(
             source(), [("zid", col("zid", "t"))],

@@ -76,22 +76,26 @@ def fired_rules(plan_text: str) -> list[str]:
 
 BASE = "SELECT id, a, b FROM t1 WHERE a > 5 ORDER BY id"
 
-#: (no-op variant, rule expected to unwrap it)
-METAMORPHS = (
-    ("SELECT id, a, b FROM t1 WHERE a > 5 AND 1 = 1 ORDER BY id",
-     "constant_folding"),
-    ("SELECT id, a, b FROM t1 WHERE NOT (NOT (a > 5)) ORDER BY id",
-     "double_negation_elimination"),
-    ("WITH w AS (SELECT id, a, b FROM t1) "
-     "SELECT id, a, b FROM w WHERE a > 5 ORDER BY id",
-     "cte_inline"),
-    ("SELECT * FROM (SELECT id, a, b FROM t1) d WHERE d.a > 5 ORDER BY id",
-     "predicate_pushdown"),
-)
+#: wrap -> (no-op variant, rule expected to unwrap it)
+METAMORPHS = {
+    "constant_folding": (
+        "SELECT id, a, b FROM t1 WHERE a > 5 AND 1 = 1 ORDER BY id",
+        "simplify_expressions"),
+    "double_negation_elimination": (
+        "SELECT id, a, b FROM t1 WHERE NOT (NOT (a > 5)) ORDER BY id",
+        "simplify_expressions"),
+    "cte_inline": (
+        "WITH w AS (SELECT id, a, b FROM t1) "
+        "SELECT id, a, b FROM w WHERE a > 5 ORDER BY id",
+        "inline_ctes_and_views"),
+    "predicate_pushdown": (
+        "SELECT * FROM (SELECT id, a, b FROM t1) d WHERE d.a > 5 ORDER BY id",
+        "predicate_pushdown"),
+}
 
 
-@pytest.mark.parametrize("variant,rule", METAMORPHS,
-                         ids=[r for _, r in METAMORPHS])
+@pytest.mark.parametrize("variant,rule", METAMORPHS.values(),
+                         ids=METAMORPHS)
 def test_metamorphic_noop_wrap_is_byte_identical(variant, rule):
     db = build_db()
     base, wrapped = db.sql(BASE), db.sql(variant)
@@ -107,13 +111,13 @@ def test_metamorphic_noop_view_wrap():
     base = db.sql(BASE)
     wrapped = db.sql("SELECT id, a, b FROM v1 WHERE a > 5 ORDER BY id")
     assert_byte_identical(wrapped, base, "view wrap")
-    assert "view_inline" in fired_rules(wrapped.plan)
+    assert "inline_ctes_and_views" in fired_rules(wrapped.plan)
 
 
 def test_metamorphic_rewritten_results_match_rewrites_off():
     """Every metamorphic variant, both engines: identical bytes."""
     db_on, db_off = build_db(True), build_db(False)
-    for variant, _ in METAMORPHS:
+    for variant, _ in METAMORPHS.values():
         assert_byte_identical(db_on.sql(variant), db_off.sql(variant),
                               variant)
         assert not fired_rules(db_off.sql(variant).plan)
@@ -123,48 +127,77 @@ def test_metamorphic_rewritten_results_match_rewrites_off():
 # every rule observable through EXPLAIN, results checked against off-mode
 # ---------------------------------------------------------------------------
 
-#: A query that makes each rule fire (keys are the registered names).
+#: Queries that make each rule fire (keys are the registered names),
+#: each named for the shape it unwraps.
 RULE_QUERIES = {
-    "constant_folding":
-        "SELECT id FROM t1 WHERE 2 + 2 = 4 AND a > 0 ORDER BY id",
-    "tautology_elimination":
-        "SELECT id FROM t1 WHERE 1 = 1 ORDER BY id",
-    "double_negation_elimination":
-        "SELECT id FROM t1 WHERE NOT (NOT (a > 0)) ORDER BY id",
-    "cte_inline":
-        "WITH f AS (SELECT id, a FROM t1 WHERE a > 0) "
-        "SELECT id FROM f ORDER BY id",
-    "view_inline":
-        "SELECT id, a FROM v1 WHERE a > 0 ORDER BY id",
-    "filter_before_aggregate":
-        "SELECT k, COUNT(*) AS n FROM t1 GROUP BY k "
-        "HAVING k > 3 AND COUNT(*) > 1 ORDER BY k",
-    "redundant_join_elimination":
-        "SELECT t1.id FROM t1 LEFT JOIN t3 ON t3.k = t1.k ORDER BY t1.id",
-    "derived_table_merge":
-        "SELECT d.id, d.s FROM (SELECT id, a + k AS s FROM t1 "
-        "WHERE a > 0) d WHERE d.s > 3 ORDER BY d.id",
-    "predicate_pushdown":
-        "SELECT * FROM (SELECT id, a FROM t1) d WHERE d.a > 7 ORDER BY id",
-    "decorrelate_subquery":
-        "SELECT id FROM t1 WHERE k IN (SELECT k FROM t2 WHERE c > 50) "
-        "ORDER BY id",
-    "aggregate_pushdown":
-        "SELECT t3.k, SUM(t1.a) AS sa, MAX(t1.b) AS hi FROM t3 "
-        "INNER JOIN t1 ON t1.k = t3.k GROUP BY t3.k ORDER BY t3.k",
+    "simplify_expressions": {
+        "constant_folding":
+            "SELECT id FROM t1 WHERE 2 + 2 = 4 AND a > 0 ORDER BY id",
+        "tautology_elimination":
+            "SELECT id FROM t1 WHERE 1 = 1 ORDER BY id",
+        "double_negation_elimination":
+            "SELECT id FROM t1 WHERE NOT (NOT (a > 0)) ORDER BY id",
+    },
+    "inline_ctes_and_views": {
+        "cte_inline":
+            "WITH f AS (SELECT id, a FROM t1 WHERE a > 0) "
+            "SELECT id FROM f ORDER BY id",
+        "view_inline":
+            "SELECT id, a FROM v1 WHERE a > 0 ORDER BY id",
+    },
+    "filter_before_aggregate": {
+        "filter_before_aggregate":
+            "SELECT k, COUNT(*) AS n FROM t1 GROUP BY k "
+            "HAVING k > 3 AND COUNT(*) > 1 ORDER BY k",
+        "empty_after_filter":
+            "SELECT k, COUNT(*) AS n FROM t1 GROUP BY k HAVING k > 100",
+    },
+    "redundant_join_elimination": {
+        "redundant_join_elimination":
+            "SELECT t1.id FROM t1 LEFT JOIN t3 ON t3.k = t1.k "
+            "ORDER BY t1.id",
+    },
+    "derived_table_merge": {
+        "derived_table_merge":
+            "SELECT d.id, d.s FROM (SELECT id, a + k AS s FROM t1 "
+            "WHERE a > 0) d WHERE d.s > 3 ORDER BY d.id",
+    },
+    "predicate_pushdown": {
+        "predicate_pushdown":
+            "SELECT * FROM (SELECT id, a FROM t1) d WHERE d.a > 7 "
+            "ORDER BY id",
+    },
+    "decorrelate_subquery": {
+        "decorrelate_subquery":
+            "SELECT id FROM t1 WHERE k IN (SELECT k FROM t2 WHERE c > 50) "
+            "ORDER BY id",
+    },
+    "aggregate_pushdown": {
+        "aggregate_pushdown":
+            "SELECT t3.k, SUM(t1.a) AS sa, MAX(t1.b) AS hi FROM t3 "
+            "INNER JOIN t1 ON t1.k = t3.k GROUP BY t3.k ORDER BY t3.k",
+    },
 }
+
+#: (rule, sql) per query shape, with the shape as the test id
+RULE_CASES = [
+    pytest.param(rule, sql, id=shape)
+    for rule, shapes in RULE_QUERIES.items()
+    for shape, sql in sorted(shapes.items())
+]
+RULE_SQL = [sql for shapes in RULE_QUERIES.values() for sql in shapes.values()]
 
 
 def test_rule_query_map_is_exhaustive():
     """Every registered rule has a query pinning it (and vice versa)."""
     registered = {name for name, _ in REWRITE_RULES}
     assert registered == set(RULE_QUERIES)
+    assert len(REWRITE_RULES) == 8
 
 
-@pytest.mark.parametrize("rule", sorted(RULE_QUERIES))
-def test_each_rule_fires_and_preserves_results(rule):
+@pytest.mark.parametrize("rule,sql", RULE_CASES)
+def test_each_rule_fires_and_preserves_results(rule, sql):
     db_on, db_off = build_db(True), build_db(False)
-    sql = RULE_QUERIES[rule]
     on, off = db_on.sql(sql), db_off.sql(sql)
     assert rule in fired_rules(on.plan), f"{rule} absent from\n{on.plan}"
     assert not fired_rules(off.plan)
@@ -178,7 +211,8 @@ def test_explain_lists_every_fired_rule_with_estimates():
            "SELECT id FROM f WHERE b > 1 AND 1 = 1 ORDER BY id")
     plan = db.explain(sql)
     rules = fired_rules(plan)
-    assert "cte_inline" in rules and "constant_folding" in rules
+    assert rules == ["simplify_expressions", "inline_ctes_and_views",
+                     "derived_table_merge"]
     # trace lines come first, carry the cost-model estimates, and the
     # physical plan follows
     lines = plan.splitlines()
@@ -193,7 +227,7 @@ def test_explain_analyze_reports_rewrite_trace():
     report = db.explain_analyze(
         "SELECT id FROM t1 WHERE 1 = 1 AND a > 0 ORDER BY id"
     )
-    assert any(line.startswith("Rewrite constant_folding")
+    assert any(line.startswith("Rewrite simplify_expressions")
                for line in report.render().splitlines())
     assert report.rewrite_trace
 
@@ -215,7 +249,7 @@ def test_pushdown_touches_at_least_2x_fewer_rows(sql):
 
 def test_rewrites_off_plans_carry_no_trace():
     db = build_db(False)
-    for sql in RULE_QUERIES.values():
+    for sql in RULE_SQL:
         assert not fired_rules(db.explain(sql))
 
 
@@ -224,23 +258,63 @@ def test_rewrites_off_plans_carry_no_trace():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("rule", sorted(RULE_QUERIES))
-def test_rewrite_is_idempotent(rule):
+@pytest.mark.parametrize("rule,sql", RULE_CASES)
+def test_rewrite_is_idempotent(rule, sql):
     """Rewriting a rewritten statement fires nothing further."""
     db = build_db()
-    stmt = parse(RULE_QUERIES[rule])
+    stmt = parse(sql)
     once, firings = rewrite_statement(stmt, db, price=False)
     assert firings, f"{rule} query should fire at least one rule"
     twice, again = rewrite_statement(once, db, price=False)
     assert not again, f"not a fixpoint: {[f.rule for f in again]}"
-    assert twice == once
+    assert twice is once
+
+
+#: The SELECT shapes of the end-to-end benchmark's CasJobs workload
+#: (cone, colour count, histogram, colour cut) and its DML workload's
+#: point lookup and join: statements no rule applies to.
+E2E_SHAPES = {
+    "cone": "SELECT objid, ra, dec FROM galaxy "
+            "WHERE zoneid BETWEEN 5 AND 29 AND ra BETWEEN 180.1 AND 180.4",
+    "count": "SELECT COUNT(*) AS c FROM galaxy WHERE i < 19.5 AND gr > 0.8",
+    "histogram": "SELECT FLOOR(i) AS ibin, COUNT(*) AS n, AVG(gr) AS mean_gr "
+                 "FROM galaxy WHERE ri > 0.3 GROUP BY FLOOR(i) ORDER BY ibin",
+    "colour_cut": "SELECT objid, ra, dec, i FROM galaxy "
+                  "WHERE gr BETWEEN 1.1 AND 1.12 AND ri BETWEEN 0.4 AND 0.6 "
+                  "ORDER BY i",
+    "point": "SELECT objid, ra, dec, i FROM galaxy WHERE objid = 17",
+    "join": "SELECT g.objid AS objid, g.i AS i, c.ngal AS ngal "
+            "FROM galaxy g JOIN candidates c ON g.objid = c.objid "
+            "WHERE c.ngal > 5 AND g.i < 18.0",
+}
+
+
+@pytest.mark.parametrize("sql", E2E_SHAPES.values(), ids=E2E_SHAPES)
+def test_a_statement_no_rule_applies_to_comes_back_as_itself(sql):
+    db = Database("e2e_shapes")
+    n = 50
+    db.create_table("galaxy", {
+        name: np.linspace(0.0, 25.0, n)
+        for name in ("ra", "dec", "i", "gr", "ri")
+    } | {
+        "objid": np.arange(n, dtype=np.int64),
+        "zoneid": np.arange(n, dtype=np.int64) // 5,
+    }, primary_key="objid")
+    db.create_table("candidates", {
+        "objid": np.arange(0, n, 2, dtype=np.int64),
+        "ngal": np.arange(0, n, 2, dtype=np.int64),
+    }, primary_key="objid")
+    stmt = parse(sql)
+    rewritten, firings = rewrite_statement(stmt, db, price=False)
+    assert rewritten is stmt
+    assert firings == ()
 
 
 def test_priced_and_unpriced_paths_agree():
     """price=True (planner) and price=False (cache key) must produce the
     byte-identical statement, or the cache would fragment."""
     db = build_db()
-    for sql in RULE_QUERIES.values():
+    for sql in RULE_SQL:
         stmt = parse(sql)
         priced, _ = rewrite_statement(stmt, db, price=True)
         unpriced, _ = rewrite_statement(stmt, db, price=False)
@@ -301,7 +375,7 @@ def test_rewrite_metrics_count_firings():
     db = build_db()
     counter = get_metrics().counter("engine.rewrite.decorrelate_subquery")
     before = counter.value
-    db.sql(RULE_QUERIES["decorrelate_subquery"])
+    db.sql(RULE_QUERIES["decorrelate_subquery"]["decorrelate_subquery"])
     assert counter.value == before + 1
 
 

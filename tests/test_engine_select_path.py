@@ -199,6 +199,90 @@ class TestFingerprintsArePinned:
         )
 
 
+class TestRewriteFixpointsArePinned:
+    """Keys of the golden-plan and rewrite-test queries, computed before
+    the expression rules and the CTE/view inliners were merged.  Each
+    hashes a rewritten statement, so these pin the rewrite fixpoint."""
+
+    GOLDEN = {
+        "constant_fold": "6f2a00d1ee83478efa58885a136f09f4",
+        "double_negation": "e86288c40250036e3c64ebbc71fcb72a",
+        "cte_inline": "445d05cc6f9203cc02b09ac394013ec7",
+        "predicate_pushdown": "049c7fae992dfd2824cc6ffbdd08bb0e",
+        "derived_merge": "6c0b3ef750dedaf0fcebce4b30f3b840",
+        "in_decorrelate": "1a6c9134c5f0f08fc4ee48c6fbb29618",
+        "exists_decorrelate": "24856498a58348c33ccb61e71f97dcac",
+        "left_join_elim": "50b913b3e348aec07c181193b8fe7a59",
+        "aggregate_pushdown": "6e2ecfc208ddb80a5f6ad366fe0abdde",
+        "having_pushdown": "c7b79d0d48ef770c5634146adb39ef26",
+    }
+
+    REWRITE = {
+        "SELECT id FROM t1 WHERE 2 + 2 = 4 AND a > 0 ORDER BY id":
+            "77feaa3168e2170825466bb897f208dc",
+        "SELECT id FROM t1 WHERE 1 = 1 ORDER BY id":
+            "1f54bf0535cdf1d05cab7a1a636d081d",
+        "SELECT id FROM t1 WHERE NOT (NOT (a > 0)) ORDER BY id":
+            "77feaa3168e2170825466bb897f208dc",
+        "WITH f AS (SELECT id, a FROM t1 WHERE a > 0) "
+        "SELECT id FROM f ORDER BY id":
+            "1ee4bfe0c9b8248db5d5729057c42862",
+        "SELECT id, a FROM v1 WHERE a > 0 ORDER BY id":
+            "8bc5a7c1b4d9542cd4922b152b4d6eda",
+        "SELECT k, COUNT(*) AS n FROM t1 GROUP BY k "
+        "HAVING k > 3 AND COUNT(*) > 1 ORDER BY k":
+            "944d1f9a7bdc068608fbf6c761cf3cda",
+        "SELECT k, COUNT(*) AS n FROM t1 GROUP BY k HAVING k > 100":
+            "dc3e97093c1b614d97ce7a271e5816d9",
+        "SELECT t1.id FROM t1 LEFT JOIN t3 ON t3.k = t1.k ORDER BY t1.id":
+            "4b5f55cab6d2e6a78d1c42c0a5654115",
+        "SELECT d.id, d.s FROM (SELECT id, a + k AS s FROM t1 "
+        "WHERE a > 0) d WHERE d.s > 3 ORDER BY d.id":
+            "5c97fa291a0ffcaf34c54a308d427086",
+        "SELECT * FROM (SELECT id, a FROM t1) d WHERE d.a > 7 ORDER BY id":
+            "d78d23faa6bc6bda035e8d8cefafbb83",
+        "SELECT id FROM t1 WHERE k IN (SELECT k FROM t2 WHERE c > 50) "
+        "ORDER BY id":
+            "8c62e91e7c566140778029b62ca64c88",
+        "SELECT t3.k, SUM(t1.a) AS sa, MAX(t1.b) AS hi FROM t3 "
+        "INNER JOIN t1 ON t1.k = t3.k GROUP BY t3.k ORDER BY t3.k":
+            "6e2ecfc208ddb80a5f6ad366fe0abdde",
+        # the metamorphic wraps and the base query they reduce to
+        "SELECT id, a, b FROM t1 WHERE a > 5 AND 1 = 1 ORDER BY id":
+            "626df6b916b008006e31bb6d594b18d3",
+        "SELECT id, a, b FROM t1 WHERE NOT (NOT (a > 5)) ORDER BY id":
+            "626df6b916b008006e31bb6d594b18d3",
+        "WITH w AS (SELECT id, a, b FROM t1) "
+        "SELECT id, a, b FROM w WHERE a > 5 ORDER BY id":
+            "1bcb00f9ecae6bb13fd0451359032549",
+        "SELECT * FROM (SELECT id, a, b FROM t1) d WHERE d.a > 5 ORDER BY id":
+            "e01b8112853fab5f89d0145d3ebc3adb",
+        "SELECT id, a, b FROM t1 WHERE a > 5 ORDER BY id":
+            "626df6b916b008006e31bb6d594b18d3",
+        "SELECT id, a, b FROM v1 WHERE a > 5 ORDER BY id":
+            "50feb7de583e78329ad32580a939d2f5",
+    }
+
+    def test_golden_queries(self):
+        from tests.test_golden_plans import GOLDEN_QUERIES
+        from tests.test_golden_plans import build_db as build_golden_db
+
+        db = build_golden_db(rewrites=True)
+        keys = {
+            name: db.statement_key(sql) for name, sql in GOLDEN_QUERIES.items()
+        }
+        assert keys == self.GOLDEN
+
+    def test_rule_and_metamorphic_queries(self):
+        from tests.test_engine_rewrite import METAMORPHS, RULE_SQL
+        from tests.test_engine_rewrite import build_db as build_rewrite_db
+
+        covered = set(RULE_SQL) | {sql for sql, _ in METAMORPHS.values()}
+        assert covered <= set(self.REWRITE)
+        db = build_rewrite_db()
+        assert {q: db.statement_key(q) for q in self.REWRITE} == self.REWRITE
+
+
 class TestLiveConfig:
     def test_flipping_band_joins_misses_the_memo(self):
         """A memoized BandJoin plan must not outlive band_joins=True."""
