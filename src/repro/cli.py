@@ -63,16 +63,9 @@ def _engine_flags() -> argparse.ArgumentParser:
     """Shared engine flags (one parent parser, not N copies).
 
     Used by ``sql``/``explain``/``analyze``/``partition``/``casjobs`` so
-    the flags spell and behave identically everywhere.  ``--workers``
-    keeps its per-command meaning: intra-query morsel workers for the
-    engine commands, scheduler pool workers for ``casjobs serve``
-    (defaults differ via ``set_defaults``).
+    the flags spell and behave identically everywhere.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker count (engine commands: intra-query "
-                        "morsel workers, default 1; casjobs serve: "
-                        "scheduler pool workers, default 4)")
     parent.add_argument("--optimizer", choices=("cost", "syntactic"),
                         default="cost", help="planner mode")
     parent.add_argument("--backend",
@@ -113,12 +106,6 @@ def _engine_flags() -> argparse.ArgumentParser:
                         "materialization; --no-compiled restores the "
                         "interpreted expression walk — results are "
                         "byte-identical either way)")
-    parent.add_argument("--page-compression",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="per-column page codecs (dictionary / RLE) "
-                        "chosen from ANALYZE statistics; packs more rows "
-                        "per 8 KiB page so scans cost fewer logical reads")
     return parent
 
 
@@ -129,7 +116,6 @@ def _engine_config(args):
 
     return EngineConfig(
         optimizer=getattr(args, "optimizer", "cost"),
-        intra_query_workers=getattr(args, "workers", None) or 1,
         result_cache=bool(getattr(args, "cache", False)),
         rewrites=bool(getattr(args, "rewrites", True)),
         feedback=bool(getattr(args, "feedback", False)),
@@ -137,7 +123,6 @@ def _engine_config(args):
                         or DEFAULT_QERROR_CEILING),
         query_store=bool(getattr(args, "query_store", False)),
         compiled_expressions=bool(getattr(args, "compiled", True)),
-        page_compression=bool(getattr(args, "page_compression", True)),
     )
 
 
@@ -218,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve", help="serve a heavy-traffic workload through the scheduler",
         parents=[engine_flags],
     )
-    serve_p.set_defaults(workers=4)  # scheduler pool workers here
+    serve_p.add_argument("--workers", type=int, default=4, metavar="N",
+                         help="scheduler pool workers")
     serve_p.add_argument("--users", type=int, default=12)
     serve_p.add_argument("--jobs", type=int, default=150)
     serve_p.add_argument("--quick-frac", type=float, default=0.4,

@@ -145,10 +145,6 @@ class SqlServerCluster:
         :class:`~repro.engine.config.EngineConfig` for each partition's
         database — one object carries every engine knob across the
         process boundary.
-    intra_query_workers:
-        Convenience override of ``engine_config.intra_query_workers``
-        (orthogonal to the partition backend; results are identical
-        at any value).
     """
 
     def __init__(
@@ -162,7 +158,6 @@ class SqlServerCluster:
         *,
         fault: FaultSpec | None = None,
         engine_config: EngineConfig | None = None,
-        intra_query_workers: int | None = None,
     ):
         self.kcorr = kcorr
         self.config = config
@@ -171,16 +166,7 @@ class SqlServerCluster:
         self.compute_members = compute_members
         self.backend = resolve_backend(backend)
         self.fault = fault
-        engine_config = engine_config or DEFAULT_ENGINE_CONFIG
-        if intra_query_workers is not None:
-            engine_config = engine_config.replace(
-                intra_query_workers=intra_query_workers
-            )
-        self.engine_config = engine_config
-
-    @property
-    def intra_query_workers(self) -> int:
-        return self.engine_config.intra_query_workers
+        self.engine_config = engine_config or DEFAULT_ENGINE_CONFIG
 
     def make_workunits(
         self, catalog: GalaxyCatalog, layout: PartitionLayout
@@ -276,7 +262,6 @@ def run_partitioned(
     *,
     progress: Callable[[str], None] | None = None,
     engine_config: EngineConfig | None = None,
-    intra_query_workers: int | None = None,
 ) -> ClusterRunResult:
     """Convenience wrapper: build a cluster and run one target region.
 
@@ -296,6 +281,5 @@ def run_partitioned(
         compute_members=compute_members,
         backend=backend,
         engine_config=engine_config,
-        intra_query_workers=intra_query_workers,
     )
     return cluster.run(catalog, target, progress=progress)

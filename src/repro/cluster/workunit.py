@@ -124,7 +124,7 @@ class PartitionWorkUnit:
     fault: FaultSpec | None = None
     #: Engine knobs for this partition's database — a frozen
     #: :class:`~repro.engine.config.EngineConfig`, so the whole knob set
-    #: (morsel workers, optimizer mode, cache settings, ...) pickles
+    #: (optimizer mode, cache settings, ...) pickles
     #: across the process boundary as one object.
     engine_config: EngineConfig | None = None
     #: Trace context of the dispatching cluster run.  When set, the

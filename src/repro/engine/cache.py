@@ -14,7 +14,7 @@ keyed on ``(fingerprint, table versions)``:
   was stored makes the key miss — invalidation is structural, not
   best-effort.
 
-Entries carry byte-size accounting, optional TTL, and are evicted LRU
+Entries carry byte-size accounting and are evicted LRU
 when the cache exceeds its byte or entry budget.  Hits return deep
 copies, so callers can mutate results without poisoning the cache.
 Hit/miss/eviction/invalidation counters feed the process-wide obs
@@ -281,7 +281,6 @@ class CacheStats:
     inserts: int = 0
     evictions: int = 0
     invalidations: int = 0
-    expirations: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -298,28 +297,19 @@ class ResultCache:
     its cache — the multi-user win the paper's MyDB design is after.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = 64 << 20,
-        max_entries: int = 512,
-        ttl_s: float | None = None,
-        metrics_prefix: str = "engine.cache",
-    ):
+    def __init__(self, max_bytes: int = 64 << 20, max_entries: int = 512):
         self.max_bytes = int(max_bytes)
         self.max_entries = int(max_entries)
-        self.ttl_s = ttl_s
         self.stats = CacheStats()
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
         metrics = get_metrics()
-        self._m_hits = metrics.counter(f"{metrics_prefix}.hits")
-        self._m_misses = metrics.counter(f"{metrics_prefix}.misses")
-        self._m_evictions = metrics.counter(f"{metrics_prefix}.evictions")
-        self._m_inserts = metrics.counter(f"{metrics_prefix}.inserts")
-        self._m_invalidations = metrics.counter(
-            f"{metrics_prefix}.invalidations"
-        )
+        self._m_hits = metrics.counter("engine.cache.hits")
+        self._m_misses = metrics.counter("engine.cache.misses")
+        self._m_evictions = metrics.counter("engine.cache.evictions")
+        self._m_inserts = metrics.counter("engine.cache.inserts")
+        self._m_invalidations = metrics.counter("engine.cache.invalidations")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -334,12 +324,6 @@ class ResultCache:
         """Look up a key; counts a hit or miss and refreshes LRU order."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and self._expired(entry):
-                self._drop(key)
-                self.stats.expirations += 1
-                self.stats.invalidations += 1
-                self._m_invalidations.inc()
-                entry = None
             if entry is None:
                 self.stats.misses += 1
                 self._m_misses.inc()
@@ -361,10 +345,7 @@ class ResultCache:
     def peek(self, key: CacheKey) -> CacheEntry | None:
         """Would this key hit?  No counters, no LRU touch, no copy."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or self._expired(entry):
-                return None
-            return entry
+            return self._entries.get(key)
 
     def put(
         self,
@@ -427,12 +408,6 @@ class ResultCache:
             self._bytes = 0
 
     # ------------------------------------------------------------------
-    def _expired(self, entry: CacheEntry) -> bool:
-        return (
-            self.ttl_s is not None
-            and time.monotonic() - entry.stored_at > self.ttl_s
-        )
-
     def _drop(self, key: CacheKey) -> None:
         entry = self._entries.pop(key)
         self._bytes -= entry.nbytes
@@ -449,5 +424,4 @@ class ResultCache:
                 "inserts": self.stats.inserts,
                 "evictions": self.stats.evictions,
                 "invalidations": self.stats.invalidations,
-                "expirations": self.stats.expirations,
             }

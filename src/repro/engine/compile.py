@@ -27,8 +27,8 @@ the interpreted result:
   end, for surviving rows.
 
 Kernels compile once per plan node and are reusable across batches
-(morsel workers share one kernel; per-call state lives in a private
-frame).  Unknown node types — planner-internal predicates like
+(CasJobs threads running one memoized plan share its kernels;
+per-call state lives in a private frame).  Unknown node types — planner-internal predicates like
 ``SubqueryPredicate`` — fall back to ``node.eval`` over a narrowed
 batch, so the compiler never has to chase the closed type set.
 
@@ -178,8 +178,8 @@ class CompiledKernel:
     selection-vector short-circuiting; ``outputs`` are projection
     columns sharing the same CSE cache (and, in the fused form, the
     same selection).  Compile once, call per batch — per-call state is
-    confined to a :class:`_Frame`, so one kernel instance serves all
-    morsel workers concurrently.
+    confined to a :class:`_Frame`, so one kernel instance serves every
+    thread running its plan concurrently.
     """
 
     def __init__(

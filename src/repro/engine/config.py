@@ -16,6 +16,12 @@ instance by assigning a new config::
 Only the knobs in :data:`PLANNING_KNOBS` may change that way; the rest
 size objects built at construction (buffer pool, cache, memo, Query
 Store) and the assignment rejects a change to them.
+
+Each planning knob keeps its off arm because that arm is a named
+oracle: ``optimizer="syntactic"`` is the differential baseline,
+``band_joins=False`` plans the ``NestedLoopJoin`` reference,
+``rewrites=False`` produces the ``.off`` goldens and
+``compiled_expressions=False`` is the interpreted oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.engine.pages import DEFAULT_POOL_PAGES
-from repro.engine.parallel import resolve_workers
 from repro.errors import EngineError
 
 #: Recognized planner modes (mirrors the planner's OPTIMIZER_MODES;
@@ -38,9 +43,7 @@ PLANNING_KNOBS = (
     "optimizer",
     "band_joins",
     "rewrites",
-    "intra_query_workers",
     "compiled_expressions",
-    "page_compression",
 )
 
 #: Default ceiling on cached entries per database.
@@ -64,9 +67,6 @@ class EngineConfig:
         2 GB nodes).
     optimizer:
         Planner mode, ``"cost"`` (statistics-driven) or ``"syntactic"``.
-    intra_query_workers:
-        Morsel-parallel workers per operator (1 = sequential; output is
-        byte-identical at any setting).
     band_joins:
         Allow the cost planner to extract BandJoin operators from range
         conjuncts.
@@ -82,12 +82,6 @@ class EngineConfig:
         NaN-aware short-circuit conjunction over selection vectors,
         late materialization of payload columns).  On by default;
         results are byte-identical to the interpreted walk either way.
-    page_compression:
-        Choose a per-column page codec (dictionary encoding for
-        low-NDV columns, run-length encoding for sorted/clustered
-        ones) from ANALYZE statistics, packing more rows per 8 KiB
-        page so hot working sets cost fewer logical reads.  On by
-        default; takes effect at ANALYZE time.
     result_cache:
         Enable the shared semantic result cache: SELECTs are answered
         from a prior identical statement's result when every referenced
@@ -118,11 +112,9 @@ class EngineConfig:
 
     pool_pages: int = DEFAULT_POOL_PAGES
     optimizer: str = "cost"
-    intra_query_workers: int = 1
     band_joins: bool = True
     rewrites: bool = True
     compiled_expressions: bool = True
-    page_compression: bool = True
     result_cache: bool = False
     cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES
     feedback: bool = False
@@ -137,7 +129,6 @@ class EngineConfig:
             )
         if self.pool_pages <= 0:
             raise EngineError("pool_pages must be positive")
-        resolve_workers(self.intra_query_workers)
         if self.cache_max_entries <= 0:
             raise EngineError("cache_max_entries must be positive")
         if self.qerror_ceiling <= 1.0:
@@ -172,9 +163,7 @@ class EngineConfig:
             f"optimizer={self.optimizer}"
             f",band_joins={int(self.band_joins)}"
             f",rewrites={int(self.rewrites)}"
-            f",workers={self.intra_query_workers}"
             f",compiled={int(self.compiled_expressions)}"
-            f",pages={int(self.page_compression)}"
         )
 
 

@@ -29,7 +29,7 @@ from repro.engine.expressions import batch_length
 from repro.engine.index import ClusteredIndex
 from repro.engine.instrument import AnalyzeReport, max_q_error
 from repro.engine.matview import MaterializedView
-from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES
+from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES, choose_codecs
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql.executor import Executor, QueryResult
 from repro.engine.sql.ast import SelectStatement
@@ -660,8 +660,9 @@ class Database:
 
         Builds row counts, per-column NDV/min/max/null-fraction and
         equi-depth histograms for one table — or, with no argument, for
-        every table in the catalog — and attaches them as
-        ``table.stats``.  Returns the names of the analyzed tables.
+        every table in the catalog — attaches them as ``table.stats``
+        and picks each column's page codec from them.  Returns the
+        names of the analyzed tables.
         """
         from repro.engine.optimizer.statistics import build_table_stats
 
@@ -677,12 +678,7 @@ class Database:
             # stats must miss the memo and re-plan, even though the data
             # (table.version) has not changed
             table.stats_version += 1
-            if self._config.page_compression:
-                from repro.engine.pages import choose_codecs
-
-                table.apply_compression(
-                    choose_codecs(table.stats, table.schema)
-                )
+            table.apply_compression(choose_codecs(table.stats, table.schema))
             if self.feedback is not None:
                 self.feedback.memo.invalidate_table(name)
         return [n.lower() for n in names]

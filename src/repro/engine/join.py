@@ -14,8 +14,8 @@ inside each probe's interval), and falls back to
 Join outputs are *canonically ordered*: pairs appear sorted by
 (left row, right row), exactly the order a naive nested loop emits.
 Every operator here preserves that invariant no matter which side it
-builds on, how it bins, or how many morsel workers execute it — which
-is what lets the differential tests demand byte-identical batches
+builds on, how it bins, or how many rows each block holds — which is
+what lets the differential tests demand byte-identical batches
 across physical plans.
 """
 
@@ -78,7 +78,7 @@ def _sort_order(keys: np.ndarray, n_finite: int) -> np.ndarray | None:
 
 def _predicate_kernel(node: PlanNode, predicate: Expr):
     """Lazily compile a join's residual/theta predicate (one kernel per
-    plan node, shared across blocks and morsel workers)."""
+    plan node, shared across blocks and the threads running this plan)."""
     kernel = getattr(node, "_kernel", None)
     if kernel is None:
         from repro.engine.compile import CompiledKernel
@@ -236,9 +236,8 @@ class BandJoin(PlanNode):
       when the right side was already in key order, else restored by
       one sort over the residual's survivors, not every band pair.
 
-    ``workers > 1`` dispatches left-row blocks to the shared morsel
-    pool; block boundaries depend only on :attr:`block_rows`, so the
-    output is byte-identical for every worker count.
+    Left rows run in blocks of :attr:`block_rows`, which bounds the
+    pair arrays one block materializes.
     """
 
     #: Default left rows per block (overridable via ``block_rows``).
@@ -253,7 +252,6 @@ class BandJoin(PlanNode):
     high_strict: bool = False
     residual: Expr | None = None
     block_rows: int = 0  # 0 = DEFAULT_BLOCK_ROWS
-    workers: int = 1
 
     def _execute(self) -> Batch:
         lbatch = self.left.execute()
@@ -355,17 +353,10 @@ class BandJoin(PlanNode):
             return l_rows, r_rows
 
         block = self.block_rows or self.DEFAULT_BLOCK_ROWS
-        starts_list = list(range(0, n_left, block))
-        from repro.engine.parallel import run_morsels
-
-        parts = run_morsels(
-            [
-                (lambda s=start: block_task(s, min(s + block, n_left)))
-                for start in starts_list
-            ],
-            workers=self.workers,
-            name="engine.morsel.bandjoin",
-        )
+        parts = [
+            block_task(start, min(start + block, n_left))
+            for start in range(0, n_left, block)
+        ]
         left_rows = np.concatenate([p[0] for p in parts])
         right_rows = np.concatenate([p[1] for p in parts])
         return merge_batches(lbatch, left_rows, rbatch, right_rows)
@@ -392,8 +383,6 @@ class BandJoin(PlanNode):
         txt = f"BandJoin({self.right_key} in {lb}{lo}, {hi}{rb}"
         if self.residual is not None:
             txt += f", residual {self.residual}"
-        if self.workers > 1:
-            txt += f", workers={self.workers}"
         txt += ")"
         if self.compiled and self.residual is not None:
             txt += f"  {_predicate_kernel(self, self.residual).describe()}"
@@ -415,8 +404,6 @@ class NestedLoopJoin(PlanNode):
     ``block_rows=0`` (the default) sizes blocks adaptively so one
     materialized pair batch stays under :attr:`PAIR_BYTE_BUDGET` —
     a wide right side gets short blocks instead of a memory blowup.
-    ``workers > 1`` runs blocks on the shared morsel pool; the block
-    split never depends on the worker count, so output is byte-stable.
     """
 
     #: Byte ceiling for one block's materialized pair batch.
@@ -426,7 +413,6 @@ class NestedLoopJoin(PlanNode):
     right: PlanNode
     predicate: Expr | None
     block_rows: int = 0  # 0 = adaptive under PAIR_BYTE_BUDGET
-    workers: int = 1
 
     def _effective_block_rows(
         self, lbatch: Batch, rbatch: Batch, n_right: int
@@ -468,25 +454,16 @@ class NestedLoopJoin(PlanNode):
             return l_rows[mask], r_rows[mask]
 
         block = self._effective_block_rows(lbatch, rbatch, n_right)
-        from repro.engine.parallel import run_morsels
-
-        parts = run_morsels(
-            [
-                (lambda s=start: block_task(s, min(s + block, n_left)))
-                for start in range(0, n_left, block)
-            ],
-            workers=self.workers,
-            name="engine.morsel.nljoin",
-        )
+        parts = [
+            block_task(start, min(start + block, n_left))
+            for start in range(0, n_left, block)
+        ]
         left_rows = np.concatenate([p[0] for p in parts])
         right_rows = np.concatenate([p[1] for p in parts])
         return merge_batches(lbatch, left_rows, rbatch, right_rows)
 
     def _describe(self) -> str:
-        txt = f"NestedLoopJoin({self.predicate}"
-        if self.workers > 1:
-            txt += f", workers={self.workers}"
-        txt += ")"
+        txt = f"NestedLoopJoin({self.predicate})"
         if self.compiled and self.predicate is not None:
             txt += f"  {_predicate_kernel(self, self.predicate).describe()}"
         return txt
@@ -501,12 +478,9 @@ class CrossJoin(PlanNode):
 
     left: PlanNode
     right: PlanNode
-    workers: int = 1
 
     def _execute(self) -> Batch:
-        return NestedLoopJoin(
-            self.left, self.right, None, workers=self.workers
-        ).execute()
+        return NestedLoopJoin(self.left, self.right, None).execute()
 
     def _describe(self) -> str:
         return "CrossJoin"

@@ -12,8 +12,7 @@ physical plan per ``(fingerprint, config signature)``:
   entry;
 * the **config signature** (``db.config.plan_signature()``, read at
   every lookup) captures every planning-relevant knob (optimizer mode,
-  band joins, rewrites, morsel workers, compiled kernels, page codecs),
-  so neither two databases with differing
+  band joins, rewrites, compiled kernels), so neither two databases with differing
   :class:`~repro.engine.config.EngineConfig`\\ s nor one database before
   and after ``db.config = ...`` cross-serve plans.
 
@@ -89,23 +88,17 @@ class PlanMemo:
     by construction, shipped nowhere).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        metrics_prefix: str = "engine.memo",
-    ):
+    def __init__(self, max_entries: int = 256):
         self.max_entries = int(max_entries)
         self.stats = MemoStats()
         self._entries: OrderedDict[MemoKey, MemoEntry] = OrderedDict()
         self._lock = threading.Lock()
         metrics = get_metrics()
-        self._m_hits = metrics.counter(f"{metrics_prefix}.hits")
-        self._m_misses = metrics.counter(f"{metrics_prefix}.misses")
-        self._m_inserts = metrics.counter(f"{metrics_prefix}.inserts")
-        self._m_evictions = metrics.counter(f"{metrics_prefix}.evictions")
-        self._m_invalidations = metrics.counter(
-            f"{metrics_prefix}.invalidations"
-        )
+        self._m_hits = metrics.counter("engine.memo.hits")
+        self._m_misses = metrics.counter("engine.memo.misses")
+        self._m_inserts = metrics.counter("engine.memo.inserts")
+        self._m_evictions = metrics.counter("engine.memo.evictions")
+        self._m_invalidations = metrics.counter("engine.memo.invalidations")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -52,8 +52,8 @@ class Execution:
     ``counters``.  ``subquery_rows`` holds what each
     :class:`~repro.engine.sql.planner.SubqueryPredicate` materialized,
     so a subquery runs once per execution and never outlives it.
-    Context-local (morsel workers run in a copy of the context), so
-    threads running one plan object at once each fill their own.
+    Context-local, so CasJobs threads running one memoized plan object
+    at once each fill their own.
     """
 
     __slots__ = ("records", "counters", "subquery_rows")
@@ -270,27 +270,14 @@ class TableFunctionScan(PlanNode):
 
 @dataclass
 class Filter(PlanNode):
-    """Predicate filter; morsel-parallel over row blocks when asked.
-
-    ``workers > 1`` splits the input into :attr:`MORSEL_ROWS`-sized
-    blocks whose masks are computed concurrently (numpy releases the
-    GIL inside the ufuncs) and concatenated in block order — block
-    boundaries never depend on the worker count, so the output is
-    byte-identical for every ``workers`` setting.
-    """
-
-    #: Rows per parallel block.  Fixed (not derived from ``workers``)
-    #: so the split — and therefore the float work per block — is
-    #: identical no matter how many threads execute it.
-    MORSEL_ROWS = 16384
+    """Predicate filter."""
 
     child: PlanNode
     predicate: Expr
-    workers: int = 1
 
     def kernel(self):
         """The lazily compiled predicate kernel (one per plan node,
-        shared across batches and morsel workers)."""
+        shared across batches and the threads running this plan)."""
         kernel = getattr(self, "_kernel", None)
         if kernel is None:
             from repro.engine.compile import CompiledKernel
@@ -304,50 +291,10 @@ class Filter(PlanNode):
         if n == 0:
             return batch
         if self.compiled:
-            return take(batch, self._select(batch, n))
-        if self.workers > 1 and n > self.MORSEL_ROWS:
-            from repro.engine.parallel import run_morsels
-
-            def block_task(start: int, stop: int):
-                piece = take(batch, slice(start, stop))
-                return np.asarray(self.predicate.eval(piece), dtype=bool)
-
-            bounds = range(0, n, self.MORSEL_ROWS)
-            masks = run_morsels(
-                [
-                    (lambda s=start: block_task(s, min(s + self.MORSEL_ROWS, n)))
-                    for start in bounds
-                ],
-                workers=self.workers,
-                name="engine.morsel.filter",
-            )
-            mask = np.concatenate(masks)
-        else:
-            mask = np.asarray(self.predicate.eval(batch), dtype=bool)
-        return take(batch, mask)
-
-    def _select(self, batch: Batch, n: int) -> np.ndarray:
-        """Surviving row ids via the fused kernel (late materialization:
-        payload columns are gathered once, by the caller's ``take``)."""
-        kernel = self.kernel()
-        if self.workers > 1 and n > self.MORSEL_ROWS:
-            from repro.engine.parallel import run_morsels
-
-            def block_task(start: int, stop: int) -> np.ndarray:
-                piece = take(batch, slice(start, stop))
-                return kernel.select(piece, stop - start) + start
-
-            bounds = range(0, n, self.MORSEL_ROWS)
-            parts = run_morsels(
-                [
-                    (lambda s=start: block_task(s, min(s + self.MORSEL_ROWS, n)))
-                    for start in bounds
-                ],
-                workers=self.workers,
-                name="engine.morsel.filter",
-            )
-            return np.concatenate(parts)
-        return kernel.select(batch, n)
+            # late materialization: payload columns are gathered once,
+            # by ``take``, for the surviving row ids only
+            return take(batch, self.kernel().select(batch, n))
+        return take(batch, np.asarray(self.predicate.eval(batch), dtype=bool))
 
     def _describe(self) -> str:
         base = f"Filter({self.predicate})"
@@ -365,7 +312,7 @@ class Project(PlanNode):
 
     When ``compiled`` is stamped, outputs evaluate through one fused
     kernel with CSE shared across the whole select list; a compiled
-    single-worker :class:`Filter` child is additionally *fused into*
+    :class:`Filter` child is additionally *fused into*
     the projection — the filter's selection vector flows straight into
     the output expressions, so payload columns are touched only for
     surviving rows and subexpressions shared between the predicate and
@@ -378,18 +325,13 @@ class Project(PlanNode):
     def _fusable_child(self):
         """The compiled Filter this projection can absorb, if any."""
         child = self.child
-        if (
-            self.compiled
-            and isinstance(child, Filter)
-            and child.compiled
-            and child.workers <= 1
-        ):
+        if self.compiled and isinstance(child, Filter) and child.compiled:
             return child
         return None
 
     def kernel(self):
         """The lazily compiled projection kernel.  When a compiled
-        single-worker Filter child is fusable, its predicate joins the
+        Filter child is fusable, its predicate joins the
         program so selection and CSE span the whole chain."""
         kernel = getattr(self, "_kernel", None)
         if kernel is None:

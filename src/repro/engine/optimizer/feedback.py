@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from repro.engine.cache import PlanKey
@@ -320,10 +321,14 @@ def _band_shape(low, high) -> tuple[str, str]:
 
 
 class FeedbackController:
-    """The per-database feedback loop: memo + store + overrides."""
+    """The per-database feedback loop: memo + store + overrides.
+
+    Owned by its database, which it refers back to weakly (as the
+    executor does).
+    """
 
     def __init__(self, database, config):
-        self.database = database
+        self.database = weakref.proxy(database)
         self.ceiling = float(config.qerror_ceiling)
         self.memo = PlanMemo()
         self.store = FeedbackStore()

@@ -113,16 +113,14 @@ class PlanForcer:
     force/unforce so the Query Store's system views refresh lazily.
     """
 
-    def __init__(self, metrics_prefix: str = "engine.planforce"):
+    def __init__(self):
         self._entries: dict[str, ForcedPlan] = {}
         self._lock = threading.Lock()
         self.version = 0
         metrics = get_metrics()
-        self._m_forced = metrics.counter(f"{metrics_prefix}.forced_executions")
-        self._m_reestablished = metrics.counter(
-            f"{metrics_prefix}.reestablished"
-        )
-        self._m_failures = metrics.counter(f"{metrics_prefix}.force_failures")
+        self._m_forced = metrics.counter("engine.planforce.forced_executions")
+        self._m_reestablished = metrics.counter("engine.planforce.reestablished")
+        self._m_failures = metrics.counter("engine.planforce.force_failures")
 
     def __len__(self) -> int:
         with self._lock:

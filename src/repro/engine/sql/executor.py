@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +103,16 @@ class QueryResult:
 
 
 class Executor:
-    """Executes parsed statements against a database."""
+    """Executes parsed statements against a database.
+
+    The database owns its executor, so the executor (and its planner)
+    refer back to it weakly: dropping the last reference frees the
+    database at once, without waiting for a cycle collection.
+    """
 
     def __init__(self, database):
-        self.database = database
-        self.planner = Planner(database)
+        self.database = weakref.proxy(database)
+        self.planner = Planner(self.database)
 
     def execute(
         self, stmt: Statement, keyed=None, analyze: bool = False

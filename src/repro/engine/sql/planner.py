@@ -70,7 +70,6 @@ from repro.engine.optimizer.cardinality import (
 )
 from repro.engine.optimizer.cost import DEFAULT_COST_MODEL
 from repro.engine.optimizer.joinorder import JoinPred, JoinRel, order_relations
-from repro.engine.parallel import resolve_workers
 from repro.engine.sql.ast import (
     Exists,
     InSubquery,
@@ -332,11 +331,7 @@ class Planner:
                 )
             plan = self._plan_select(stmt)
         annotate_plan(plan, self._overrides())
-        config = self.database.config
-        workers = resolve_workers(config.intra_query_workers)
-        if workers > 1:
-            _stamp_workers(plan, workers)
-        if config.compiled_expressions:
+        if self.database.config.compiled_expressions:
             _stamp_compiled(plan)
         if trace:
             plan.rewrite_trace = trace
@@ -1183,15 +1178,6 @@ def _band_key_aliases(
         if _band_bounds(conjunct, set(owners - {alias}), by_alias[alias],
                         relations) is not None
     )
-
-
-def _stamp_workers(plan: PlanNode, workers: int) -> None:
-    """Push the database's ``intra_query_workers`` knob onto every
-    operator that supports morsel-parallel execution."""
-    if hasattr(plan, "workers"):
-        plan.workers = workers
-    for child in plan._children():
-        _stamp_workers(child, workers)
 
 
 def _stamp_compiled(plan: PlanNode) -> None:

@@ -52,10 +52,10 @@ class Table:
         #: chosen under old statistics is replanned after re-ANALYZE
         #: even when the data itself (``version``) has not moved.
         self.stats_version = 0
-        #: Active page-compression plan (a
+        #: Active page compression plan (a
         #: :class:`~repro.engine.pages.CompressionPlan`), set by ANALYZE
-        #: when ``EngineConfig.page_compression`` is on and at least one
-        #: column beats raw storage; None means raw pages.
+        #: when at least one column beats raw storage; None means raw
+        #: pages.
         self.compression = None
         #: The :class:`~repro.engine.index.ClusteredIndex` whose key
         #: order rows ``[0, base_rows)`` follow, or None; rows from
@@ -92,7 +92,7 @@ class Table:
         return self.row_count
 
     def apply_compression(self, plan) -> None:
-        """Adopt (or drop, with ``None``) a page-compression plan.
+        """Adopt (or drop, with ``None``) a page compression plan.
 
         Rows pack denser on compressed pages, so the paged file is
         repacked at the plan's effective row width; subsequent scans

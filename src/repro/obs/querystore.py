@@ -217,7 +217,6 @@ class QueryStore:
         self,
         interval_s: float = DEFAULT_INTERVAL_S,
         max_queries: int = DEFAULT_MAX_QUERIES,
-        metrics_prefix: str = "engine.querystore",
     ):
         self.interval_s = float(interval_s)
         self.max_queries = int(max_queries)
@@ -234,14 +233,10 @@ class QueryStore:
         self._syncing = False
         self._lock = threading.Lock()
         metrics = get_metrics()
-        self._m_recorded = metrics.counter(f"{metrics_prefix}.recorded")
-        self._m_plan_changes = metrics.counter(
-            f"{metrics_prefix}.plan_changes"
-        )
-        self._m_regressions = metrics.counter(f"{metrics_prefix}.regressions")
-        self._m_improvements = metrics.counter(
-            f"{metrics_prefix}.improvements"
-        )
+        self._m_recorded = metrics.counter("engine.querystore.recorded")
+        self._m_plan_changes = metrics.counter("engine.querystore.plan_changes")
+        self._m_regressions = metrics.counter("engine.querystore.regressions")
+        self._m_improvements = metrics.counter("engine.querystore.improvements")
 
     def __len__(self) -> int:
         with self._lock:

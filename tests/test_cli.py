@@ -68,7 +68,7 @@ class TestSql:
 
 
 class TestEngineFlags:
-    """The shared --workers/--optimizer/--backend/--cache parent parser."""
+    """The shared --optimizer/--backend/--cache/... parent parser."""
 
     def test_sql_accepts_cache_flag(self, capsys):
         code = main([
@@ -92,7 +92,7 @@ class TestEngineFlags:
 
     def test_explain_accepts_shared_flags(self, capsys):
         code = main([
-            "explain", *small_args(), "--workers", "2", "--cache",
+            "explain", *small_args(), "--no-rewrites", "--cache",
             "--optimizer", "cost",
             "SELECT COUNT(*) AS c FROM Galaxy WHERE i < 18",
         ])
@@ -102,6 +102,20 @@ class TestEngineFlags:
     def test_partition_rejects_removed_parallel_flag(self):
         with pytest.raises(SystemExit):
             main(["partition", *small_args(), "--parallel"])
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"],
+                                      ["--no-page-compression"]])
+    def test_sql_rejects_removed_engine_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["sql", *small_args(), *flag,
+                  "-e", "SELECT COUNT(*) AS n FROM galaxy_source"])
+        assert exc.value.code == 2  # argparse usage error
+
+    def test_casjobs_serve_keeps_pool_workers(self, capsys):
+        code = main(["casjobs", "serve", "--workers", "2", "--jobs", "6",
+                     "--users", "2"])
+        assert code == 0
+        assert "2 workers" in capsys.readouterr().out
 
     def test_sql_accepts_feedback_flag(self, capsys):
         code = main([

@@ -115,20 +115,9 @@ class TestEngineConfigPlumbing:
 
         cluster = SqlServerCluster(
             kcorr, config, n_servers=2, compute_members=False,
-            engine_config=EngineConfig(intra_query_workers=2),
+            engine_config=EngineConfig(band_joins=False),
         )
-        assert cluster.engine_config.intra_query_workers == 2
-        assert cluster.intra_query_workers == 2
-
-    def test_workers_override_replaces_config(self, kcorr, config):
-        from repro.engine.config import EngineConfig
-
-        cluster = SqlServerCluster(
-            kcorr, config, n_servers=2, compute_members=False,
-            engine_config=EngineConfig(intra_query_workers=1),
-            intra_query_workers=3,
-        )
-        assert cluster.engine_config.intra_query_workers == 3
+        assert cluster.engine_config.band_joins is False
 
     def test_config_rides_into_workunits(self, kcorr, config, target_region,
                                          sky):
@@ -137,13 +126,11 @@ class TestEngineConfigPlumbing:
 
         cluster = SqlServerCluster(
             kcorr, config, n_servers=2, compute_members=False,
-            engine_config=EngineConfig(intra_query_workers=2),
+            engine_config=EngineConfig(band_joins=False),
         )
         layout = make_partitions(target_region, config.buffer_deg, 2)
         units = cluster.make_workunits(sky.catalog, layout)
-        assert all(
-            u.engine_config.intra_query_workers == 2 for u in units
-        )
+        assert all(u.engine_config.band_joins is False for u in units)
 
     def test_run_partitioned_answers_identical_with_config(
         self, sky, target_region, kcorr, config, partitioned
@@ -153,7 +140,7 @@ class TestEngineConfigPlumbing:
         result = run_partitioned(
             sky.catalog, target_region, kcorr, config, n_servers=2,
             compute_members=False,
-            engine_config=EngineConfig(intra_query_workers=2),
+            engine_config=EngineConfig(compiled_expressions=False),
         )
         assert np.array_equal(result.clusters.objid,
                               partitioned.clusters.objid)

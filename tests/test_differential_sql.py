@@ -83,14 +83,10 @@ def make_tables(seed: int) -> tuple[dict, dict, dict]:
 def make_database(t1: dict, t2: dict, t3: dict, optimizer: str = "cost",
                   result_cache: bool = False,
                   rewrites: bool = True,
-                  compiled: bool = True,
-                  page_compression: bool = True,
-                  workers: int = 1) -> Database:
+                  compiled: bool = True) -> Database:
     config = EngineConfig(optimizer=optimizer, result_cache=result_cache,
                           rewrites=rewrites,
-                          compiled_expressions=compiled,
-                          page_compression=page_compression,
-                          intra_query_workers=workers)
+                          compiled_expressions=compiled)
     db = Database("diff", config=config)
     db.create_table("t1", dict(t1), primary_key="id")
     db.create_table("t2", dict(t2))
@@ -597,9 +593,9 @@ def assert_rows_byte_identical(a: list[dict], b: list[dict],
                                query: str) -> None:
     """Exact equality, row order included — no isclose tolerance.
 
-    The compiled-kernel and page-compression paths promise *byte*
-    identity with the interpreted/raw paths: same float arithmetic in
-    the same order, so even the last ulp must agree.
+    The compiled-kernel path promises *byte* identity with the
+    interpreted path: same float arithmetic in the same order, so even
+    the last ulp must agree.
     """
     assert len(a) == len(b), f"row count {len(a)} != {len(b)}\n{query}"
     for row_a, row_b in zip(a, b):
@@ -612,51 +608,47 @@ def assert_rows_byte_identical(a: list[dict], b: list[dict],
             assert va == vb, f"{key}: {va!r} != {vb!r}\n{query}"
 
 
-#: (compiled_expressions, page_compression) — all four mode corners.
-KERNEL_MODES = ((True, True), (True, False), (False, True), (False, False))
+#: compiled_expressions — the fused kernels and their interpreted oracle.
+KERNEL_MODES = (True, False)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", DATASET_SEEDS)
 def test_differential_compiled_modes_byte_identity(seed):
-    """The whole corpus across all four compiled x compression corners.
+    """The whole corpus with compiled kernels on and off.
 
-    Every corner must match the numpy oracle row for row, and every
-    corner must be *byte-identical* (exact equality, ordering included)
-    to the all-off baseline — fused kernels and compressed pages change
-    cost, never answers.
+    Both corners must match the numpy oracle row for row, and the
+    compiled corner must be *byte-identical* (exact equality, ordering
+    included) to the interpreted baseline — fused kernels change cost,
+    never answers.
     """
     t1, t2, t3 = make_tables(seed)
-    dbs = {mode: make_database(t1, t2, t3, compiled=mode[0],
-                               page_compression=mode[1])
-           for mode in KERNEL_MODES}
+    compiled, interpreted = (make_database(t1, t2, t3, compiled=mode)
+                             for mode in KERNEL_MODES)
 
     for sql, oracle_rows, ordered in iter_corpus(seed):
-        baseline = dbs[(False, False)].sql(sql).rows()
+        baseline = interpreted.sql(sql).rows()
         assert_rows_equal(baseline, oracle_rows, sql, ordered=ordered)
-        for mode in KERNEL_MODES[:-1]:
-            assert_rows_byte_identical(dbs[mode].sql(sql).rows(),
-                                       baseline, sql)
+        assert_rows_byte_identical(compiled.sql(sql).rows(), baseline, sql)
 
 
 def test_compiled_differential_smoke():
-    """CI smoke subset: two draws per template, all four kernel modes,
-    plus a morsel-parallel compiled leg — byte identity throughout."""
+    """CI smoke subset: two draws per template, compiled kernels on and
+    off — byte identity throughout."""
     seed = DATASET_SEEDS[0]
     t1, t2, t3 = make_tables(seed)
-    dbs = [make_database(t1, t2, t3, compiled=c, page_compression=p)
-           for c, p in KERNEL_MODES]
-    parallel = make_database(t1, t2, t3, workers=4)
+    compiled, interpreted = (make_database(t1, t2, t3, compiled=mode)
+                             for mode in KERNEL_MODES)
     rng = np.random.default_rng(seed * 1000 + 7)
 
     ran = 0
     for template in TEMPLATES:
         for _ in range(2):
             sql, oracle_rows, ordered = template(rng, t1, t2, t3)
-            baseline = dbs[-1].sql(sql).rows()
+            baseline = interpreted.sql(sql).rows()
             assert_rows_equal(baseline, oracle_rows, sql, ordered=ordered)
-            for db in [*dbs[:-1], parallel]:
-                assert_rows_byte_identical(db.sql(sql).rows(), baseline, sql)
+            assert_rows_byte_identical(compiled.sql(sql).rows(), baseline,
+                                       sql)
             ran += 1
     assert ran == 2 * len(TEMPLATES)
 

@@ -1,4 +1,4 @@
-"""BandJoin: semantics, planner extraction, and morsel determinism.
+"""BandJoin: semantics, planner extraction, and shared-plan determinism.
 
 The operator-level contract is exact equivalence with a
 :class:`NestedLoopJoin` over the expanded predicate — byte-identical
@@ -7,12 +7,14 @@ cases (empty inputs, NaN bounds, NaN keys, zero-match bands) and on 50
 randomized seeded band specs.  On top of that: the cost planner must
 extract the band from SQL range conjuncts (and pick ``BandJoin`` for
 the MaxBCG kernel once the chi² filter's implied color band is stated),
-and morsel-parallel execution must return identical output for every
-``intra_query_workers`` value, under threads and under the processes
-cluster backend.
+one plan run by several threads at once must return identical output
+(CasJobs workers share memoized plans), and the processes cluster
+backend must agree with the sequential one.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,8 +30,6 @@ from repro.engine.join import (
     _sort_order,
 )
 from repro.engine.operators import Materialized
-from repro.engine.parallel import MAX_WORKERS, resolve_workers, run_morsels
-from repro.errors import EngineError
 
 
 def assert_batches_identical(a, b):
@@ -259,7 +259,7 @@ def random_band_case(rng, rkey: np.ndarray, **band_kwargs):
         low=low, high=high,
         low_strict=low_strict, high_strict=high_strict,
         residual=residual,
-        block_rows=int(rng.integers(1, 40)),
+        block_rows=band_kwargs.pop("block_rows", int(rng.integers(1, 40))),
         **band_kwargs,
     )
 
@@ -278,12 +278,12 @@ class TestBandJoinDifferential:
             rkey[rng.random(n_right) < 0.15] = np.nan
         random_band_case(rng, rkey)
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("block_rows", [1, 4])
     @pytest.mark.parametrize("seed", range(20))
-    def test_sorted_build_side_equivalence(self, seed, workers):
+    def test_sorted_build_side_equivalence(self, seed, block_rows):
         """A build side already in key order (a clustered scan) skips
         the sort, and its pairs need no reordering: duplicate keys and
-        trailing NaN keys included."""
+        trailing NaN keys included, across many block boundaries."""
         rng = np.random.default_rng(9100 + seed)
         n_right = int(rng.integers(1, 90))
         if seed % 3 == 0:
@@ -294,10 +294,10 @@ class TestBandJoinDifferential:
             rkey = np.concatenate([rkey, np.full(int(rng.integers(0, 8)),
                                                  np.nan)])
         assert _sort_order(rkey, int(np.isfinite(rkey).sum())) is None
-        random_band_case(rng, rkey, workers=workers)
+        random_band_case(rng, rkey, block_rows=block_rows)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_unsorted_build_side_selective_residual(self, workers):
+    @pytest.mark.parametrize("block_rows", [1, 4])
+    def test_unsorted_build_side_selective_residual(self, block_rows):
         """Out of key order, the residual runs first and only its few
         survivors are put back in canonical order."""
         rng = np.random.default_rng(9200)
@@ -315,7 +315,7 @@ class TestBandJoinDifferential:
             low=BinaryOp("-", col("x", "l"), lit(5.0)),
             high=BinaryOp("+", col("x", "l"), lit(5.0)),
             residual=BinaryOp(">", col("w", "r"), lit(0.97)),
-            block_rows=64, workers=workers,
+            block_rows=block_rows,
         )
         candidates = BandJoin(
             left, right, col("key", "r"),
@@ -401,42 +401,34 @@ class TestNestedLoopAdaptiveBlocks:
         assert join._effective_block_rows({}, {}, 10) == 7
 
 
-class TestMorselDeterminism:
-    def test_operator_output_identical_across_workers(self):
-        spec = dict(
+class TestSharedPlanDeterminism:
+    """CasJobs threads run one memoized plan object at once: a node and
+    its compiled kernel keep no per-call state."""
+
+    def test_operator_output_identical_across_threads(self):
+        join = BandJoin(
+            left_batch(), right_batch(), col("key", "r"),
             low=BinaryOp("-", col("x", "l"), lit(2.0)),
             high=BinaryOp("+", col("x", "l"), lit(2.0)),
             residual=BinaryOp(">", col("w", "r"), lit(1)),
+            block_rows=2,
         )
-        base = BandJoin(left_batch(), right_batch(), col("key", "r"),
-                        block_rows=2, **spec).execute()
-        for workers in (2, 4):
-            out = BandJoin(left_batch(), right_batch(), col("key", "r"),
-                           block_rows=2, workers=workers, **spec).execute()
+        join.compiled = True
+        base = join.execute()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outs = list(pool.map(lambda _: join.execute(), range(8)))
+        for out in outs:
             assert_batches_identical(base, out)
-
-    def test_run_morsels_preserves_submission_order(self):
-        tasks = [lambda i=i: i * i for i in range(20)]
-        assert run_morsels(tasks, workers=4) == [i * i for i in range(20)]
-        assert run_morsels(tasks, workers=1) == [i * i for i in range(20)]
-
-    def test_resolve_workers_validation(self):
-        assert resolve_workers(1) == 1
-        assert resolve_workers(10_000) == MAX_WORKERS
-        with pytest.raises(EngineError):
-            resolve_workers(0)
-        with pytest.raises(EngineError):
-            EngineConfig(intra_query_workers=-3)
 
 
 # ----------------------------------------------------------------------
 # SQL-level: extraction, plan choice, and end-to-end determinism
 # ----------------------------------------------------------------------
-def _sql_database(intra_query_workers: int = 1, band_joins: bool = True):
+def _sql_database(band_joins: bool = True, **knobs):
     rng = np.random.default_rng(77)
     n_obj, n_grid = 4000, 600
-    db = Database("bandjoin", config=EngineConfig(
-        intra_query_workers=intra_query_workers, band_joins=band_joins))
+    db = Database("bandjoin", config=EngineConfig(band_joins=band_joins,
+                                                  **knobs))
     db.create_table("obj", {
         "id": np.arange(n_obj, dtype=np.int64),
         "mag": rng.uniform(14.0, 22.0, n_obj),
@@ -497,17 +489,25 @@ class TestSqlExtraction:
         assert_batches_identical(banded.sql(chain).columns,
                                  baseline.sql(chain).columns)
 
-    def test_workers_stamped_into_plan(self):
-        db = _sql_database(intra_query_workers=4)
-        plan = db.explain(BAND_SQL)
-        assert "workers=4" in plan
+    def test_plan_nodes_carry_no_worker_count(self):
+        db = _sql_database()
+        plan = db.sql(BAND_SQL).plan_node
+        nodes = [plan]
+        while nodes:
+            node = nodes.pop()
+            assert not hasattr(node, "workers"), type(node).__name__
+            nodes.extend(node._children())
+        assert "workers=" not in db.explain(BAND_SQL)
 
     def test_sql_results_identical_across_workers(self):
-        db = _sql_database()
+        """CasJobs worker threads running one memoized band plan at once
+        all get the single-threaded answer."""
+        db = _sql_database(feedback=True, qerror_ceiling=1e9)
         base = db.sql(BAND_SQL)
-        for workers in (2, 4):
-            db.config = db.config.replace(intra_query_workers=workers)
-            out = db.sql(BAND_SQL)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outs = list(pool.map(lambda _: db.sql(BAND_SQL), range(8)))
+        assert {out.memo_decision for out in outs} == {"hit"}
+        for out in outs:
             assert_batches_identical(base.columns, out.columns)
 
 
@@ -550,8 +550,7 @@ class TestKernelPlan:
     def test_kernel_answers_identical_with_and_without_band(self, kernel_db):
         default = kernel_db.config
         banded = kernel_db.sql(self.KERNEL)
-        for knobs in (dict(band_joins=False), dict(intra_query_workers=4),
-                      dict(optimizer="syntactic")):
+        for knobs in (dict(band_joins=False), dict(optimizer="syntactic")):
             kernel_db.config = default.replace(**knobs)
             try:
                 other = kernel_db.sql(self.KERNEL)
@@ -577,6 +576,7 @@ class TestKernelPlan:
 class TestClusterDeterminism:
     def test_processes_backend_with_workers_identical(self, sky, target_region,
                                                       kcorr, config):
+        """Worker processes return the sequential answer."""
         from repro.cluster.backends import ProcessBackend
         from repro.cluster.executor import run_partitioned
         from repro.cluster.verify import assert_backends_equivalent
@@ -584,13 +584,11 @@ class TestClusterDeterminism:
         base = run_partitioned(
             sky.catalog, target_region, kcorr, config,
             n_servers=2, compute_members=False, backend="sequential",
-            intra_query_workers=1,
         )
         parallel = run_partitioned(
             sky.catalog, target_region, kcorr, config,
             n_servers=2, compute_members=False,
             backend=ProcessBackend(max_retries=2, backoff_s=0.01),
-            intra_query_workers=2,
         )
         assert_backends_equivalent(
             {"sequential": base, "processes": parallel}

@@ -1,10 +1,16 @@
 """Semantic result cache, materialized views, and EngineConfig."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.engine.cache import ResultCache, batch_nbytes
-from repro.engine.config import DEFAULT_ENGINE_CONFIG, EngineConfig
+from repro.engine.config import (
+    DEFAULT_ENGINE_CONFIG,
+    PLANNING_KNOBS,
+    EngineConfig,
+)
 from repro.engine.database import Database
 from repro.errors import EngineError, SqlPlanError
 
@@ -50,14 +56,26 @@ class TestEngineConfig:
         with pytest.raises(EngineError):
             EngineConfig(cache_max_entries=0)
 
+    def test_knob_set(self):
+        assert len(dataclasses.fields(EngineConfig)) == 10
+        assert PLANNING_KNOBS == (
+            "optimizer", "band_joins", "rewrites", "compiled_expressions"
+        )
+        assert DEFAULT_ENGINE_CONFIG.plan_signature() == (
+            "optimizer=cost,band_joins=1,rewrites=1,compiled=1"
+        )
+        for removed in ("intra_query_workers", "page_compression"):
+            with pytest.raises(TypeError, match=removed):
+                EngineConfig(**{removed: 1})
+
     def test_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_ENGINE_CONFIG.optimizer = "syntactic"
 
     def test_replace_revalidates(self):
-        tuned = DEFAULT_ENGINE_CONFIG.replace(intra_query_workers=4)
-        assert tuned.intra_query_workers == 4
-        assert DEFAULT_ENGINE_CONFIG.intra_query_workers == 1
+        tuned = DEFAULT_ENGINE_CONFIG.replace(band_joins=False)
+        assert tuned.band_joins is False
+        assert DEFAULT_ENGINE_CONFIG.band_joins is True
         with pytest.raises(EngineError):
             DEFAULT_ENGINE_CONFIG.replace(optimizer="bogus")
 
@@ -68,9 +86,9 @@ class TestEngineConfig:
 
     def test_config_assignment_flips_planning_knobs_only(self):
         d = Database("c", config=EngineConfig(result_cache=True))
-        d.config = d.config.replace(band_joins=False, intra_query_workers=2)
+        d.config = d.config.replace(band_joins=False, rewrites=False)
         assert d.config.plan_signature() == EngineConfig(
-            band_joins=False, intra_query_workers=2).plan_signature()
+            band_joins=False, rewrites=False).plan_signature()
         with pytest.raises(EngineError, match="pool_pages, result_cache"):
             d.config = EngineConfig(pool_pages=64)
         assert d.config.result_cache and d.config.band_joins is False
@@ -115,15 +133,10 @@ class TestResultCacheUnit:
         assert cache.put(self.KEY_A, self.batch(1000), "", set()) is False
         assert len(cache) == 0
 
-    def test_ttl_expiry(self):
-        import time
-
-        cache = ResultCache(ttl_s=0.05)
-        cache.put(self.KEY_A, self.batch(), "", {"galaxy"})
-        assert cache.get(self.KEY_A) is not None
-        time.sleep(0.06)
-        assert cache.get(self.KEY_A) is None
-        assert cache.stats.expirations == 1
+    def test_constructor_takes_only_bounds(self):
+        for removed in ("ttl_s", "metrics_prefix"):
+            with pytest.raises(TypeError, match=removed):
+                ResultCache(**{removed: None})
 
     def test_invalidate_table(self):
         cache = ResultCache()

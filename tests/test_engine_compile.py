@@ -5,9 +5,8 @@ Two invariants anchor everything here:
 * **Byte identity** — compiled kernels (CSE, short-circuit conjunction
   over selection vectors, late materialization) and compressed pages
   must never change an answer, only its cost.  Seeded random expression
-  trees, NaN-heavy batches, division, empty batches and morsel-parallel
-  execution all compare the compiled path against the interpreted walk
-  bit for bit.
+  trees, NaN-heavy batches, division and empty batches all compare the
+  compiled path against the interpreted walk bit for bit.
 
 * **The work really drops** — the ``engine.compile.*`` tallies show
   fewer node evaluations and fewer allocated temporaries than the
@@ -347,9 +346,9 @@ class TestCaseNarrowedBranches:
 
 
 # ---------------------------------------------------------------------------
-# engine integration: config, EXPLAIN, morsels, cache disjointness
+# engine integration: config, EXPLAIN, cache disjointness
 # ---------------------------------------------------------------------------
-def build_db(n: int = 4000, **config_kwargs) -> Database:
+def build_db(n: int = 4000, analyze: bool = True, **config_kwargs) -> Database:
     db = Database("compiletest", config=EngineConfig(**config_kwargs))
     rng = np.random.default_rng(42)
     zone = np.sort(rng.integers(0, 25, n))
@@ -362,7 +361,8 @@ def build_db(n: int = 4000, **config_kwargs) -> Database:
         "g": g,
         "i": rng.uniform(13, 23, n),
     }, primary_key="objid")
-    db.sql("ANALYZE")
+    if analyze:
+        db.sql("ANALYZE")
     return db
 
 
@@ -375,12 +375,9 @@ KERNEL_SQL = (
 
 def test_engine_config_knobs_and_signature():
     assert EngineConfig().compiled_expressions is True
-    assert EngineConfig().page_compression is True
-    sig = EngineConfig().plan_signature()
-    assert "compiled=1" in sig and "pages=1" in sig
-    off = EngineConfig(compiled_expressions=False, page_compression=False)
+    assert "compiled=1" in EngineConfig().plan_signature()
+    off = EngineConfig(compiled_expressions=False)
     assert "compiled=0" in off.plan_signature()
-    assert "pages=0" in off.plan_signature()
     assert not Database("off", config=off).config.compiled_expressions
 
 
@@ -400,18 +397,8 @@ def test_explain_analyze_keeps_compiled_stamp():
 
 def test_compiled_results_byte_identical_to_interpreted():
     on = build_db()
-    off = build_db(compiled_expressions=False, page_compression=False)
+    off = build_db(compiled_expressions=False)
     a, b = on.sql(KERNEL_SQL), off.sql(KERNEL_SQL)
-    assert a.row_count == b.row_count > 0
-    for key in a.columns:
-        assert identical(a.columns[key], b.columns[key])
-
-
-@pytest.mark.parametrize("workers", (2, 4))
-def test_morsel_workers_byte_identical(workers):
-    base = build_db(n=40000)
-    par = build_db(n=40000, intra_query_workers=workers)
-    a, b = base.sql(KERNEL_SQL), par.sql(KERNEL_SQL)
     assert a.row_count == b.row_count > 0
     for key in a.columns:
         assert identical(a.columns[key], b.columns[key])
@@ -571,33 +558,37 @@ class TestCodecChoice:
         assert db.table("noise").file.rows_per_page == \
             max(1, PAGE_BYTES // width)
 
-    def test_page_compression_off_leaves_raw_layout(self):
-        db = build_db(page_compression=False)
+    def test_compression_reacts_to_reanalyze(self):
+        db = build_db(analyze=False)
         table = db.table("galaxy")
+        raw = PAGE_BYTES // table.schema.row_byte_width
         assert table.compression is None
-        assert table.file.rows_per_page == \
-            max(1, PAGE_BYTES // table.schema.row_byte_width)
+        assert table.file.rows_per_page == raw
+        db.sql("ANALYZE")
+        assert table.compression is not None
+        assert table.file.rows_per_page > raw
+        table.apply_compression(None)
+        assert table.file.rows_per_page == raw
+        db.sql("ANALYZE galaxy")
+        assert table.file.rows_per_page > raw
 
     def test_logical_reads_drop_with_compression(self):
-        on, off = build_db(), build_db(page_compression=False)
-        start_on = on.io_counters.logical_reads
-        start_off = off.io_counters.logical_reads
-        a = on.sql(KERNEL_SQL)
-        b = off.sql(KERNEL_SQL)
-        assert a.row_count == b.row_count > 0
-        for key in a.columns:
-            assert identical(a.columns[key], b.columns[key])
-        assert (on.io_counters.logical_reads - start_on) \
-            < (off.io_counters.logical_reads - start_off)
-
-    def test_compression_reacts_to_reanalyze(self):
         db = build_db()
-        dense = db.table("galaxy").file.rows_per_page
-        raw = max(1, PAGE_BYTES // db.table("galaxy").schema.row_byte_width)
-        assert dense > raw
-        db.config = db.config.replace(page_compression=False)
-        db.table("galaxy").apply_compression(None)
-        assert db.table("galaxy").file.rows_per_page == raw
+        table = db.table("galaxy")
+
+        def run():
+            start = db.io_counters.logical_reads
+            result = db.sql(KERNEL_SQL)
+            return result, db.io_counters.logical_reads - start
+
+        table.apply_compression(None)
+        raw, raw_reads = run()
+        db.sql("ANALYZE galaxy")
+        packed, packed_reads = run()
+        assert packed.row_count == raw.row_count > 0
+        for key in raw.columns:
+            assert identical(packed.columns[key], raw.columns[key])
+        assert packed_reads < raw_reads
 
 
 class TestCompressionPersistence:

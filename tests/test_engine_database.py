@@ -1,8 +1,12 @@
 """Database catalog, indexes, planner integration, stats."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import EngineError, TableNotFoundError
 
@@ -212,3 +216,34 @@ class TestResultsOwnTheirRows:
         db.sql("UPDATE galaxy SET ra = 7 WHERE objid < 5")
         for result, ra in results.values():
             assert np.array_equal(result.column("ra"), ra)
+
+
+class TestDroppedDatabaseIsFreed:
+    """A dropped Database is reclaimed by reference counting alone: no
+    engine object it owns points back at it strongly."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(),
+            EngineConfig(result_cache=True, feedback=True, query_store=True),
+        ],
+        ids=["default", "cache+feedback+store"],
+    )
+    def test_del_frees_database_without_gc(self, config):
+        gc.disable()
+        try:
+            db = Database("dropped", config=config)
+            db.create_table(
+                "galaxy",
+                {"objid": np.arange(100), "i": np.linspace(15.0, 22.0, 100)},
+            )
+            db.sql("SELECT objid FROM galaxy WHERE i < 18")
+            # a memoized plan then holds a subquery predicate
+            db.sql("SELECT objid FROM galaxy WHERE objid IN "
+                   "(SELECT objid FROM galaxy WHERE i > 20)")
+            ref = weakref.ref(db)
+            del db
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -300,10 +300,11 @@ class TestLiveConfig:
 
     def test_long_lived_planner_follows_the_config(self):
         db = build_db()
-        db.config = db.config.replace(rewrites=False, intra_query_workers=3)
+        assert "BandJoin" in db.sql(BAND_SQL).plan
+        db.config = db.config.replace(rewrites=False, band_joins=False)
         result = db.sql(VIEW_WRAP_SQL)
         assert "Rewrite" not in result.plan
-        assert "workers=3" in db.sql(BAND_SQL).plan
+        assert "BandJoin" not in db.sql(BAND_SQL).plan
 
 
 class TestRunScriptTakesTheSamePath:

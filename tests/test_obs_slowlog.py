@@ -59,13 +59,13 @@ class TestSlowQueryLog:
     def test_plan_signature_and_decision_fields(self, log):
         entry = log.record(
             "SELECT 1", 0.5, fingerprint="abc123", memo="hit",
-            plan_signature="optimizer=cost,workers=1",
+            plan_signature="optimizer=cost,band_joins=1",
             decision="learned-override",
         )
-        assert entry.plan_signature == "optimizer=cost,workers=1"
+        assert entry.plan_signature == "optimizer=cost,band_joins=1"
         assert entry.decision == "learned-override"
         # the line joins the entry against the Query Store plan history
-        assert "sig=[optimizer=cost,workers=1]" in entry.line
+        assert "sig=[optimizer=cost,band_joins=1]" in entry.line
         assert "plan=learned-override" in entry.line
         assert "memo=hit" in entry.line
 
