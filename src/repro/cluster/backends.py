@@ -520,50 +520,13 @@ class ThreadJobPool:
         self._pool.shutdown(wait=wait, cancel_futures=True)
 
 
-class ProcessJobPool:
-    """Run jobs in worker processes.
-
-    Only for jobs that are *picklable and self-contained* — a CasJobs
-    job that mutates shared service state (MyDB spooling) must not use
-    this pool directly; the scheduler keeps finalization in the parent
-    for exactly that reason.  Exposed for callers whose jobs are pure
-    functions of their arguments (e.g. federated per-site pipelines
-    built from picklable configs).
-    """
-
-    name = "processes"
-
-    def __init__(self, max_workers: int = 4, mp_context: str | None = None):
-        from concurrent.futures import ProcessPoolExecutor
-
-        if max_workers <= 0:
-            raise ConfigError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context(mp_context),
-        )
-
-    def submit(self, fn: Callable, /, *args, **kwargs):
-        return self._pool.submit(fn, *args, **kwargs)
-
-    def cancel(self, future) -> bool:
-        return future.cancel()
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=True)
-
-
 def resolve_job_pool(
     spec: "str | JobPool", max_workers: int = 4
 ) -> "JobPool":
     """Accept a pool name or instance; return the instance.
 
-    Names map to default-configured pools: ``"sequential"`` (inline),
-    ``"threads"``, ``"processes"``.  Anything with the
+    Names map to default-configured pools: ``"sequential"`` (inline)
+    and ``"threads"``.  Anything with the
     :class:`JobPool` surface passes through untouched.
     """
     if isinstance(spec, str):
@@ -571,10 +534,8 @@ def resolve_job_pool(
             return InlineJobPool()
         if spec == "threads":
             return ThreadJobPool(max_workers=max_workers)
-        if spec == "processes":
-            return ProcessJobPool(max_workers=max_workers)
         raise ConfigError(
-            f"unknown job pool '{spec}'; expected one of {BACKEND_NAMES} "
+            f"unknown job pool '{spec}'; expected 'sequential', 'threads' "
             f"or a JobPool instance"
         )
     if all(hasattr(spec, a) for a in ("submit", "cancel", "shutdown")):

@@ -18,26 +18,33 @@ Entries carry byte-size accounting and are evicted LRU
 when the cache exceeds its byte or entry budget.  Hits return deep
 copies, so callers can mutate results without poisoning the cache.
 Hit/miss/eviction/invalidation counters feed the process-wide obs
-metrics registry.
+metrics registry under ``engine.cache.*``.
+
+The LRU itself is :class:`BoundedLRU`, the one bounded, thread-safe
+recency store every piece of statement-keyed state sits on: this
+cache, the plan memo (:mod:`repro.engine.memo`) and the feedback store
+(:mod:`repro.engine.optimizer.feedback`).  It owns the lock, the
+recency order, the entry and byte bounds, the counters and their
+registry mirror, and predicate invalidation; its owners keep only
+their entry types and rules.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.engine.expressions import Expr
 from repro.engine.sql.ast import (
-    Exists,
     InSubquery,
     SelectStatement,
     TableRef,
     UnionStatement,
+    find_subquery_exprs,
+    statement_exprs,
 )
 from repro.engine.sql.printer import statement_to_sql
 from repro.errors import ReproError
@@ -141,51 +148,18 @@ def referenced_tables(
     return None
 
 
-def _expr_subselects(expr):
-    """Yield SELECT bodies of subquery predicates nested in an expression.
+def _subquery_selects(expr):
+    """SELECT bodies of the subquery predicates nested in an expression.
 
     ``EXISTS (SELECT ...)`` and ``x IN (SELECT ...)`` read tables that
     never appear in the outer FROM/JOIN clauses; invalidation must still
     cover them or a cached result would survive DML on the inner table.
+    An IN's left operand is outer scope and may hold predicates too.
     """
-    if not isinstance(expr, Expr):
-        return
-    if isinstance(expr, Exists):
-        yield expr.select
-        return
-    if isinstance(expr, InSubquery):
-        yield expr.select
-        yield from _expr_subselects(expr.value)
-        return
-    if not is_dataclass(expr):
-        return
-    for f in fields(expr):
-        value = getattr(expr, f.name)
-        if isinstance(value, Expr):
-            yield from _expr_subselects(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, Expr):
-                    yield from _expr_subselects(item)
-                elif isinstance(item, tuple):  # Case whens pairs
-                    for leaf in item:
-                        yield from _expr_subselects(leaf)
-
-
-def _statement_exprs(stmt: SelectStatement):
-    for item in stmt.items:
-        if item.expr is not None:
-            yield item.expr
-    for join in stmt.joins:
-        if join.condition is not None:
-            yield join.condition
-    if stmt.where is not None:
-        yield stmt.where
-    yield from stmt.group_by
-    if stmt.having is not None:
-        yield stmt.having
-    for order in stmt.order_by:
-        yield order.expr
+    for node in find_subquery_exprs(expr):
+        yield node.select
+        if isinstance(node, InSubquery):
+            yield from _subquery_selects(node.value)
 
 
 def _collect_tables(
@@ -236,8 +210,8 @@ def _collect_tables(
         if not database.has_table(name):
             return False
         out.add(name)
-    for expr in _statement_exprs(stmt):
-        for sub in _expr_subselects(expr):
+    for expr in statement_exprs(stmt):
+        for sub in _subquery_selects(expr):
             if not _collect_tables(sub, database, out, depth + 1, scope):
                 return False
     return True
@@ -260,21 +234,8 @@ def _copy_batch(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 @dataclass
-class CacheEntry:
-    """One stored result."""
-
-    key: CacheKey
-    columns: dict[str, np.ndarray]
-    plan: str
-    tables: frozenset[str]
-    nbytes: int
-    stored_at: float = field(default_factory=time.monotonic)
-    hits: int = 0
-
-
-@dataclass
-class CacheStats:
-    """Monotonic counters, mirrored into the obs metrics registry."""
+class LRUStats:
+    """Monotonic counters of one :class:`BoundedLRU`."""
 
     hits: int = 0
     misses: int = 0
@@ -288,64 +249,173 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class ResultCache:
-    """Bounded, thread-safe LRU of query results shared across users.
+class BoundedLRU:
+    """The bounded, thread-safe LRU behind every statement-keyed store.
 
-    One instance hangs off each cache-enabled
-    :class:`~repro.engine.database.Database`; CasJobs contexts are
-    shared Database objects, so every user querying a context shares
-    its cache — the multi-user win the paper's MyDB design is after.
+    Values sit in recency order, most recently used last, under an
+    entry bound and (when ``max_bytes`` is given) a byte bound over the
+    weights passed to :meth:`put`; inserts evict from the cold end until
+    both hold.  Every counter in :attr:`stats` is mirrored into the obs
+    metrics registry as ``<prefix>.<counter>``.  :attr:`lock` is
+    re-entrant, so an owner can hold it around a lookup and the entry
+    mutation that follows.
     """
 
-    def __init__(self, max_bytes: int = 64 << 20, max_entries: int = 512):
-        self.max_bytes = int(max_bytes)
-        self.max_entries = int(max_entries)
-        self.stats = CacheStats()
-        self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
+    def __init__(
+        self, prefix: str, max_entries: int, max_bytes: int | None = None
+    ):
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self.stats = LRUStats()
+        self.lock = threading.RLock()
+        self._entries: OrderedDict[object, tuple[object, int]] = OrderedDict()
         self._bytes = 0
-        self._lock = threading.Lock()
         metrics = get_metrics()
-        self._m_hits = metrics.counter("engine.cache.hits")
-        self._m_misses = metrics.counter("engine.cache.misses")
-        self._m_evictions = metrics.counter("engine.cache.evictions")
-        self._m_inserts = metrics.counter("engine.cache.inserts")
-        self._m_invalidations = metrics.counter("engine.cache.invalidations")
+        self._mirror = {
+            name: metrics.counter(f"{prefix}.{name}")
+            for name in ("hits", "misses", "inserts", "evictions",
+                         "invalidations")
+        }
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._entries)
 
     @property
     def bytes_used(self) -> int:
         return self._bytes
 
-    def get(self, key: CacheKey) -> CacheEntry | None:
-        """Look up a key; counts a hit or miss and refreshes LRU order."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                self._m_misses.inc()
+    def _count(self, name: str, n: int = 1) -> None:
+        setattr(self.stats, name, getattr(self.stats, name) + n)
+        self._mirror[name].inc(n)
+
+    def _drop(self, key) -> None:
+        self._bytes -= self._entries.pop(key)[1]
+
+    def get(self, key, valid=None):
+        """The value under ``key``, refreshed to most recent, else None.
+
+        Counts a hit or a miss.  A value ``valid`` rejects is dropped
+        and counted as an invalidation, and the lookup as a miss.
+        """
+        with self.lock:
+            slot = self._entries.get(key)
+            if slot is not None and valid is not None and not valid(slot[0]):
+                self._drop(key)
+                self._count("invalidations")
+                slot = None
+            if slot is None:
+                self._count("misses")
                 return None
             self._entries.move_to_end(key)
-            entry.hits += 1
-            self.stats.hits += 1
-            self._m_hits.inc()
-            return CacheEntry(
-                key=entry.key,
-                columns=_copy_batch(entry.columns),
-                plan=entry.plan,
-                tables=entry.tables,
-                nbytes=entry.nbytes,
-                stored_at=entry.stored_at,
-                hits=entry.hits,
+            self._count("hits")
+            return slot[0]
+
+    def peek(self, key):
+        """The value under ``key``; no counters, no recency touch."""
+        with self.lock:
+            slot = self._entries.get(key)
+            return None if slot is None else slot[0]
+
+    def put(self, key, value, nbytes: int = 0) -> None:
+        """Store ``value`` as most recent, then evict to the bounds."""
+        with self.lock:
+            if key in self._entries:
+                self._drop(key)
+            self._entries[key] = (value, nbytes)
+            self._bytes += nbytes
+            self._count("inserts")
+            while len(self._entries) > self.max_entries or (
+                self.max_bytes is not None and self._bytes > self.max_bytes
+            ):
+                self._drop(next(iter(self._entries)))
+                self._count("evictions")
+
+    def invalidate(self, doomed) -> int:
+        """Drop every entry ``doomed(key, value)`` selects, counted as
+        invalidations; returns how many."""
+        with self.lock:
+            keys = [
+                key for key, (value, _) in self._entries.items()
+                if doomed(key, value)
+            ]
+            for key in keys:
+                self._drop(key)
+            if keys:
+                self._count("invalidations", len(keys))
+        return len(keys)
+
+    def entries(self) -> list:
+        """A snapshot of the live values, most recently used last."""
+        with self.lock:
+            return [value for value, _ in self._entries.values()]
+
+    def summary(self) -> dict[str, float]:
+        """Counters + occupancy, for reports and ``stats_summary``."""
+        with self.lock:
+            out: dict[str, float] = {"entries": len(self._entries)}
+            if self.max_bytes is not None:
+                out["bytes"] = self._bytes
+            stats = self.stats
+            out.update(
+                hits=stats.hits, misses=stats.misses,
+                hit_rate=stats.hit_rate, inserts=stats.inserts,
+                evictions=stats.evictions,
+                invalidations=stats.invalidations,
             )
+            return out
+
+
+@dataclass
+class CacheEntry:
+    """One stored result."""
+
+    key: CacheKey
+    columns: dict[str, np.ndarray]
+    plan: str
+    tables: frozenset[str]
+    nbytes: int
+    hits: int = 0
+
+
+class ResultCache:
+    """Query results shared across users, on a :class:`BoundedLRU`.
+
+    One instance hangs off each cache-enabled
+    :class:`~repro.engine.database.Database`; CasJobs contexts are
+    shared Database objects, so every user querying a context shares
+    its cache — the multi-user win the paper's MyDB design is after.
+    Results are copied on the way in and on the way out, weigh their
+    :func:`batch_nbytes`, and one larger than the whole budget is
+    refused.
+    """
+
+    def __init__(self, max_bytes: int = 64 << 20, max_entries: int = 512):
+        self.max_bytes = int(max_bytes)
+        self._lru = BoundedLRU(
+            "engine.cache", int(max_entries), self.max_bytes
+        )
+        self.stats = self._lru.stats
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    @property
+    def bytes_used(self) -> int:
+        return self._lru.bytes_used
+
+    def get(self, key: CacheKey) -> CacheEntry | None:
+        """Look up a key; counts a hit or miss and refreshes LRU order."""
+        with self._lru.lock:
+            entry = self._lru.get(key)
+            if entry is None:
+                return None
+            entry.hits += 1
+            return replace(entry, columns=_copy_batch(entry.columns))
 
     def peek(self, key: CacheKey) -> CacheEntry | None:
         """Would this key hit?  No counters, no LRU touch, no copy."""
-        with self._lock:
-            return self._entries.get(key)
+        return self._lru.peek(key)
 
     def put(
         self,
@@ -365,21 +435,7 @@ class ResultCache:
             tables=frozenset(t.lower() for t in tables),
             nbytes=nbytes,
         )
-        with self._lock:
-            if key in self._entries:
-                self._drop(key)
-            self._entries[key] = entry
-            self._bytes += nbytes
-            self.stats.inserts += 1
-            self._m_inserts.inc()
-            while (
-                self._bytes > self.max_bytes
-                or len(self._entries) > self.max_entries
-            ):
-                oldest = next(iter(self._entries))
-                self._drop(oldest)
-                self.stats.evictions += 1
-                self._m_evictions.inc()
+        self._lru.put(key, entry, nbytes)
         return True
 
     def invalidate_table(self, table_name: str) -> int:
@@ -390,38 +446,8 @@ class ResultCache:
         invalidation observable in the metrics.
         """
         lowered = table_name.lower()
-        with self._lock:
-            doomed = [
-                key for key, entry in self._entries.items()
-                if lowered in entry.tables
-            ]
-            for key in doomed:
-                self._drop(key)
-            self.stats.invalidations += len(doomed)
-            if doomed:
-                self._m_invalidations.inc(len(doomed))
-        return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-    # ------------------------------------------------------------------
-    def _drop(self, key: CacheKey) -> None:
-        entry = self._entries.pop(key)
-        self._bytes -= entry.nbytes
+        return self._lru.invalidate(lambda _key, e: lowered in e.tables)
 
     def summary(self) -> dict[str, float]:
         """Counters + occupancy, for reports and ``stats_summary``."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "hit_rate": self.stats.hit_rate,
-                "inserts": self.stats.inserts,
-                "evictions": self.stats.evictions,
-                "invalidations": self.stats.invalidations,
-            }
+        return self._lru.summary()

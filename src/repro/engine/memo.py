@@ -21,23 +21,27 @@ snapshots, per referenced table, the mutation ``version`` *and* the
 statistics ``stats_version`` plus the learned-override generation —
 DML, ANALYZE (targeted or global), matview refresh and newly installed
 selectivity overrides all make the next lookup miss, which is exactly
-what forces the re-plan the feedback loop wants.  Hit/miss/insert/
-invalidation/eviction counters feed the obs metrics registry under
-``engine.memo.*``.
+what forces the re-plan the feedback loop wants.  That validity rule
+is the one predicate :meth:`PlanMemo.get` hands its
+:class:`~repro.engine.cache.BoundedLRU`, which keeps the
+:data:`MAX_FINGERPRINTS` most recently used plans and feeds the
+hit/miss/insert/invalidation/eviction counters to the obs metrics
+registry under ``engine.memo.*``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.engine.cache import BoundedLRU
 from repro.engine.operators import PlanNode
-from repro.obs.metrics import get_metrics
 
 #: Fully-qualified memo key: (statement fingerprint, config signature).
 MemoKey = tuple[str, str]
+
+#: How many statement fingerprints the plan memo and the feedback store
+#: each keep.
+MAX_FINGERPRINTS = 256
 
 
 @dataclass
@@ -59,28 +63,11 @@ class MemoEntry:
     #: learned-override / ...), so memo hits can report their plan's
     #: origin to the Query Store.
     decision: str = "miss"
-    stored_at: float = field(default_factory=time.monotonic)
     hits: int = 0
-
-
-@dataclass
-class MemoStats:
-    """Monotonic counters, mirrored into the obs metrics registry."""
-
-    hits: int = 0
-    misses: int = 0
-    inserts: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class PlanMemo:
-    """Bounded, thread-safe LRU of memoized plans.
+    """Memoized plans, on a :class:`~repro.engine.cache.BoundedLRU`.
 
     One instance hangs off each feedback-enabled
     :class:`~repro.engine.database.Database` (and therefore off each
@@ -88,22 +75,12 @@ class PlanMemo:
     by construction, shipped nowhere).
     """
 
-    def __init__(self, max_entries: int = 256):
-        self.max_entries = int(max_entries)
-        self.stats = MemoStats()
-        self._entries: OrderedDict[MemoKey, MemoEntry] = OrderedDict()
-        self._lock = threading.Lock()
-        metrics = get_metrics()
-        self._m_hits = metrics.counter("engine.memo.hits")
-        self._m_misses = metrics.counter("engine.memo.misses")
-        self._m_inserts = metrics.counter("engine.memo.inserts")
-        self._m_evictions = metrics.counter("engine.memo.evictions")
-        self._m_invalidations = metrics.counter("engine.memo.invalidations")
+    def __init__(self, max_entries: int = MAX_FINGERPRINTS):
+        self._lru = BoundedLRU("engine.memo", int(max_entries))
+        self.stats = self._lru.stats
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     def get(
         self,
@@ -118,25 +95,18 @@ class PlanMemo:
         than planning time) is dropped on sight — the caller re-plans
         and re-memoizes under the current state.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and (
-                entry.table_versions != table_versions
-                or entry.stats_versions != stats_versions
-                or entry.overrides_version != overrides_version
-            ):
-                del self._entries[key]
-                self.stats.invalidations += 1
-                self._m_invalidations.inc()
-                entry = None
-            if entry is None:
-                self.stats.misses += 1
-                self._m_misses.inc()
-                return None
-            self._entries.move_to_end(key)
-            entry.hits += 1
-            self.stats.hits += 1
-            self._m_hits.inc()
+
+        def valid(entry: MemoEntry) -> bool:
+            return (
+                entry.table_versions == table_versions
+                and entry.stats_versions == stats_versions
+                and entry.overrides_version == overrides_version
+            )
+
+        with self._lru.lock:
+            entry = self._lru.get(key, valid)
+            if entry is not None:
+                entry.hits += 1
             return entry
 
     def put(
@@ -161,15 +131,7 @@ class PlanMemo:
             planning_s=planning_s,
             decision=decision,
         )
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self.stats.inserts += 1
-            self._m_inserts.inc()
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self._m_evictions.inc()
+        self._lru.put(key, entry)
         return entry
 
     def invalidate_table(self, table_name: str) -> int:
@@ -180,51 +142,19 @@ class PlanMemo:
         invalidation observable in the metrics.
         """
         lowered = table_name.lower()
-        with self._lock:
-            doomed = [
-                key for key, entry in self._entries.items()
-                if lowered in entry.tables
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
-            if doomed:
-                self._m_invalidations.inc(len(doomed))
-        return len(doomed)
+        return self._lru.invalidate(lambda _key, e: lowered in e.tables)
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop every entry for one statement fingerprint (any config)."""
-        with self._lock:
-            doomed = [key for key in self._entries if key[0] == fingerprint]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
-            if doomed:
-                self._m_invalidations.inc(len(doomed))
-        return len(doomed)
+        return self._lru.invalidate(lambda key, _e: key[0] == fingerprint)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    # ------------------------------------------------------------------
     def entries(self) -> list[MemoEntry]:
         """A snapshot of the live entries, most recently used last."""
-        with self._lock:
-            return list(self._entries.values())
+        return self._lru.entries()
 
     def summary(self) -> dict[str, float]:
         """Counters + occupancy, for reports and ``repro memo``."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "hit_rate": self.stats.hit_rate,
-                "inserts": self.stats.inserts,
-                "evictions": self.stats.evictions,
-                "invalidations": self.stats.invalidations,
-            }
+        return self._lru.summary()
 
     def render(self) -> str:
         """The memo as text: occupancy line plus one line per plan."""

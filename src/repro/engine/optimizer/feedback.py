@@ -9,7 +9,8 @@ three pieces of state:
 * a :class:`~repro.engine.memo.PlanMemo` — repeat executions of a
   fingerprint skip rewrite + DP planning entirely;
 * a :class:`FeedbackStore` — per-fingerprint execution history (max
-  q-error, planning time, memo decisions);
+  q-error, planning time, memo decisions) for the most recently
+  executed fingerprints, bounded like the memo;
 * :class:`SelectivityOverrides` — learned actual/estimate ratios keyed
   by join column pair (equi joins) and by band key + predicate shape
   (band joins), applied multiplicatively by the cardinality estimator.
@@ -39,10 +40,10 @@ import time
 import weakref
 from dataclasses import dataclass, field
 
-from repro.engine.cache import PlanKey
+from repro.engine.cache import BoundedLRU, PlanKey
 from repro.engine.instrument import NodeStats, max_q_error
 from repro.engine.join import BandJoin, HashJoin
-from repro.engine.memo import PlanMemo
+from repro.engine.memo import MAX_FINGERPRINTS, PlanMemo
 from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
@@ -199,29 +200,27 @@ class FingerprintFeedback:
 
 
 class FeedbackStore:
-    """Thread-safe map fingerprint -> :class:`FingerprintFeedback`."""
+    """Fingerprint -> :class:`FingerprintFeedback`, on a
+    :class:`~repro.engine.cache.BoundedLRU`.
+
+    Keeps the :data:`~repro.engine.memo.MAX_FINGERPRINTS` most recently
+    recorded fingerprints; every entry mutation happens under the LRU's
+    lock.  The run totals (``executions``, ``replans``) are counted
+    here, outside the entries, so an eviction never shrinks them.
+    """
 
     _TRAJECTORY_CAP = 64
 
     def __init__(self):
-        self._entries: dict[str, FingerprintFeedback] = {}
-        self._lock = threading.Lock()
+        self._lru = BoundedLRU("engine.feedback.store", MAX_FINGERPRINTS)
+        self.executions = 0
+        self.replans = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def entry(self, fingerprint: str) -> FingerprintFeedback:
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                entry = FingerprintFeedback(fingerprint=fingerprint)
-                self._entries[fingerprint] = entry
-            return entry
+        return len(self._lru)
 
     def get(self, fingerprint: str) -> FingerprintFeedback | None:
-        with self._lock:
-            return self._entries.get(fingerprint)
+        return self._lru.peek(fingerprint)
 
     def record(
         self,
@@ -231,14 +230,15 @@ class FeedbackStore:
         planning_s: float,
         decision: str | None,
     ) -> FingerprintFeedback:
-        with self._lock:
-            entry = self._entries.get(fingerprint)
+        with self._lru.lock:
+            entry = self._lru.get(fingerprint)
             if entry is None:
                 entry = FingerprintFeedback(fingerprint=fingerprint)
-                self._entries[fingerprint] = entry
+                self._lru.put(fingerprint, entry)
             if sql:
                 entry.sql = sql
             entry.executions += 1
+            self.executions += 1
             entry.last_max_q = max_q
             entry.worst_max_q = max(entry.worst_max_q, max_q)
             entry.last_decision = decision
@@ -246,25 +246,31 @@ class FeedbackStore:
             entry.planning_total_s += planning_s
             if decision in ("replan", "learned-override"):
                 entry.replans += 1
+                self.replans += 1
             entry.q_trajectory.append(max_q)
             if len(entry.q_trajectory) > self._TRAJECTORY_CAP:
                 del entry.q_trajectory[0]
             return entry
 
     def set_pending(self, fingerprint: str, reason: str) -> None:
-        self.entry(fingerprint).pending = reason
+        """Demand a re-plan of a tracked fingerprint.  One evicted
+        meanwhile needs no flag: its memo entry is gone with it, so its
+        next execution re-plans as a plain miss."""
+        with self._lru.lock:
+            entry = self._lru.peek(fingerprint)
+            if entry is not None:
+                entry.pending = reason
 
     def take_pending(self, fingerprint: str) -> str | None:
-        with self._lock:
-            entry = self._entries.get(fingerprint)
+        with self._lru.lock:
+            entry = self._lru.peek(fingerprint)
             if entry is None or entry.pending is None:
                 return None
             reason, entry.pending = entry.pending, None
             return reason
 
     def entries(self) -> list[FingerprintFeedback]:
-        with self._lock:
-            return list(self._entries.values())
+        return self._lru.entries()
 
     def render(self) -> str:
         entries = self.entries()
@@ -575,10 +581,9 @@ class FeedbackController:
     def summary(self) -> dict[str, float]:
         """Memo counters + feedback totals, for reports and workers."""
         out = {f"memo_{k}": v for k, v in self.memo.summary().items()}
-        entries = self.store.entries()
-        out["fingerprints"] = len(entries)
-        out["executions"] = sum(e.executions for e in entries)
-        out["replans"] = sum(e.replans for e in entries)
+        out["fingerprints"] = len(self.store)
+        out["executions"] = self.store.executions
+        out["replans"] = self.store.replans
         out["overrides"] = len(self.overrides)
         return out
 

@@ -62,13 +62,14 @@ from repro.engine.sql.ast import (
     SelectStatement,
     TableRef,
     UnionStatement,
+    find_subquery_exprs,
+    statement_exprs,
 )
 from repro.engine.sql.planner import (
     Planner,
     _Relation,
     and_all,
     find_aggregates,
-    find_subquery_exprs,
     rewrite as substitute_exprs,
     split_conjuncts,
 )
@@ -259,30 +260,13 @@ def _map_statement_exprs(
     return _with(stmt, **fields)
 
 
-def _statement_exprs(stmt: SelectStatement) -> list[Expr]:
-    """Every top-scope expression of a statement (no subquery bodies)."""
-    exprs: list[Expr] = [
-        item.expr for item in stmt.items if item.expr is not None
-    ]
-    if stmt.where is not None:
-        exprs.append(stmt.where)
-    exprs.extend(stmt.group_by)
-    if stmt.having is not None:
-        exprs.append(stmt.having)
-    exprs.extend(o.expr for o in stmt.order_by)
-    exprs.extend(
-        j.condition for j in stmt.joins if j.condition is not None
-    )
-    return exprs
-
-
 def _select_mentions(
     select: SelectStatement, alias: str, bare_names=None
 ) -> bool:
     """Does a subquery body reference ``alias`` (or, when ``bare_names``
     is given, an unqualified name from that set)?  Used to detect
     correlation into a relation a rule is about to restructure."""
-    for expr in _statement_exprs(select):
+    for expr in statement_exprs(select):
         for ref in expr.column_refs():
             qualifier = ref.qualifier.lower() if ref.qualifier else None
             if qualifier == alias:
@@ -749,7 +733,7 @@ def _rule_derived_merge(stmt: SelectStatement, database):
                 if single_outer:
                     mapping[ColumnRef(name)] = target
             names = set(outputs)
-            exprs = _statement_exprs(stmt)
+            exprs = statement_exprs(stmt)
             # Star items expanding the derived table would change from
             # the derived output list to the inner table's columns.
             if any(

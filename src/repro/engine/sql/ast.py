@@ -133,6 +133,38 @@ class InSubquery(Expr):
         )
 
 
+def find_subquery_exprs(expr: Expr) -> list[Expr]:
+    """All Exists/InSubquery nodes in a tree (outermost only)."""
+    found: list[Expr] = []
+
+    def visit(node: Expr) -> None:
+        if isinstance(node, (Exists, InSubquery)):
+            found.append(node)
+            return
+        for child in node.children():
+            visit(child)
+
+    visit(expr)
+    return found
+
+
+def statement_exprs(stmt: SelectStatement) -> list[Expr]:
+    """Every top-scope expression of a statement (no subquery bodies)."""
+    exprs: list[Expr] = [
+        item.expr for item in stmt.items if item.expr is not None
+    ]
+    if stmt.where is not None:
+        exprs.append(stmt.where)
+    exprs.extend(stmt.group_by)
+    if stmt.having is not None:
+        exprs.append(stmt.having)
+    exprs.extend(o.expr for o in stmt.order_by)
+    exprs.extend(
+        j.condition for j in stmt.joins if j.condition is not None
+    )
+    return exprs
+
+
 @dataclass(frozen=True)
 class UnionStatement:
     """``SELECT ... UNION ALL SELECT ...`` (bag semantics only)."""

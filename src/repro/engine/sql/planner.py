@@ -71,11 +71,11 @@ from repro.engine.optimizer.cardinality import (
 from repro.engine.optimizer.cost import DEFAULT_COST_MODEL
 from repro.engine.optimizer.joinorder import JoinPred, JoinRel, order_relations
 from repro.engine.sql.ast import (
-    Exists,
     InSubquery,
     SelectItem,
     SelectStatement,
     TableRef,
+    find_subquery_exprs,
 )
 from repro.engine.sql.parser import AGGREGATE_FUNCS
 from repro.engine.types import ColumnType
@@ -133,21 +133,6 @@ def find_aggregates(expr: Expr) -> list[FuncCall]:
             visit(child, inside_aggregate)
 
     visit(expr, False)
-    return found
-
-
-def find_subquery_exprs(expr: Expr) -> list[Expr]:
-    """All Exists/InSubquery nodes in a tree (outermost only)."""
-    found: list[Expr] = []
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, (Exists, InSubquery)):
-            found.append(node)
-            return
-        for child in node.children():
-            visit(child)
-
-    visit(expr)
     return found
 
 

@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SchedulerConfig(**bad)
 
+    def test_only_sequential_and_thread_pools_by_name(self):
+        with pytest.raises(ConfigError, match="'sequential', 'threads'"):
+            Scheduler(JobQueue(), lambda job: None,
+                      SchedulerConfig(pool="processes"))
+
     def test_attempt_timeout_defaults_to_class_budget(self):
         config = SchedulerConfig()
         queue = JobQueue()

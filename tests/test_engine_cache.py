@@ -1,17 +1,22 @@
 """Semantic result cache, materialized views, and EngineConfig."""
 
 import dataclasses
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.engine.cache import ResultCache, batch_nbytes
+from repro.engine.cache import ResultCache, batch_nbytes, referenced_tables
 from repro.engine.config import (
     DEFAULT_ENGINE_CONFIG,
     PLANNING_KNOBS,
     EngineConfig,
 )
 from repro.engine.database import Database
+from repro.engine.memo import PlanMemo
+from repro.engine.sql.parser import parse
 from repro.errors import EngineError, SqlPlanError
 
 
@@ -145,6 +150,176 @@ class TestResultCacheUnit:
         assert cache.invalidate_table("GALAXY") == 1
         assert cache.get(self.KEY_A) is None
         assert cache.get(self.KEY_B) is not None
+
+
+REPLAY_KEYS = 10
+REPLAY_TABLES = ("galaxy", "field", "zone")
+
+
+def replay_cache(seed: int = 2005, ops: int = 400):
+    """Seeded get/put/invalidate against a small ResultCache.
+
+    Returns the counters, the keys each put evicted (in put order), the
+    surviving keys and the bytes held.  Only public calls, so the same
+    replay runs against any version of the cache.
+    """
+    rng = random.Random(seed)
+    keys = [(f"{i:032x}", ()) for i in range(REPLAY_KEYS)]
+    cache = ResultCache(max_bytes=8 * 64, max_entries=4)
+
+    def live():
+        return {i for i, key in enumerate(keys) if cache.peek(key) is not None}
+
+    evicted = []
+    for _ in range(ops):
+        roll, k = rng.random(), rng.randrange(REPLAY_KEYS)
+        if roll < 0.4:
+            cache.get(keys[k])
+        elif roll < 0.9:
+            before = live()
+            n = rng.randrange(1, 40)
+            cache.put(keys[k], {"x": np.arange(n, dtype=np.int64)}, "",
+                      {rng.choice(REPLAY_TABLES)})
+            evicted.extend(sorted(before - live() - {k}))
+        else:
+            cache.invalidate_table(rng.choice(REPLAY_TABLES).upper())
+    s = cache.stats
+    counts = (s.hits, s.misses, s.inserts, s.evictions, s.invalidations)
+    return counts, evicted, sorted(live()), cache.bytes_used
+
+
+def replay_memo(seed: int = 2005, ops: int = 400):
+    """Seeded get/put/version drift/invalidation against a small
+    PlanMemo; returns counters, evicted keys and the surviving keys in
+    recency order."""
+    rng = random.Random(seed)
+    versions = dict.fromkeys(REPLAY_TABLES, 0)
+    memo = PlanMemo(max_entries=4)
+
+    def live():
+        return [int(e.key[0]) for e in memo.entries()]
+
+    evicted = []
+    for _ in range(ops):
+        roll, k = rng.random(), rng.randrange(REPLAY_KEYS)
+        key, table = (str(k), "sig"), REPLAY_TABLES[k % 3]
+        state = ({table: versions[table]}, {table: 0}, 0)
+        if roll < 0.45:
+            memo.get(key, *state)
+        elif roll < 0.85:
+            before = set(live())
+            memo.put(key, None, {table}, *state)
+            evicted.extend(sorted(before - set(live()) - {k}))
+        elif roll < 0.93:
+            versions[rng.choice(REPLAY_TABLES)] += 1
+        elif roll < 0.97:
+            memo.invalidate_table(rng.choice(REPLAY_TABLES))
+        else:
+            memo.invalidate_fingerprint(str(k))
+    s = memo.stats
+    counts = (s.hits, s.misses, s.inserts, s.evictions, s.invalidations)
+    return counts, evicted, live()
+
+
+class TestBoundedLRU:
+    """The one LRU behind the result cache and the plan memo."""
+
+    def test_cache_replay_is_pinned(self):
+        counts, evicted, live, nbytes = replay_cache()
+        assert counts == (45, 122, 185, 92, 37)
+        assert "".join(map(str, evicted)) == (
+            "15903451623891609302731520950431680145875366240816296703201394"
+            "672381934025829451781579203986"
+        )
+        assert (live, nbytes) == ([2, 3, 4, 9], 480)
+
+    def test_memo_replay_is_pinned(self):
+        counts, evicted, live = replay_memo()
+        assert counts == (69, 124, 144, 56, 36)
+        assert "".join(map(str, evicted)) == (
+            "18251065830973084257426572086397424130624830683202984082"
+        )
+        assert live == [4, 5, 8, 6]
+
+    def test_concurrent_callers_keep_the_bounds_and_the_counts(self):
+        cache = ResultCache(max_bytes=8 * 64, max_entries=4)
+        memo = PlanMemo(max_entries=4)
+        gets = {"cache": [0] * 4, "memo": [0] * 4}
+        errors = []
+
+        def worker(index: int) -> None:
+            rng = random.Random(index)
+            try:
+                for _ in range(500):
+                    roll, k = rng.random(), rng.randrange(REPLAY_KEYS)
+                    table = REPLAY_TABLES[k % 3]
+                    state = ({table: rng.randrange(2)}, {table: 0}, 0)
+                    if roll < 0.25:
+                        cache.get((str(k), ()))
+                        gets["cache"][index] += 1
+                    elif roll < 0.45:
+                        n = rng.randrange(1, 40)
+                        cache.put((str(k), ()),
+                                  {"x": np.arange(n, dtype=np.int64)}, "",
+                                  {table})
+                    elif roll < 0.7:
+                        memo.get((str(k), "sig"), *state)
+                        gets["memo"][index] += 1
+                    elif roll < 0.9:
+                        memo.put((str(k), "sig"), None, {table}, *state)
+                    elif roll < 0.95:
+                        cache.invalidate_table(table)
+                    else:
+                        memo.invalidate_table(table)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= 4
+        assert cache.bytes_used == sum(
+            e.nbytes for e in cache._lru.entries()
+        )
+        assert cache.bytes_used <= 8 * 64
+        assert cache.stats.hits + cache.stats.misses == sum(gets["cache"])
+        assert len(memo) <= 4
+        assert memo.stats.hits + memo.stats.misses == sum(gets["memo"])
+
+
+class TestReferencedTables:
+    """Subqueries anywhere in a statement's expressions are dependencies."""
+
+    @pytest.fixture()
+    def db(self):
+        d = make_db()
+        d.create_table("zone", {"zoneid": np.arange(20)})
+        return d
+
+    @pytest.mark.parametrize("sql, tables", [
+        ("SELECT CASE WHEN EXISTS (SELECT fieldid FROM field) THEN 1 "
+         "ELSE 0 END AS f FROM galaxy", {"galaxy", "field"}),
+        ("SELECT objid FROM galaxy WHERE EXISTS (SELECT fieldid FROM field "
+         "WHERE fieldid IN (SELECT zoneid FROM zone))",
+         {"galaxy", "field", "zone"}),
+        ("SELECT objid FROM galaxy WHERE (CASE WHEN EXISTS (SELECT zoneid "
+         "FROM zone) THEN 1 ELSE 0 END) IN (SELECT fieldid FROM field)",
+         {"galaxy", "field", "zone"}),
+        ("SELECT objid FROM galaxy WHERE EXISTS (SELECT fieldid FROM field "
+         "WHERE fieldid IN (SELECT zoneid FROM nosuch))", None),
+    ])
+    def test_nested_subqueries(self, db, sql, tables):
+        assert referenced_tables(parse(sql), db) == tables
 
 
 class TestDatabaseCache:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.engine.memo import PlanMemo
+from repro.engine.memo import MAX_FINGERPRINTS, PlanMemo
 from repro.engine.optimizer.feedback import (
     MAX_OVERRIDE_RATIO,
     MIN_OVERRIDE_RATIO,
@@ -417,6 +417,46 @@ class TestFeedbackLoop:
         store.set_pending("fp", "replan")
         assert store.take_pending("fp") == "replan"
         assert store.take_pending("fp") is None
+
+
+class TestFeedbackStoreBound:
+    """The store keeps the MAX_FINGERPRINTS most recently recorded
+    fingerprints; its totals survive eviction."""
+
+    LITERAL_JOIN = (
+        "SELECT COUNT(*) AS n FROM a JOIN b ON a.k1 = b.k1 "
+        "WHERE b.k1 * 20 + b.k2 < {}"
+    )
+
+    def test_literal_variants_stay_bounded(self):
+        on = make_db(EngineConfig(feedback=True))
+        off = make_db(EngineConfig(feedback=False))
+        fingerprints = []
+        for i in range(300):
+            sql = self.LITERAL_JOIN.format(i)
+            result = on.sql(sql)
+            fingerprints.append(result.fingerprint)
+            assert batch_digest(result) == batch_digest(off.sql(sql))
+        store = on.feedback.store
+        assert len(set(fingerprints)) == 300
+        assert len(store) <= MAX_FINGERPRINTS
+        assert on.feedback.summary()["executions"] == 300
+        assert on.feedback.summary()["fingerprints"] == MAX_FINGERPRINTS
+        assert store.get(fingerprints[0]) is None
+        assert [e.fingerprint for e in store.entries()] == (
+            fingerprints[-MAX_FINGERPRINTS:]
+        )
+
+    def test_evicted_pending_replan_still_replans(self):
+        db = make_db(EngineConfig(feedback=True, qerror_ceiling=2.0))
+        first = db.sql(SKEW_JOIN)
+        assert db.feedback.store.get(first.fingerprint).pending is not None
+        for i in range(MAX_FINGERPRINTS):
+            db.sql(f"SELECT COUNT(*) AS n FROM a WHERE a.k1 < {i}")
+        assert db.feedback.store.get(first.fingerprint) is None
+        again = db.sql(SKEW_JOIN)
+        assert again.memo_decision != "hit"
+        assert batch_digest(again) == batch_digest(first)
 
 
 # ---------------------------------------------------------------------------

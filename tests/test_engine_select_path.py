@@ -188,7 +188,7 @@ class TestFingerprintsArePinned:
         db = build_db(result_cache=True)
         assert db.statement_key(UNION_SQL) == "bc675c87c317f858fce6d7582de2e1d6"
         db.sql(UNION_SQL)
-        (entry,) = db.result_cache._entries
+        (entry,) = db.result_cache._lru._entries
         assert entry[0] == "bc675c87c317f858fce6d7582de2e1d6"
 
     def test_mode_tag_separates_configs(self):
