@@ -3,8 +3,12 @@
 The interpreted path walks ``Expr.eval`` node by node, materializing a
 full-length temporary ndarray per node per batch.  This module lowers
 expression trees into *compiled kernels* that evaluate in a single
-fused pass with three optimizations, while staying byte-identical to
-the interpreted result:
+fused pass with three optimizations.  The kernel owns no operator
+semantics: every node computes through its own ``apply`` (see
+:mod:`repro.engine.expressions`), the same method ``Expr.eval`` runs,
+with the kernel's per-call frame as the child evaluator.  What the
+kernel adds is strategy, checked byte for byte against the plain walk
+(``compiled_expressions=False``):
 
 * **Common-subexpression elimination** — structurally equal subtrees
   (the frozen dataclass nodes hash by value) are evaluated once per
@@ -26,9 +30,11 @@ the interpreted result:
   the whole predicate and touches payload columns only once, at the
   end, for surviving rows.
 
-Kernels compile once per plan node and are reusable across batches
-(CasJobs threads running one memoized plan share its kernels;
-per-call state lives in a private frame).  Unknown node types — planner-internal predicates like
+Kernels compile once per plan node (:func:`plan_kernel`) and are
+reusable across batches (CasJobs threads running one memoized plan
+share its kernels; per-call state lives in a private frame).  Column
+references gather through the selection vector; node types without an
+``apply`` — ``Case`` and planner-internal predicates like
 ``SubqueryPredicate`` — fall back to ``node.eval`` over a narrowed
 batch, so the compiler never has to chase the closed type set.
 
@@ -42,35 +48,12 @@ import numpy as np
 
 from repro.engine.expressions import (
     Batch,
-    Between,
-    BinaryOp,
     ColumnRef,
     Expr,
-    FuncCall,
-    InList,
-    Literal,
-    UnaryOp,
     batch_length,
-    call_function,
-    isin_fast,
     resolve_column,
+    split_conjuncts,
 )
-from repro.errors import SqlPlanError
-
-_ARITH = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "%": np.mod,
-}
-_COMPARE = {
-    "=": np.equal,
-    "!=": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-}
 
 
 # ----------------------------------------------------------------------
@@ -120,15 +103,6 @@ def _register_compile_collector() -> None:
 # ----------------------------------------------------------------------
 # structural analysis
 # ----------------------------------------------------------------------
-def split_and(expr: Expr | None) -> tuple[Expr, ...]:
-    """Top-level conjuncts of a predicate (the short-circuit units)."""
-    if expr is None:
-        return ()
-    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
-        return split_and(expr.left) + split_and(expr.right)
-    return (expr,)
-
-
 def count_nodes(expr: Expr) -> int:
     """Total node count of a tree — one interpreted temporary each."""
     return 1 + sum(count_nodes(child) for child in expr.children())
@@ -143,16 +117,23 @@ def _hashable(node: Expr) -> bool:
 
 
 class _Frame:
-    """Per-call evaluation state: batch, selection vector, CSE cache."""
+    """Per-call evaluation state: batch, selection vector, CSE cache.
 
-    __slots__ = ("batch", "n_full", "sel", "n", "cache", "narrowed")
+    The frame is also the child evaluator every node's ``apply``
+    receives: calling it evaluates a node over the current selection,
+    through the CSE cache.
+    """
 
-    def __init__(self, batch: Batch, n: int):
+    __slots__ = ("batch", "n_full", "sel", "n", "cache", "shared",
+                 "narrowed")
+
+    def __init__(self, batch: Batch, n: int, shared: set[Expr]):
         self.batch = batch
         self.n_full = n
         self.sel: np.ndarray | None = None  # None = all rows survive
         self.n = n
         self.cache: dict[Expr, np.ndarray] = {}
+        self.shared = shared
         self.narrowed: Batch | None = None  # lazily built fallback batch
 
     def narrow(self, local_mask: np.ndarray, sel: np.ndarray) -> None:
@@ -169,6 +150,44 @@ class _Frame:
                 node: value[local_mask] for node, value in self.cache.items()
             }
         self.narrowed = None
+
+    def __call__(self, node: Expr) -> np.ndarray:
+        if self.cache:
+            cached = self.cache.get(node)
+            if cached is not None:
+                TALLY.cse_hits += 1
+                return cached
+        value = self._compute(node)
+        if self.shared and node in self.shared:
+            self.cache[node] = value
+        return value
+
+    def _compute(self, node: Expr) -> np.ndarray:
+        TALLY.nodes_evaluated += 1
+        TALLY.alloc_elements += self.n
+        if isinstance(node, ColumnRef):
+            arr = resolve_column(self.batch, node.name, node.qualifier)
+            if not isinstance(arr, np.ndarray):
+                arr = np.asarray(arr)
+            return arr if self.sel is None else arr[self.sel]
+        apply = node.apply
+        if apply is not None:
+            return apply(self, self.n)
+        # No apply (Case, the planner's SubqueryPredicate): evaluate
+        # interpreted over the narrowed batch.
+        return np.asarray(node.eval(self._narrowed()))
+
+    def _narrowed(self) -> Batch:
+        if self.sel is None:
+            return self.batch
+        if self.narrowed is None:
+            sel = self.sel
+            self.narrowed = {
+                key: (arr if isinstance(arr, np.ndarray)
+                      else np.asarray(arr))[sel]
+                for key, arr in self.batch.items()
+            }
+        return self.narrowed
 
 
 class CompiledKernel:
@@ -188,7 +207,8 @@ class CompiledKernel:
         outputs: list[tuple[str, Expr]] | tuple[tuple[str, Expr], ...] = (),
     ):
         self.predicate = predicate
-        self.conjuncts = split_and(predicate)
+        #: the top-level conjuncts: the short-circuit units
+        self.conjuncts = tuple(split_conjuncts(predicate))
         self.outputs = tuple((name, expr) for name, expr in outputs)
         roots = self.conjuncts + tuple(expr for _, expr in self.outputs)
         counts: dict[Expr, int] = {}
@@ -224,7 +244,7 @@ class CompiledKernel:
         """Row ids (ascending int64) surviving the predicate."""
         if n is None:
             n = batch_length(batch)
-        frame = _Frame(batch, n)
+        frame = _Frame(batch, n, self.shared)
         sel = self._run_predicate(frame)
         TALLY.executions += 1
         TALLY.rows_in += n
@@ -250,7 +270,7 @@ class CompiledKernel:
         """
         if n is None:
             n = batch_length(batch)
-        frame = _Frame(batch, n)
+        frame = _Frame(batch, n, self.shared)
         TALLY.executions += 1
         TALLY.rows_in += n
         TALLY.interp_elements += n * self.n_interp_nodes
@@ -263,7 +283,7 @@ class CompiledKernel:
         values — byte-identical to projecting the filtered batch."""
         if n is None:
             n = batch_length(batch)
-        frame = _Frame(batch, n)
+        frame = _Frame(batch, n, self.shared)
         sel = self._run_predicate(frame)
         TALLY.executions += 1
         TALLY.rows_in += n
@@ -279,7 +299,7 @@ class CompiledKernel:
         for conjunct in self.conjuncts:
             if sel is not None and sel.size == 0:
                 break  # nothing survives; later conjuncts are dead
-            value = np.asarray(self._evaluate(conjunct, frame), dtype=bool)
+            value = np.asarray(frame(conjunct), dtype=bool)
             if value.shape != (frame.n,):
                 value = np.broadcast_to(value, (frame.n,))
             if value.all():
@@ -293,105 +313,22 @@ class CompiledKernel:
     def _run_outputs(self, frame: _Frame) -> list[np.ndarray]:
         values: list[np.ndarray] = []
         for _, expr in self.outputs:
-            value = np.asarray(self._evaluate(expr, frame))
+            value = np.asarray(frame(expr))
             if value.shape != (frame.n,):
                 value = np.broadcast_to(value, (frame.n,)).copy()
             values.append(value)
         return values
 
-    def _evaluate(self, node: Expr, frame: _Frame) -> np.ndarray:
-        if frame.cache:
-            cached = frame.cache.get(node)
-            if cached is not None:
-                TALLY.cse_hits += 1
-                return cached
-        value = self._compute(node, frame)
-        if self.shared and node in self.shared:
-            frame.cache[node] = value
-        return value
 
-    def _compute(self, node: Expr, frame: _Frame) -> np.ndarray:
-        TALLY.nodes_evaluated += 1
-        TALLY.alloc_elements += frame.n
-        if isinstance(node, ColumnRef):
-            arr = resolve_column(frame.batch, node.name, node.qualifier)
-            if not isinstance(arr, np.ndarray):
-                arr = np.asarray(arr)
-            return arr if frame.sel is None else arr[frame.sel]
-        if isinstance(node, Literal):
-            return np.full(frame.n, node.value)
-        if isinstance(node, BinaryOp):
-            return self._binary(node, frame)
-        if isinstance(node, UnaryOp):
-            value = self._evaluate(node.operand, frame)
-            if node.op == "-":
-                return np.negative(value)
-            if node.op.upper() == "NOT":
-                return ~np.asarray(value, dtype=bool)
-            raise SqlPlanError(f"unknown unary operator '{node.op}'")
-        if isinstance(node, Between):
-            value = self._evaluate(node.value, frame)
-            return (value >= self._evaluate(node.low, frame)) \
-                & (value <= self._evaluate(node.high, frame))
-        if isinstance(node, InList):
-            value = np.asarray(self._evaluate(node.value, frame))
-            fast = isin_fast(value, node.options)
-            if fast is not None:
-                return fast
-            result = np.zeros(value.shape, dtype=bool)
-            for option in node.options:
-                result |= value == self._evaluate(option, frame)
-            return result
-        if isinstance(node, FuncCall):
-            return call_function(
-                node, lambda arg: self._evaluate(arg, frame), frame.n
-            )
-        # Unknown node type (e.g. the planner's SubqueryPredicate):
-        # evaluate interpreted over the narrowed batch — correctness
-        # first, fusion where the type set is known.
-        return np.asarray(node.eval(self._narrowed(frame)))
-
-    def _binary(self, node: BinaryOp, frame: _Frame) -> np.ndarray:
-        op = node.op.upper() if node.op.isalpha() else node.op
-        if op == "AND":
-            left = np.asarray(self._evaluate(node.left, frame), dtype=bool)
-            if not left.any():
-                return left
-            return left & np.asarray(
-                self._evaluate(node.right, frame), dtype=bool
-            )
-        if op == "OR":
-            left = np.asarray(self._evaluate(node.left, frame), dtype=bool)
-            if left.all():
-                return left
-            return left | np.asarray(
-                self._evaluate(node.right, frame), dtype=bool
-            )
-        lhs = self._evaluate(node.left, frame)
-        rhs = self._evaluate(node.right, frame)
-        if op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.divide(
-                    np.asarray(lhs, dtype=np.float64),
-                    np.asarray(rhs, dtype=np.float64),
-                )
-        if op in _ARITH:
-            return _ARITH[op](lhs, rhs)
-        if op in _COMPARE:
-            return _COMPARE[op](lhs, rhs)
-        raise SqlPlanError(f"unknown binary operator '{node.op}'")
-
-    def _narrowed(self, frame: _Frame) -> Batch:
-        if frame.sel is None:
-            return frame.batch
-        if frame.narrowed is None:
-            sel = frame.sel
-            frame.narrowed = {
-                key: (arr if isinstance(arr, np.ndarray)
-                      else np.asarray(arr))[sel]
-                for key, arr in frame.batch.items()
-            }
-        return frame.narrowed
+def plan_kernel(node, predicate: Expr | None = None, outputs=()):
+    """The kernel of a plan node, compiled on first use and cached on
+    the node: one per node, shared across batches and the threads
+    running its plan.  ``predicate`` and ``outputs`` are only read on
+    that first call."""
+    kernel = getattr(node, "_kernel", None)
+    if kernel is None:
+        kernel = node._kernel = CompiledKernel(predicate, outputs)
+    return kernel
 
 
 _register_compile_collector()

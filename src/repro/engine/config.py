@@ -21,7 +21,11 @@ Each planning knob keeps its off arm because that arm is a named
 oracle: ``optimizer="syntactic"`` is the differential baseline,
 ``band_joins=False`` plans the ``NestedLoopJoin`` reference,
 ``rewrites=False`` produces the ``.off`` goldens and
-``compiled_expressions=False`` is the interpreted oracle.
+``compiled_expressions=False`` is the plain walk the fused kernels'
+strategy (CSE, short-circuit narrowing, Filter+Project fusion) is
+checked against — both arms compute every node through the same
+``apply``, so it checks the strategy, not a second copy of the
+semantics.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ class EngineConfig:
         NaN-aware short-circuit conjunction over selection vectors,
         late materialization of payload columns).  On by default;
         results are byte-identical to the interpreted walk either way.
+        Both arms compute each node through its one ``apply``, so the
+        off arm checks the kernel's strategy, not its semantics.
     result_cache:
         Enable the shared semantic result cache: SELECTs are answered
         from a prior identical statement's result when every referenced

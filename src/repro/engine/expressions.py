@@ -6,6 +6,17 @@ keys may be qualified (``"g.i"``) or bare (``"i"``).  Name resolution
 follows SQL: a qualified reference must match exactly; a bare reference
 must resolve to exactly one column across the visible relations.
 
+Each node states its semantics once, in ``apply(evaluate, n)``: its
+value over ``n`` rows, with ``evaluate`` computing a child.  Three
+callers share it — :meth:`Expr.eval` (the interpreted walk), the fused
+kernel in :mod:`repro.engine.compile` (which hands in its CSE-caching,
+selection-narrowed evaluator) and the constant folder in
+:mod:`repro.engine.optimizer.rewrite` (which evaluates a literal-only
+node over :data:`ONE_ROW` via :func:`scalar_value`) — so an answer
+cannot depend on which of them computed it.  ``ColumnRef`` (name
+resolution), ``Case`` (row-subset evaluation) and the planner's
+subquery predicates have no ``apply`` and keep their own ``eval``.
+
 The scalar function registry covers what the paper's SQL uses (POWER,
 SQRT, LOG, ABS, FLOOR, SIN, COS, RADIANS, PI, ...).
 """
@@ -21,6 +32,8 @@ import numpy as np
 from repro.errors import ColumnNotFoundError, SqlPlanError
 
 Batch = dict[str, np.ndarray]
+
+INT64_MIN = int(np.iinfo(np.int64).min)
 
 
 def batch_length(batch: Batch) -> int:
@@ -90,11 +103,20 @@ def eval_over_rows(expr: "Expr", batch: Batch, rows: np.ndarray) -> np.ndarray:
     return values
 
 
+#: The one-row batch constant expressions evaluate over.
+ONE_ROW: Batch = {"__scalar": np.zeros(1)}
+
+
 class Expr:
     """Base expression node."""
 
+    #: ``apply(evaluate, n)``: this node's value over ``n`` rows, with
+    #: ``evaluate(child)`` computing a child.  None on nodes that keep
+    #: their own :meth:`eval`.
+    apply: Callable[..., np.ndarray] | None = None
+
     def eval(self, batch: Batch) -> np.ndarray:
-        raise NotImplementedError
+        return self.apply(lambda child: child.eval(batch), batch_length(batch))
 
     def column_refs(self) -> list["ColumnRef"]:
         """All column references in this subtree (planner analysis)."""
@@ -144,8 +166,7 @@ def transform(
 class Literal(Expr):
     value: object
 
-    def eval(self, batch: Batch) -> np.ndarray:
-        n = batch_length(batch)
+    def apply(self, evaluate, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
     def __str__(self) -> str:
@@ -167,14 +188,13 @@ class ColumnRef(Expr):
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-_ARITH: dict[str, Callable] = {
+#: Binary operators that map straight onto a numpy ufunc (``/``, AND
+#: and OR have their own arms in :meth:`BinaryOp.apply`).
+_UFUNCS: dict[str, Callable] = {
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
-    "/": np.divide,
     "%": np.mod,
-}
-_COMPARE: dict[str, Callable] = {
     "=": np.equal,
     "!=": np.not_equal,
     "<": np.less,
@@ -196,33 +216,32 @@ class BinaryOp(Expr):
     def with_children(self, children: tuple[Expr, ...]) -> Expr:
         return BinaryOp(self.op, *children)
 
-    def eval(self, batch: Batch) -> np.ndarray:
+    def apply(self, evaluate, n: int) -> np.ndarray:
         op = self.op.upper() if self.op.isalpha() else self.op
         if op == "AND":
-            left = np.asarray(self.left.eval(batch), dtype=bool)
+            left = np.asarray(evaluate(self.left), dtype=bool)
             # No short-circuit across a batch, but skip the right side
             # when nothing survives — the vectorized analogue.
             if not left.any():
                 return left
-            return left & np.asarray(self.right.eval(batch), dtype=bool)
+            return left & np.asarray(evaluate(self.right), dtype=bool)
         if op == "OR":
-            left = np.asarray(self.left.eval(batch), dtype=bool)
+            left = np.asarray(evaluate(self.left), dtype=bool)
             if left.all():
                 return left
-            return left | np.asarray(self.right.eval(batch), dtype=bool)
-        lhs = self.left.eval(batch)
-        rhs = self.right.eval(batch)
-        if op in _ARITH:
-            if op == "/":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.divide(
-                        np.asarray(lhs, dtype=np.float64),
-                        np.asarray(rhs, dtype=np.float64),
-                    )
-            return _ARITH[op](lhs, rhs)
-        if op in _COMPARE:
-            return _COMPARE[op](lhs, rhs)
-        raise SqlPlanError(f"unknown binary operator '{self.op}'")
+            return left | np.asarray(evaluate(self.right), dtype=bool)
+        lhs = evaluate(self.left)
+        rhs = evaluate(self.right)
+        if op == "/":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.divide(
+                    np.asarray(lhs, dtype=np.float64),
+                    np.asarray(rhs, dtype=np.float64),
+                )
+        ufunc = _UFUNCS.get(op)
+        if ufunc is None:
+            raise SqlPlanError(f"unknown binary operator '{self.op}'")
+        return ufunc(lhs, rhs)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -239,12 +258,18 @@ class UnaryOp(Expr):
     def with_children(self, children: tuple[Expr, ...]) -> Expr:
         return UnaryOp(self.op, *children)
 
-    def eval(self, batch: Batch) -> np.ndarray:
-        value = self.operand.eval(batch)
+    def apply(self, evaluate, n: int) -> np.ndarray:
         if self.op == "-":
-            return np.negative(value)
+            operand = self.operand
+            if isinstance(operand, Literal) and type(operand.value) is int \
+                    and operand.value == -INT64_MIN:
+                # -9223372036854775808 parses as -(2**63), which numpy
+                # holds as uint64 and negates back to 2**63: read it, as
+                # literal_value does, as the int64 it spells
+                return np.full(n, INT64_MIN)
+            return np.negative(evaluate(operand))
         if self.op.upper() == "NOT":
-            return ~np.asarray(value, dtype=bool)
+            return ~np.asarray(evaluate(self.operand), dtype=bool)
         raise SqlPlanError(f"unknown unary operator '{self.op}'")
 
     def __str__(self) -> str:
@@ -265,9 +290,9 @@ class Between(Expr):
     def with_children(self, children: tuple[Expr, ...]) -> Expr:
         return Between(*children)
 
-    def eval(self, batch: Batch) -> np.ndarray:
-        v = self.value.eval(batch)
-        return (v >= self.low.eval(batch)) & (v <= self.high.eval(batch))
+    def apply(self, evaluate, n: int) -> np.ndarray:
+        v = evaluate(self.value)
+        return (v >= evaluate(self.low)) & (v <= evaluate(self.high))
 
     def __str__(self) -> str:
         return f"({self.value} BETWEEN {self.low} AND {self.high})"
@@ -316,14 +341,14 @@ class InList(Expr):
     def with_children(self, children: tuple[Expr, ...]) -> Expr:
         return InList(children[0], children[1:])
 
-    def eval(self, batch: Batch) -> np.ndarray:
-        v = np.asarray(self.value.eval(batch))
+    def apply(self, evaluate, n: int) -> np.ndarray:
+        v = np.asarray(evaluate(self.value))
         fast = isin_fast(v, self.options)
         if fast is not None:
             return fast
         result = np.zeros(v.shape, dtype=bool)
         for option in self.options:
-            result |= v == option.eval(batch)
+            result |= v == evaluate(option)
         return result
 
 
@@ -406,40 +431,6 @@ SCALAR_FUNCTIONS: dict[str, tuple[int, Callable]] = {
 }
 
 
-def call_function(
-    node: "FuncCall", evaluate: Callable[[Expr], np.ndarray], n: int
-) -> np.ndarray:
-    """Apply a scalar function, with ``evaluate`` computing its arguments.
-
-    ``Literal`` arguments reach the function as their Python value, not
-    as an ``n``-row array: ``POWER(x, 2)`` takes numpy's scalar-exponent
-    square (the bits of ``x ** 2``) instead of libm ``pow`` per element,
-    and ``POWER(0.57, 2)`` is computed once.  A result that is still
-    0-d (every argument a literal) is broadcast to ``n`` rows.  This
-    applies to function arguments only: a scalar ``BinaryOp`` operand
-    would not widen an int32 or float32 column the way a full array
-    does under numpy's promotion rules.
-    """
-    lowered = node.name.lower()
-    if lowered == "pi":
-        return _fn_pi(n)
-    entry = SCALAR_FUNCTIONS.get(lowered)
-    if entry is None:
-        raise SqlPlanError(f"unknown function '{node.name}'")
-    arity, fn = entry
-    if arity >= 0 and len(node.args) != arity:
-        raise SqlPlanError(
-            f"function '{node.name}' expects {arity} args, got {len(node.args)}"
-        )
-    result = fn(*[
-        arg.value if isinstance(arg, Literal) else evaluate(arg)
-        for arg in node.args
-    ])
-    if np.ndim(result) == 0:
-        return np.full(n, result)
-    return result
-
-
 @dataclass(frozen=True)
 class FuncCall(Expr):
     name: str
@@ -451,13 +442,61 @@ class FuncCall(Expr):
     def with_children(self, children: tuple[Expr, ...]) -> Expr:
         return FuncCall(self.name, children)
 
-    def eval(self, batch: Batch) -> np.ndarray:
-        return call_function(
-            self, lambda arg: arg.eval(batch), batch_length(batch)
-        )
+    def apply(self, evaluate, n: int) -> np.ndarray:
+        """``Literal`` arguments reach the function as their Python
+        value, not as an ``n``-row array: ``POWER(x, 2)`` takes numpy's
+        scalar-exponent square (the bits of ``x ** 2``) instead of libm
+        ``pow`` per element, and ``POWER(0.57, 2)`` is computed once.  A
+        result that is still 0-d (every argument a literal) is
+        broadcast to ``n`` rows.  This applies to function arguments
+        only: a scalar ``BinaryOp`` operand would not widen an int32 or
+        float32 column the way a full array does under numpy's
+        promotion rules.
+        """
+        lowered = self.name.lower()
+        if lowered == "pi":
+            return _fn_pi(n)
+        entry = SCALAR_FUNCTIONS.get(lowered)
+        if entry is None:
+            raise SqlPlanError(f"unknown function '{self.name}'")
+        arity, fn = entry
+        if arity >= 0 and len(self.args) != arity:
+            raise SqlPlanError(
+                f"function '{self.name}' expects {arity} args, "
+                f"got {len(self.args)}"
+            )
+        result = fn(*[
+            arg.value if isinstance(arg, Literal) else evaluate(arg)
+            for arg in self.args
+        ])
+        if np.ndim(result) == 0:
+            return np.full(n, result)
+        return result
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
+
+
+def scalar_value(expr: Expr):
+    """The Python scalar a row-independent expression evaluates to."""
+    value = np.asarray(expr.eval(ONE_ROW)).reshape(-1)[0]
+    return value.item() if hasattr(value, "item") else value
+
+
+def literal_value(expr: Expr):
+    """The constant a ``Literal`` (or a negated numeric ``Literal``)
+    spells, else None: the planner's and the estimator's pattern
+    matches read constants through this."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if (
+        isinstance(expr, UnaryOp)
+        and expr.op == "-"
+        and isinstance(expr.operand, Literal)
+        and isinstance(expr.operand.value, (int, float))
+    ):
+        return -expr.operand.value
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -469,6 +508,15 @@ def col(name: str, qualifier: str | None = None) -> ColumnRef:
 
 def lit(value) -> Literal:
     return Literal(value)
+
+
+def split_conjuncts(expr: Expr | None) -> list[Expr]:
+    """Flatten a predicate into its AND-ed conjuncts."""
+    if expr is None:
+        return []
+    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
 
 
 def and_(*parts: Expr) -> Expr:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.compile import plan_kernel
 from repro.engine.expressions import (
     Batch,
     Expr,
@@ -74,17 +75,6 @@ def _sort_order(keys: np.ndarray, n_finite: int) -> np.ndarray | None:
             and bool(np.all(head[1:] >= head[:-1])):
         return None
     return np.argsort(keys, kind="stable")
-
-
-def _predicate_kernel(node: PlanNode, predicate: Expr):
-    """Lazily compile a join's residual/theta predicate (one kernel per
-    plan node, shared across blocks and the threads running this plan)."""
-    kernel = getattr(node, "_kernel", None)
-    if kernel is None:
-        from repro.engine.compile import CompiledKernel
-
-        kernel = node._kernel = CompiledKernel(predicate=predicate)
-    return kernel
 
 
 @dataclass
@@ -159,7 +149,7 @@ class HashJoin(PlanNode):
         joined = merge_batches(lbatch, left_rows, rbatch, right_rows)
         if self.residual is not None and batch_length(joined):
             if self.compiled:
-                survivors = _predicate_kernel(self, self.residual).select(joined)
+                survivors = plan_kernel(self, self.residual).select(joined)
                 joined = take(joined, survivors)
                 left_rows = left_rows[survivors]
             else:
@@ -202,7 +192,7 @@ class HashJoin(PlanNode):
             txt += f", residual {self.residual}"
         txt += ")"
         if self.compiled and self.residual is not None:
-            txt += f"  {_predicate_kernel(self, self.residual).describe()}"
+            txt += f"  {plan_kernel(self, self.residual).describe()}"
         return txt
 
     def _children(self) -> tuple[PlanNode, ...]:
@@ -286,7 +276,7 @@ class BandJoin(PlanNode):
 
         residual_keys = self._residual_keys(lbatch, rbatch)
         residual_kernel = (
-            _predicate_kernel(self, self.residual)
+            plan_kernel(self, self.residual)
             if self.compiled and self.residual is not None
             else None
         )
@@ -385,7 +375,7 @@ class BandJoin(PlanNode):
             txt += f", residual {self.residual}"
         txt += ")"
         if self.compiled and self.residual is not None:
-            txt += f"  {_predicate_kernel(self, self.residual).describe()}"
+            txt += f"  {plan_kernel(self, self.residual).describe()}"
         return txt
 
     def _children(self) -> tuple[PlanNode, ...]:
@@ -435,7 +425,7 @@ class NestedLoopJoin(PlanNode):
 
         r_index = np.arange(n_right, dtype=np.int64)
         kernel = (
-            _predicate_kernel(self, self.predicate)
+            plan_kernel(self, self.predicate)
             if self.compiled and self.predicate is not None
             else None
         )
@@ -465,7 +455,7 @@ class NestedLoopJoin(PlanNode):
     def _describe(self) -> str:
         txt = f"NestedLoopJoin({self.predicate})"
         if self.compiled and self.predicate is not None:
-            txt += f"  {_predicate_kernel(self, self.predicate).describe()}"
+            txt += f"  {plan_kernel(self, self.predicate).describe()}"
         return txt
 
     def _children(self) -> tuple[PlanNode, ...]:

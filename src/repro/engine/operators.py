@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.expressions import Batch, Expr, batch_length
+from repro.engine.compile import plan_kernel
+from repro.engine.expressions import Batch, Expr, batch_length, scalar_value
 from repro.engine.index import ClusteredIndex, PrimaryKeyIndex
 from repro.engine.table import Table
 from repro.errors import SqlPlanError
@@ -254,12 +255,7 @@ class TableFunctionScan(PlanNode):
     name: str = "tvf"
 
     def _execute(self) -> Batch:
-        scalar_batch: Batch = {"__scalar": np.zeros(1)}
-        values = []
-        for arg in self.args:
-            value = np.asarray(arg.eval(scalar_batch)).reshape(-1)[0]
-            values.append(value.item() if hasattr(value, "item") else value)
-        result = self.fn(*values)
+        result = self.fn(*[scalar_value(arg) for arg in self.args])
         prefix = self.alias.lower()
         return {f"{prefix}.{key.lower()}": np.asarray(arr)
                 for key, arr in result.items()}
@@ -275,16 +271,6 @@ class Filter(PlanNode):
     child: PlanNode
     predicate: Expr
 
-    def kernel(self):
-        """The lazily compiled predicate kernel (one per plan node,
-        shared across batches and the threads running this plan)."""
-        kernel = getattr(self, "_kernel", None)
-        if kernel is None:
-            from repro.engine.compile import CompiledKernel
-
-            kernel = self._kernel = CompiledKernel(predicate=self.predicate)
-        return kernel
-
     def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
@@ -293,13 +279,14 @@ class Filter(PlanNode):
         if self.compiled:
             # late materialization: payload columns are gathered once,
             # by ``take``, for the surviving row ids only
-            return take(batch, self.kernel().select(batch, n))
+            kernel = plan_kernel(self, self.predicate)
+            return take(batch, kernel.select(batch, n))
         return take(batch, np.asarray(self.predicate.eval(batch), dtype=bool))
 
     def _describe(self) -> str:
         base = f"Filter({self.predicate})"
         if self.compiled:
-            base += f"  {self.kernel().describe()}"
+            base += f"  {plan_kernel(self, self.predicate).describe()}"
         return base
 
     def _children(self) -> tuple[PlanNode, ...]:
@@ -330,19 +317,12 @@ class Project(PlanNode):
         return None
 
     def kernel(self):
-        """The lazily compiled projection kernel.  When a compiled
-        Filter child is fusable, its predicate joins the
-        program so selection and CSE span the whole chain."""
-        kernel = getattr(self, "_kernel", None)
-        if kernel is None:
-            from repro.engine.compile import CompiledKernel
-
-            fused = self._fusable_child()
-            kernel = self._kernel = CompiledKernel(
-                predicate=fused.predicate if fused is not None else None,
-                outputs=self.outputs,
-            )
-        return kernel
+        """A fusable compiled Filter child's predicate joins the
+        program, so selection and CSE span the whole chain."""
+        fused = self._fusable_child()
+        return plan_kernel(
+            self, fused.predicate if fused is not None else None, self.outputs
+        )
 
     def _execute(self) -> Batch:
         fused = self._fusable_child()
@@ -402,20 +382,13 @@ class ProjectPassthrough(PlanNode):
     child: PlanNode
     outputs: list[tuple[str, Expr]]
 
-    def kernel(self):
-        kernel = getattr(self, "_kernel", None)
-        if kernel is None:
-            from repro.engine.compile import CompiledKernel
-
-            kernel = self._kernel = CompiledKernel(outputs=self.outputs)
-        return kernel
-
     def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
         out: Batch = dict(batch)
         if self.compiled:
-            values = self.kernel().project_values(batch, n)
+            kernel = plan_kernel(self, outputs=self.outputs)
+            values = kernel.project_values(batch, n)
         else:
             values = None
         for index, (name, expr) in enumerate(self.outputs):
@@ -437,7 +410,7 @@ class ProjectPassthrough(PlanNode):
         cols = ", ".join(name for name, _ in self.outputs)
         base = f"ProjectPassthrough({cols})"
         if self.compiled:
-            base += f"  {self.kernel().describe()}"
+            base += f"  {plan_kernel(self, outputs=self.outputs).describe()}"
         return base
 
     def _children(self) -> tuple[PlanNode, ...]:

@@ -34,6 +34,7 @@ from repro.engine.expressions import (
     Literal,
     UnaryOp,
     batch_length,
+    literal_value,
 )
 from repro.engine.index import PrimaryKeyIndex
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
@@ -77,18 +78,11 @@ class RelationProfile:
     table: str | None = None
 
 
-def _literal_value(expr: Expr):
-    if isinstance(expr, Literal):
-        value = expr.value
-        return value if isinstance(value, (int, float, bool)) else None
-    if (
-        isinstance(expr, UnaryOp)
-        and expr.op == "-"
-        and isinstance(expr.operand, Literal)
-        and isinstance(expr.operand.value, (int, float))
-    ):
-        return -expr.operand.value
-    return None
+def _numeric_value(expr: Expr):
+    """The numeric constant ``expr`` spells (histograms place only
+    numbers), else None."""
+    value = literal_value(expr)
+    return value if isinstance(value, (int, float)) else None
 
 
 def _base_and_offset(expr: Expr) -> tuple[Expr, float]:
@@ -96,14 +90,14 @@ def _base_and_offset(expr: Expr) -> tuple[Expr, float]:
     expressions are their own base with offset 0."""
     if isinstance(expr, BinaryOp):
         if expr.op == "+":
-            lit = _literal_value(expr.right)
+            lit = _numeric_value(expr.right)
             if lit is not None:
                 return expr.left, float(lit)
-            lit = _literal_value(expr.left)
+            lit = _numeric_value(expr.left)
             if lit is not None:
                 return expr.right, float(lit)
         elif expr.op == "-":
-            lit = _literal_value(expr.right)
+            lit = _numeric_value(expr.right)
             if lit is not None:
                 return expr.left, -float(lit)
     return expr, 0.0
@@ -211,15 +205,15 @@ class CardinalityEstimator:
                 left = self._selectivity(expr.left)
                 right = self._selectivity(expr.right)
                 return left + right - left * right
-            if op in ("=", "!=", "<>", "<", "<=", ">", ">="):
+            if op in ("=", "!=", "<", "<=", ">", ">="):
                 return self._comparison(op, expr.left, expr.right)
             return DEFAULT_OTHER_SELECTIVITY
         if isinstance(expr, UnaryOp) and expr.op.upper() == "NOT":
             return 1.0 - self._selectivity(expr.operand)
         if isinstance(expr, Between):
             return self._range(expr.value,
-                               _literal_value(expr.low),
-                               _literal_value(expr.high))
+                               _numeric_value(expr.low),
+                               _numeric_value(expr.high))
         if isinstance(expr, InList):
             eq = DEFAULT_EQ_SELECTIVITY
             if isinstance(expr.value, ColumnRef):
@@ -246,7 +240,7 @@ class CardinalityEstimator:
         if lref and rref:
             if op == "=":
                 return self.equi_selectivity(left, right)
-            if op in ("!=", "<>"):
+            if op == "!=":
                 return 1.0 - self.equi_selectivity(left, right)
             return DEFAULT_RANGE_SELECTIVITY
         # normalize to column <op> literal
@@ -254,15 +248,15 @@ class CardinalityEstimator:
             flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
             return self._comparison(flipped, right, left)
         if not lref:
-            return (DEFAULT_EQ_SELECTIVITY if op in ("=", "!=", "<>")
+            return (DEFAULT_EQ_SELECTIVITY if op in ("=", "!=")
                     else DEFAULT_RANGE_SELECTIVITY)
-        value = _literal_value(right)
+        value = _numeric_value(right)
         if value is None:
-            return (DEFAULT_EQ_SELECTIVITY if op in ("=", "!=", "<>")
+            return (DEFAULT_EQ_SELECTIVITY if op in ("=", "!=")
                     else DEFAULT_RANGE_SELECTIVITY)
         if op == "=":
             return self._equality(left, value)
-        if op in ("!=", "<>"):
+        if op == "!=":
             return 1.0 - self._equality(left, value)
         if op in ("<", "<="):
             return self._range(left, None, value)
@@ -318,8 +312,8 @@ class CardinalityEstimator:
         machinery; a structural ``base ± c`` band is priced as its width
         over the key column's value range; otherwise 1/3.  A learned
         override for this key + bound shape scales the base estimate."""
-        lo = _literal_value(low) if low is not None else None
-        hi = _literal_value(high) if high is not None else None
+        lo = _numeric_value(low) if low is not None else None
+        hi = _numeric_value(high) if high is not None else None
         if (low is None or lo is not None) and (high is None or hi is not None):
             return self._apply_band_override(key, low, high,
                                              self._range(key, lo, hi))

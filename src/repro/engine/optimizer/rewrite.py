@@ -34,6 +34,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.engine.expressions import (
     Between,
     BinaryOp,
@@ -43,6 +45,9 @@ from repro.engine.expressions import (
     InList,
     Literal,
     UnaryOp,
+    literal_value,
+    scalar_value,
+    split_conjuncts,
     transform,
 )
 from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
@@ -71,7 +76,6 @@ from repro.engine.sql.planner import (
     and_all,
     find_aggregates,
     rewrite as substitute_exprs,
-    split_conjuncts,
 )
 from repro.errors import ReproError, SqlPlanError, TableNotFoundError
 from repro.obs.metrics import count_swallowed_error, get_metrics
@@ -284,11 +288,8 @@ def _is_bool_literal(expr: Expr, value: bool) -> bool:
     return isinstance(expr, Literal) and expr.value is value
 
 
-def _numeric(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_BOOL_OPS = frozenset({"AND", "OR", "=", "!=", "<>", "<", "<=", ">", ">="})
+_COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
+_BOOL_OPS = _COMPARISONS | {"AND", "OR"}
 
 
 def _boolish(expr: Expr) -> bool:
@@ -316,43 +317,75 @@ def _boolish(expr: Expr) -> bool:
 # ----------------------------------------------------------------------
 # rule: expression simplification
 # ----------------------------------------------------------------------
-_COMPARES = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-#: numpy int64 wraps on overflow where Python ints don't; only fold
-#: integer arithmetic whose result stays comfortably inside int64.
-_INT_FOLD_LIMIT = 2 ** 62
+_INT64 = np.iinfo(np.int64)
 
 
-def _fold_arith(op: str, lv, rv):
-    """Fold a binary arithmetic op the way the engine's numpy ops would,
-    or return None when folding can't be proven equivalent."""
-    if op == "/":
-        if rv == 0:
-            return None  # numpy yields inf/nan; Python raises — keep it
-        return float(lv) / float(rv)
-    if op == "%":
-        if rv == 0:
-            return None
-        result = lv % rv
-    elif op == "+":
-        result = lv + rv
-    elif op == "-":
-        result = lv - rv
-    elif op == "*":
-        result = lv * rv
-    else:
-        return None
-    if isinstance(result, int) and abs(result) >= _INT_FOLD_LIMIT:
-        return None
-    return result
+def _fits(value) -> bool:
+    """A number (not a bool) numpy holds as float64 or int64."""
+    return isinstance(value, float) or (
+        type(value) is int and _INT64.min <= value <= _INT64.max
+    )
+
+
+def _number(expr: Expr) -> bool:
+    """A numeric (non-bool) literal numpy holds as float64 or int64."""
+    return isinstance(expr, Literal) and _fits(expr.value)
+
+
+def _int64_may_wrap(op: str, left: Literal, right: Literal) -> bool:
+    """Could numpy's int64 ``+``, ``-`` or ``*`` wrap, which it does
+    silently?  An a-bit by b-bit product has at most a + b bits, a sum
+    or difference one more than its wider operand."""
+    lv, rv = left.value, right.value
+    if not (isinstance(lv, int) and isinstance(rv, int)):
+        return False
+    bits = (lv.bit_length(), rv.bit_length())
+    return (sum(bits) if op == "*" else max(bits) + 1) > 63
+
+
+def _same_kind(left: Expr, right: Expr) -> bool:
+    """Two literals numpy compares without a mixed-type question: both
+    strings, or both numbers or bools."""
+    if not (isinstance(left, Literal) and isinstance(right, Literal)):
+        return False
+    if isinstance(left.value, str) and isinstance(right.value, str):
+        return True
+    return all(
+        isinstance(side.value, bool) or _number(side) for side in (left, right)
+    )
+
+
+def _fold_safe(expr: Expr) -> bool:
+    """May ``expr``, whose children are literals, be replaced by the
+    value the engine computes for it?  Only when the operands are of
+    one kind, integers stay in int64 and no divisor is zero: the bit
+    bound keeps ``+ - *`` from wrapping, and a negation is exact, so
+    ``-9223372036854775808`` folds and ``-(INT64.min)`` does not."""
+    if isinstance(expr, BinaryOp):
+        op = expr.op.upper() if expr.op.isalpha() else expr.op
+        left, right = expr.left, expr.right
+        if op in _COMPARISONS:
+            return _same_kind(left, right)
+        if op not in ("+", "-", "*", "/", "%") \
+                or not (_number(left) and _number(right)):
+            return False
+        if op in ("/", "%"):
+            return right.value != 0  # type: ignore[union-attr]
+        return not _int64_may_wrap(op, left, right)  # type: ignore[arg-type]
+    if isinstance(expr, UnaryOp):
+        operand = expr.operand
+        if expr.op == "-":
+            return isinstance(operand, Literal) \
+                and not isinstance(operand.value, bool) \
+                and _fits(literal_value(expr))
+        return expr.op.upper() == "NOT" and isinstance(operand, Literal) \
+            and isinstance(operand.value, bool)
+    if isinstance(expr, Between):
+        return all(map(_number, expr.children()))
+    if isinstance(expr, InList):
+        return isinstance(expr.value, Literal) \
+            and all(_same_kind(expr.value, o) for o in expr.options)
+    return False
 
 
 def _fold_node(expr: Expr) -> Expr:
@@ -375,58 +408,11 @@ def _fold_node(expr: Expr) -> Expr:
             if _is_bool_literal(right, False) and _boolish(left):
                 return left
             return expr
-        if not (isinstance(left, Literal) and isinstance(right, Literal)):
-            return expr
-        lv, rv = left.value, right.value
-        if op in _COMPARES:
-            both_str = isinstance(lv, str) and isinstance(rv, str)
-            both_num = isinstance(lv, (int, float, bool)) \
-                and isinstance(rv, (int, float, bool))
-            if both_str or both_num:
-                # Python scalar comparisons match numpy elementwise
-                # semantics here, including NaN (always false).
-                return Literal(bool(_COMPARES[op](lv, rv)))
-            return expr
-        if _numeric(lv) and _numeric(rv):
-            folded = _fold_arith(op, lv, rv)
-            if folded is not None:
-                return Literal(folded)
+    if not _fold_safe(expr):
         return expr
-    if isinstance(expr, UnaryOp):
-        operand = expr.operand
-        if expr.op == "-" and isinstance(operand, Literal) \
-                and _numeric(operand.value):
-            return Literal(-operand.value)
-        if expr.op.upper() == "NOT" and isinstance(operand, Literal) \
-                and isinstance(operand.value, bool):
-            return Literal(not operand.value)
-        return expr
-    if isinstance(expr, Between):
-        parts = (expr.value, expr.low, expr.high)
-        if all(isinstance(p, Literal) and _numeric(p.value) for p in parts):
-            v, lo, hi = (p.value for p in parts)  # type: ignore[union-attr]
-            return Literal(bool(lo <= v) and bool(v <= hi))
-        return expr
-    if isinstance(expr, InList):
-        if isinstance(expr.value, Literal) and all(
-            isinstance(o, Literal) for o in expr.options
-        ):
-            v = expr.value.value
-            mixable = (int, float, bool)
-            for option in expr.options:
-                o = option.value  # type: ignore[union-attr]
-                same_kind = (
-                    isinstance(v, str) and isinstance(o, str)
-                ) or (
-                    isinstance(v, mixable) and isinstance(o, mixable)
-                )
-                if not same_kind:
-                    return expr  # numpy mixed-type equality is murky
-            return Literal(
-                any(v == o.value for o in expr.options)  # type: ignore
-            )
-        return expr
-    return expr
+    # the value comes from the engine itself, so folding cannot change
+    # an answer: 2**53 + 1 = 2**53.0 folds to TRUE, as numpy compares it
+    return Literal(scalar_value(expr))
 
 
 def _denot_node(expr: Expr) -> Expr:

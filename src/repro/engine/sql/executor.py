@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.expressions import Batch, batch_length
+from repro.engine.expressions import ONE_ROW, Batch, batch_length, scalar_value
 from repro.engine.instrument import measure
 from repro.engine.sql.ast import (
     AnalyzeStatement,
@@ -32,9 +32,6 @@ from repro.engine.sql.planner import Planner
 from repro.engine.types import sql_type
 from repro.engine.schema import Column, TableSchema
 from repro.errors import SqlPlanError
-
-#: Dummy one-row batch used to evaluate constant expressions.
-_SCALAR_BATCH: Batch = {"__scalar": np.zeros(1)}
 
 
 @dataclass
@@ -192,11 +189,9 @@ class Executor:
         return QueryResult(columns=columns)
 
     def _exec(self, stmt: ExecStatement) -> QueryResult:
-        values = []
-        for arg in stmt.arguments:
-            value = np.asarray(arg.eval(_SCALAR_BATCH)).reshape(-1)[0]
-            values.append(value.item() if hasattr(value, "item") else value)
-        result = self.database.call_procedure(stmt.procedure, *values)
+        result = self.database.call_procedure(
+            stmt.procedure, *[scalar_value(arg) for arg in stmt.arguments]
+        )
         if isinstance(result, QueryResult):
             return result
         if isinstance(result, dict):
@@ -271,7 +266,7 @@ class Executor:
                 if item.expr is None:
                     raise SqlPlanError("SELECT * requires a FROM clause")
                 name = item.alias or f"col{pos}"
-                value = np.asarray(item.expr.eval(_SCALAR_BATCH))
+                value = np.asarray(item.expr.eval(ONE_ROW))
                 out[name.lower()] = np.broadcast_to(value, (1,)).copy()
             return QueryResult(columns=out)
         keyed, plan, decision, plan_origin, planning_s = self.plan(stmt, keyed)
@@ -353,7 +348,7 @@ class Executor:
                         f"INSERT row has {len(row)} values, expected {width}"
                     )
                 for slot, expr in enumerate(row):
-                    value = np.asarray(expr.eval(_SCALAR_BATCH))
+                    value = np.asarray(expr.eval(ONE_ROW))
                     columns[slot].append(value.reshape(-1)[0])
             data = {
                 name: np.asarray(values)

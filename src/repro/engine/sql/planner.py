@@ -42,8 +42,8 @@ from repro.engine.expressions import (
     ColumnRef,
     Expr,
     FuncCall,
-    Literal,
-    UnaryOp,
+    literal_value,
+    split_conjuncts,
     transform,
 )
 from repro.engine.index import PrimaryKeyIndex
@@ -88,15 +88,6 @@ OPTIMIZER_MODES = ("cost", "syntactic")
 # ----------------------------------------------------------------------
 # expression utilities
 # ----------------------------------------------------------------------
-def split_conjuncts(expr: Expr | None) -> list[Expr]:
-    """Flatten a predicate into its AND-ed conjuncts."""
-    if expr is None:
-        return []
-    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
 def and_all(conjuncts: list[Expr]) -> Expr | None:
     if not conjuncts:
         return None
@@ -1083,14 +1074,6 @@ class Planner:
 # ----------------------------------------------------------------------
 # pattern helpers
 # ----------------------------------------------------------------------
-def _literal_value(expr: Expr):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, UnaryOp) and expr.op == "-" and isinstance(expr.operand, Literal):
-        return -expr.operand.value  # type: ignore[operator]
-    return None
-
-
 def _range_bounds(conjunct: Expr, key: str) -> tuple[object, object] | None:
     """Match ``key BETWEEN lit AND lit`` (or = lit) for index range scans."""
     if (
@@ -1098,8 +1081,8 @@ def _range_bounds(conjunct: Expr, key: str) -> tuple[object, object] | None:
         and isinstance(conjunct.value, ColumnRef)
         and conjunct.value.name.lower() == key.lower()
     ):
-        lo = _literal_value(conjunct.low)
-        hi = _literal_value(conjunct.high)
+        lo = literal_value(conjunct.low)
+        hi = literal_value(conjunct.high)
         if lo is not None and hi is not None:
             return lo, hi
     if (
@@ -1108,7 +1091,7 @@ def _range_bounds(conjunct: Expr, key: str) -> tuple[object, object] | None:
         and isinstance(conjunct.left, ColumnRef)
         and conjunct.left.name.lower() == key.lower()
     ):
-        value = _literal_value(conjunct.right)
+        value = literal_value(conjunct.right)
         if value is not None:
             return value, value
     return None

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from repro.errors import ConfigError
 
@@ -66,7 +65,11 @@ class Cosmology:
         e_z = np.sqrt(self.omega_m * (1.0 + z) ** 3 + (1.0 - self.omega_m))
         hubble_distance = C_KM_S / self.h0  # Mpc
         integrand = 1.0 / e_z
-        dc = cumulative_trapezoid(integrand, z, initial=0.0) * hubble_distance
+        # cumulative trapezoid rule, starting from D_C(0) = 0
+        dc = np.concatenate((
+            [0.0],
+            np.cumsum(np.diff(z) * (integrand[1:] + integrand[:-1]) / 2.0),
+        )) * hubble_distance
         self._z_grid = z
         self._dc_grid = dc
 

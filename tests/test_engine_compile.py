@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.compile import TALLY, CompiledKernel, count_nodes, split_and
+from repro.engine.compile import TALLY, CompiledKernel, count_nodes
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.expressions import (
@@ -36,6 +36,7 @@ from repro.engine.expressions import (
     col,
     isin_fast,
     lit,
+    split_conjuncts,
 )
 from repro.engine.pages import (
     PAGE_BYTES,
@@ -221,7 +222,7 @@ def test_cse_shares_repeated_subtrees():
     assert after["cse_hits"] > before["cse_hits"]
     # far fewer nodes evaluated than the interpreted walk's one-per-node
     interpreted_nodes = sum(
-        count_nodes(c) for c in split_and(predicate)
+        count_nodes(c) for c in split_conjuncts(predicate)
     ) + count_nodes(band) + count_nodes(chi)
     assert after["nodes_evaluated"] - before["nodes_evaluated"] \
         < interpreted_nodes

@@ -17,12 +17,16 @@ idempotence (the property the cache fingerprint relies on), and the
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
+from repro.engine.expressions import Between, BinaryOp, InList, Literal, UnaryOp
 from repro.engine.optimizer.rewrite import REWRITE_RULES, rewrite_statement
+from repro.engine.sql.ast import SelectItem
 from repro.engine.sql.parser import parse
 from repro.obs.metrics import get_metrics
 
@@ -364,6 +368,128 @@ def test_cache_invalidation_covers_subquery_tables():
     after = db.sql(sql)
     assert not after.plan.startswith("[answered from cache]")
     assert after.row_count > 0
+
+
+# ---------------------------------------------------------------------------
+# constant folding computes with the engine, so it answers as the engine
+# ---------------------------------------------------------------------------
+
+#: 2**53 + 1 has no float64: numpy compares it with 2**53 as equal,
+#: exact Python integer arithmetic does not
+BIG = 9007199254740993
+#: bigint's minimum parses as -(2**63), and 2**63 is past int64
+INT64_MIN_SQL = "-9223372036854775808"
+
+FOLD_PROBES = (
+    f"{BIG} = 9007199254740992.0",
+    f"{BIG} > 9007199254740992.0",
+    f"{BIG} IN (9007199254740992.0)",
+    f"{BIG} BETWEEN 9007199254740992.0 AND 9007199254740992.0",
+    f"{INT64_MIN_SQL} < -9223372036854775807",
+)
+
+#: every ordered pair of these meets an int that float64 cannot hold
+EDGE_VALUES = (
+    BIG, 9007199254740992.0, -BIG, -9007199254740992.0,
+    2 ** 62 - 1, 4611686018427387904.0, -(2 ** 62 - 1), -4611686018427387904.0,
+)
+FOLD_VALUES = EDGE_VALUES + (
+    2 ** 53, 2 ** 62, 2 ** 63, -(2 ** 63), 3, 0, 2.5, -0.0, 0.0, float("nan"),
+    True, False, "a", "b",
+)
+FOLD_BINARY_OPS = ("+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=")
+
+
+def one_row_dbs() -> tuple[Database, Database]:
+    """The same one-row table with rewrites on and off."""
+    dbs = []
+    for rewrites in (True, False):
+        db = Database("fold", config=EngineConfig(rewrites=rewrites))
+        db.create_table("one", {"x": np.array([7], dtype=np.int64)})
+        dbs.append(db)
+    return dbs[0], dbs[1]
+
+
+def answer_bytes(db: Database, stmt) -> object:
+    """Column names, dtypes and raw bytes of a statement's answer, or the
+    error type it raised — both modes must fail alike, too."""
+    try:
+        result = db._run_statement(stmt, str(stmt))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc).__name__
+    return [(name, np.asarray(arr).dtype.str, np.asarray(arr).tobytes())
+            for name, arr in result.columns.items()]
+
+
+def fold_sweep(seed: int, per_op: int):
+    """Every foldable operator over every ordered pair of edge values,
+    then over ``per_op`` seeded draws from the whole value pool."""
+    rng = np.random.default_rng(seed)
+
+    def pick() -> Literal:
+        return Literal(FOLD_VALUES[int(rng.integers(len(FOLD_VALUES)))])
+
+    edges = [(Literal(a), Literal(b)) for a in EDGE_VALUES for b in EDGE_VALUES]
+    for op in FOLD_BINARY_OPS:
+        for left, right in edges + [(pick(), pick()) for _ in range(per_op)]:
+            yield BinaryOp(op, left, right)
+    for value, bound in edges:
+        yield Between(value, bound, bound)
+        yield InList(value, (bound,))
+    for _ in range(per_op):
+        yield UnaryOp("-", pick())
+        yield UnaryOp("NOT", pick())
+        yield Between(pick(), pick(), pick())
+        yield InList(pick(), (pick(), pick()))
+
+
+@pytest.mark.parametrize("predicate", FOLD_PROBES)
+def test_folded_probe_answers_as_the_evaluator(predicate):
+    on, off = one_row_dbs()
+    where = f"SELECT x FROM one WHERE {predicate}"
+    assert "Rewrite simplify_expressions" in on.explain(where)
+    for sql in (where, f"SELECT {predicate} AS p",
+                f"SELECT {predicate} AS p FROM one"):
+        stmt = parse(sql)
+        assert answer_bytes(on, stmt) == answer_bytes(off, stmt), sql
+
+
+def test_folder_sweep_answers_as_the_evaluator():
+    on, off = one_row_dbs()
+    constant = parse("SELECT 0 AS v")
+    scan = parse("SELECT x FROM one")
+    folded = 0
+    for expr in fold_sweep(seed=2005, per_op=20):
+        for stmt in (
+            dataclasses.replace(constant, items=(SelectItem(expr, "v"),)),
+            dataclasses.replace(scan, where=expr),
+        ):
+            assert answer_bytes(on, stmt) == answer_bytes(off, stmt), expr
+        rewritten, _ = rewrite_statement(
+            dataclasses.replace(constant, items=(SelectItem(expr, "v"),)), on
+        )
+        folded += isinstance(rewritten.items[0].expr, Literal)
+    assert folded > 900  # the sweep exercises folding, not just refusals
+
+
+def test_int64_min_literal_is_int64_min_in_every_mode():
+    on, off = one_row_dbs()
+    seek = f"SELECT x FROM edge WHERE x = {INT64_MIN_SQL}"
+    for db in (on, off):
+        db.create_table("edge", {"x": np.array([-2 ** 63, 7], dtype=np.int64)})
+        db.create_clustered_index("edge", "x")
+        assert "IndexRangeScan" in db.explain(seek)
+    checks = {
+        f"SELECT {INT64_MIN_SQL} AS v": [-2 ** 63],
+        f"SELECT x FROM edge WHERE x > {INT64_MIN_SQL}": [7],
+        seek: [-2 ** 63],
+        f"SELECT x FROM edge WHERE x BETWEEN {INT64_MIN_SQL} AND 0": [-2 ** 63],
+        f"SELECT -({INT64_MIN_SQL}) AS v": [-2 ** 63],  # int64 wraps, alike
+    }
+    for db in (on, off):
+        for sql, expected in checks.items():
+            (column,) = db.sql(sql).columns.values()
+            assert column.dtype == np.int64 and column.tolist() == expected, sql
 
 
 # ---------------------------------------------------------------------------

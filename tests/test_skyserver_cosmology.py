@@ -1,10 +1,17 @@
 """Flat ΛCDM distances."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.skyserver.cosmology import C_KM_S, Cosmology, DEFAULT_COSMOLOGY
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestDistances:
@@ -74,3 +81,18 @@ class TestValidation:
         assert float(einstein_de_sitter.comoving_distance(0.5)) < float(
             open_like.comoving_distance(0.5)
         )
+
+
+class TestFootprint:
+    def test_importing_repro_loads_no_scipy(self):
+        """numpy is the only numeric dependency: the cosmology grid's
+        trapezoid integral is plain numpy."""
+        code = (
+            "import sys, repro, repro.skyserver.cosmology\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": SRC},
+        ).stdout
+        assert out.strip() == "[]"
