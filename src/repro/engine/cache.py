@@ -67,12 +67,14 @@ class PlanKey:
     ``(statement, firings)`` of the unpriced rewrite pass the
     fingerprint was taken over (None with rewrites off): the SELECT
     path hands it to ``Planner.plan_select`` so a statement is
-    rewritten once.
+    rewritten once.  The database's statement cache hands one key to
+    every execution of its text, across threads, so every field is
+    immutable.
     """
 
     fingerprint: str
     sql: str
-    tables: set[str]
+    tables: frozenset[str]
     rewritten: tuple | None = None
 
     def __iter__(self):
@@ -129,7 +131,7 @@ def plan_fingerprint(stmt, database) -> PlanKey | None:
         mode = f"{mode}+compiled"
     sql = normalize_statement(fingerprint_stmt)
     digest = hashlib.sha256(f"{mode}\x00{sql}".encode()).hexdigest()
-    return PlanKey(digest[:32], sql, tables, rewritten)
+    return PlanKey(digest[:32], sql, frozenset(tables), rewritten)
 
 
 def referenced_tables(

@@ -11,6 +11,7 @@ yields the (elapsed, cpu, io) triples of Table 1.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -19,6 +20,8 @@ from typing import Callable
 import numpy as np
 
 from repro.engine.cache import (
+    BoundedLRU,
+    PlanKey,
     ResultCache,
     normalize_statement,
     plan_fingerprint,
@@ -29,10 +32,11 @@ from repro.engine.expressions import batch_length
 from repro.engine.index import ClusteredIndex
 from repro.engine.instrument import AnalyzeReport, max_q_error
 from repro.engine.matview import MaterializedView
+from repro.engine.memo import MAX_FINGERPRINTS
 from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES, choose_codecs
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql.executor import Executor, QueryResult
-from repro.engine.sql.ast import SelectStatement
+from repro.engine.sql.ast import SelectStatement, UnionStatement
 from repro.engine.sql.parser import parse, split_statements
 from repro.engine.stats import IOCounters
 from repro.engine.table import Table
@@ -102,6 +106,19 @@ class Database:
         self._matview_plan_depth = 0
         self._table_functions: dict[str, TableFunction] = {}
         self._procedures: dict[str, Callable] = {}
+        #: Bumped by every catalog change a statement's parse or
+        #: ``PlanKey`` may depend on: create / drop of tables, views and
+        #: matviews, and table-function registration.
+        self._catalog_generation = 0
+        self._catalog_lock = threading.Lock()
+        #: Stage 0 of the SELECT path: ``(text, plan signature)`` ->
+        #: ``(statement, PlanKey | None, catalog generation)``.
+        self._statements = BoundedLRU("engine.statements", MAX_FINGERPRINTS)
+        #: Does a stage read statement keys (result cache, plan memo,
+        #: Query Store)?
+        self._keys_statements = (
+            config.result_cache or config.feedback or config.query_store
+        )
         self._executor = Executor(self)
 
     @property
@@ -125,6 +142,15 @@ class Database:
     # ------------------------------------------------------------------
     # catalog
     # ------------------------------------------------------------------
+    def _catalog_changed(self) -> None:
+        """Retire every statement-cache entry keyed before this change.
+
+        Locked: a racing increment could write back an older value and
+        make an entry keyed before a later change look current again.
+        """
+        with self._catalog_lock:
+            self._catalog_generation += 1
+
     def _maybe_sync_system_views(self, key: str) -> None:
         """Lazily (re)materialize a Query Store system view on lookup.
 
@@ -171,6 +197,7 @@ class Database:
             raise EngineError(f"table '{schema.name}' already exists")
         table = Table(schema, self.pool)
         self._tables[key] = table
+        self._catalog_changed()
         return table
 
     def create_table(
@@ -208,6 +235,7 @@ class Database:
             raise TableNotFoundError(f"no table '{name}' to drop")
         self._tables[key].file.invalidate()
         del self._tables[key]
+        self._catalog_changed()
         self.invalidate_caches(key)
 
     # ------------------------------------------------------------------
@@ -223,6 +251,7 @@ class Database:
 
         Planner(self).plan_select(select_statement)
         self._views[key] = select_statement
+        self._catalog_changed()
 
     def has_view(self, name: str) -> bool:
         return name.lower() in self._views
@@ -239,6 +268,7 @@ class Database:
                 return
             raise TableNotFoundError(f"no view '{name}' to drop")
         del self._views[name.lower()]
+        self._catalog_changed()
 
     def view_names(self) -> list[str]:
         return sorted(self._views)
@@ -300,6 +330,7 @@ class Database:
             },
         )
         self._matviews[key] = view
+        self._catalog_changed()
         return view
 
     def refresh_materialized_view(self, name: str) -> int:
@@ -368,6 +399,7 @@ class Database:
         tvf = TableFunction(name=key, columns=tuple(c.lower() for c in columns),
                             fn=fn)
         self._table_functions[key] = tvf
+        self._catalog_changed()
         return tvf
 
     def table_function(self, name: str) -> TableFunction:
@@ -433,10 +465,15 @@ class Database:
     # versions
     # ------------------------------------------------------------------
     def table_versions(self, names) -> dict[str, int | None]:
-        """Live version counters for the named tables (None = missing)."""
+        """Live version counters for the named tables (None = missing).
+
+        A Query Store system view is brought up to date first, so its
+        version moves whenever the store has.
+        """
         out: dict[str, int | None] = {}
         for name in names:
             key = name.lower()
+            self._maybe_sync_system_views(key)
             table = self._tables.get(key)
             out[key] = table.version if table is not None else None
         return out
@@ -446,7 +483,8 @@ class Database:
     # ------------------------------------------------------------------
     def sql(self, text: str) -> QueryResult:
         """Parse and execute one SQL statement."""
-        return self._run_statement(parse(text), text)
+        stmt, keyed = self._statement(text)
+        return self._run_statement(stmt, text, keyed)
 
     def run_script(self, text: str) -> list[QueryResult]:
         """Execute a ';'-separated script, returning per-statement results.
@@ -456,21 +494,54 @@ class Database:
         """
         chunks = split_statements(text)
         statements = [parse(chunk) for chunk in chunks]
-        return [
-            self._run_statement(stmt, chunk)
-            for stmt, chunk in zip(statements, chunks)
-        ]
+        results = []
+        for stmt, chunk in zip(statements, chunks):
+            stmt, keyed = self._statement(chunk, stmt)
+            results.append(self._run_statement(stmt, chunk, keyed))
+        return results
+
+    def _statement(
+        self, text: str, stmt=None
+    ) -> tuple[object, PlanKey | None]:
+        """Stage 0 of the SELECT path: ``(statement, PlanKey | None)``.
+
+        A SELECT or UNION text seen before under the same
+        ``config.plan_signature()`` and catalog generation comes back
+        from the statement cache, so it runs no parse, no rewrite and
+        no fingerprint; anything else is parsed (unless ``stmt`` is
+        given) and keyed now.  The key is taken when a stage will read
+        it — result cache, feedback or Query Store on — and never while
+        a matview is being (re)materialized.
+        """
+        if self._matview_plan_depth:
+            return (parse(text) if stmt is None else stmt), None
+        key = (text, self._config.plan_signature())
+        generation = self._catalog_generation
+        entry = self._statements.get(
+            key, lambda cached: cached[2] == generation
+        )
+        if entry is not None:
+            return entry[0], entry[1]
+        if stmt is None:
+            stmt = parse(text)
+        keyed = plan_fingerprint(stmt, self) if self._keys_statements else None
+        if isinstance(stmt, (SelectStatement, UnionStatement)):
+            # DML text carries fresh literals: only queries repeat
+            self._statements.put(key, (stmt, keyed, generation))
+        return stmt, keyed
 
     def _run_statement(
-        self, stmt, text: str, analyze: bool = False
+        self, stmt, text: str, keyed: PlanKey | None = None,
+        analyze: bool = False,
     ) -> QueryResult:
         """One user statement: the statement-level half of the SELECT path.
 
-        fingerprint -> result-cache lookup -> execute (``Executor``,
-        inside an ``engine.sql`` trace span) -> Query Store record ->
-        cache put -> slow log.  Cache and store are stages that cost one
-        ``is None`` test when off; non-queries have no fingerprint and
-        pass straight to the executor.  ``analyze`` (EXPLAIN ANALYZE)
+        result-cache lookup on ``keyed`` (from :meth:`_statement`) ->
+        execute (``Executor``, inside an ``engine.sql`` trace span) ->
+        Query Store record -> cache put -> slow log.  Cache and store
+        are stages that cost one ``is None`` test when off; non-queries
+        have no key and pass straight to the executor, as does a
+        statement passed without one.  ``analyze`` (EXPLAIN ANALYZE)
         skips the cache lookup and has the plan's nodes record what
         they do; every other stage runs as for ``sql()``.  See
         DESIGN.md, "Life of a SELECT".
@@ -479,10 +550,9 @@ class Database:
         from repro.obs.trace import span
 
         cache, store = self.result_cache, self.query_store
-        keyed = plan_fingerprint(stmt, self) if cache is not None else None
         cache_key = None
         started = time.perf_counter()
-        if keyed is not None:
+        if keyed is not None and cache is not None:
             cache_key = keyed.cache_key(self)
             entry = None if analyze else cache.get(cache_key)
             if entry is not None:
@@ -558,10 +628,10 @@ class Database:
         """
         from repro.obs.metrics import get_metrics
 
-        stmt = parse(text)
+        stmt, keyed = self._statement(text)
         if not isinstance(stmt, SelectStatement):
             raise EngineError("explain_analyze supports SELECT statements only")
-        result = self._run_statement(stmt, text, analyze=True)
+        result = self._run_statement(stmt, text, keyed, analyze=True)
         nodes, plan = result.node_stats or [], result.plan_node
         report = AnalyzeReport(
             nodes=nodes,
@@ -583,16 +653,13 @@ class Database:
         executing it: the statement path up to planning — a cached
         answer's plan under ``[answered from cache]``, else the forced,
         memoized or freshly planned (and then memoized) tree."""
-        stmt = parse(text)
+        stmt, keyed = self._statement(text)
         if not isinstance(stmt, SelectStatement):
             raise EngineError("EXPLAIN supports SELECT statements only")
-        keyed = None
-        if self.result_cache is not None:
-            keyed = plan_fingerprint(stmt, self)
-            if keyed is not None:
-                entry = self.result_cache.peek(keyed.cache_key(self))
-                if entry is not None:
-                    return _cached_plan_text(entry)
+        if keyed is not None and self.result_cache is not None:
+            entry = self.result_cache.peek(keyed.cache_key(self))
+            if entry is not None:
+                return _cached_plan_text(entry)
         return self._executor.plan(stmt, keyed)[1].explain()
 
     # ------------------------------------------------------------------
@@ -604,7 +671,9 @@ class Database:
         The join key across the Query Store, the plan memo, the
         feedback store and the slow-query log.
         """
-        keyed = plan_fingerprint(parse(text), self)
+        stmt, keyed = self._statement(text)
+        if not self._keys_statements:
+            keyed = plan_fingerprint(stmt, self)
         return keyed.fingerprint if keyed is not None else None
 
     def force_plan(self, fingerprint: str, plan_id: int):

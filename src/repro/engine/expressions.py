@@ -204,6 +204,43 @@ _UFUNCS: dict[str, Callable] = {
 }
 
 
+#: Integer arithmetic that raises where numpy would wrap or answer 0.
+_CHECKED_INTEGER_OPS = frozenset(("+", "-", "*", "%"))
+
+
+def _checked_integer_op(op: str, ufunc, lhs: np.ndarray, rhs: np.ndarray):
+    """``lhs op rhs`` over signed integers, failing as T-SQL does.
+
+    A ``%`` by zero is a divide-by-zero error (``np.mod`` answers 0);
+    a ``+ - *`` outside the result dtype is an arithmetic overflow
+    (numpy wraps silently).  A sum or difference wrapped iff its sign
+    disagrees with both operands' (with the subtrahend's flipped); a
+    product iff dividing it back does not give the multiplicand, except
+    that ``MIN * -1`` divides back to itself.
+    """
+    if op == "%":
+        if np.any(rhs == 0):
+            raise SqlPlanError("divide by zero: integer '%' by 0")
+        return ufunc(lhs, rhs)
+    result = ufunc(lhs, rhs)
+    if op == "+":
+        wrapped = ((lhs ^ result) & (rhs ^ result)) < 0
+    elif op == "-":
+        wrapped = ((lhs ^ rhs) & (lhs ^ result)) < 0
+    else:
+        negated = rhs == -1
+        divides = (rhs != 0) & ~negated
+        back = result // np.where(divides, rhs, 1)
+        wrapped = (divides & (back != lhs)) | (
+            negated & (lhs == np.iinfo(result.dtype).min)
+        )
+    if np.any(wrapped):
+        raise SqlPlanError(
+            f"arithmetic overflow: integer '{op}' outside {result.dtype}"
+        )
+    return result
+
+
 @dataclass(frozen=True)
 class BinaryOp(Expr):
     op: str
@@ -241,6 +278,10 @@ class BinaryOp(Expr):
         ufunc = _UFUNCS.get(op)
         if ufunc is None:
             raise SqlPlanError(f"unknown binary operator '{self.op}'")
+        if op in _CHECKED_INTEGER_OPS:
+            lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+            if lhs.dtype.kind == "i" and rhs.dtype.kind == "i":
+                return _checked_integer_op(op, ufunc, lhs, rhs)
         return ufunc(lhs, rhs)
 
     def __str__(self) -> str:

@@ -208,10 +208,10 @@ class Executor:
         Returns ``(keyed, plan, decision, plan_origin, planning_s)`` —
         the plan the statement runs now.  ``Database.explain`` stops
         here.  ``keyed`` is the statement's
-        :class:`~repro.engine.cache.PlanKey` when ``Database`` already
-        took it for the result cache; SELECTs nested in another
-        statement (INSERT..SELECT, UNION branches, matview refreshes)
-        arrive unkeyed and are fingerprinted here if a stage needs it.
+        :class:`~repro.engine.cache.PlanKey` from the database's
+        statement lookup (stage 0); SELECTs nested in another statement
+        (INSERT..SELECT, UNION branches, matview refreshes) arrive
+        unkeyed and are fingerprinted here if a stage needs it.
         Each stage costs one ``is None`` test when its subsystem is off.
         """
         database = self.database

@@ -3,13 +3,18 @@
 Produces a flat token stream for the parser: keywords (case-insensitive),
 identifiers, numeric and string literals, operators and punctuation.
 Comments (``-- ...`` line comments and ``/* ... */`` blocks, both used in
-the paper's listing) are skipped.
+the paper's listing) are skipped.  One compiled master expression
+scans the text: each token kind is a named group, and one ``finditer``
+walks the statement, so the per-character work happens inside ``re``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import re
+import sys
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -35,8 +40,7 @@ class TokenType(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -48,116 +52,94 @@ class Token:
         return f"{self.type.value}:{self.value}"
 
 
-_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = "(),.;"
+#: Whitespace and comments, skipped in front of every token.
+_SKIP = r"(?:\s++|--[^\n]*+\n?|/\*.*?\*/)*+"
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyz_@#")
-_IDENT_BODY = _IDENT_START | set("0123456789$")
+#: One alternative per token kind, tried in this order where the skip
+#: ends: numbers before punctuation (``.5``), an unclosed ``/*`` before
+#: the ``/`` operator.  The ``unterminated_*`` arms match only where
+#: the complete form failed, ``other`` any single
+#: character and ``end`` the end of the text, so ``finditer`` tiles the
+#: whole text.  ``{digit}`` is the class ``str.isdigit`` accepts and
+#: ``{ident}`` the non-ASCII characters whose lowercase is an
+#: identifier letter (``\s`` already is exactly ``str.isspace``).
+_TOKENS = "|".join((
+    r"(?P<word>[a-zA-Z_@#{ident}][a-zA-Z_@#{ident}0-9$]*+)",
+    r"(?P<number>(?:{digit}++(?:\.{digit}*+)?|\.{digit}++)"
+    r"(?:[eE][+-]?{digit}++)?)",
+    r"(?P<unterminated_comment>/\*)",
+    r"(?P<operator><=|>=|!=|<>|[=<>+\-*/%])",
+    r"(?P<punct>[(),.;])",
+    r"(?P<string>'(?:[^']++|'')*+')",
+    r"(?P<bracket>\[[^\]]*+\])",
+    r"(?P<unterminated_string>')",
+    r"(?P<unterminated_bracket>\[)",
+    r"(?P<other>.)",
+    r"(?P<end>\Z)",
+))
+
+_UNTERMINATED = {
+    "unterminated_comment": "unterminated block comment",
+    "unterminated_string": "unterminated string literal",
+    "unterminated_bracket": "unterminated [identifier]",
+}
+
+
+def _compile(digit: str, ident: str) -> re.Pattern:
+    tokens = _TOKENS.format(digit=digit, ident=ident)
+    return re.compile(f"{_SKIP}(?:{tokens})", re.DOTALL)
+
+
+#: The scanner for ASCII text, where ``\d`` is exactly ``str.isdigit``.
+_ASCII_SCANNER = _compile(r"\d", "")
+
+
+@functools.cache
+def _unicode_scanner() -> re.Pattern:
+    """The scanner for any text: ``\\d`` misses the digits that are not
+    decimal (superscripts, circled numbers), and the Kelvin sign
+    lowercases to ``k``.  Built on the first non-ASCII statement."""
+    extra_digits = "".join(
+        c for c in map(chr, range(sys.maxunicode + 1))
+        if c.isdigit() and not c.isdecimal()
+    )
+    return _compile(rf"[\d{re.escape(extra_digits)}]", "\u212a")
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlSyntaxError` on bad input."""
+    scanner = _ASCII_SCANNER if text.isascii() else _unicode_scanner()
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        # whitespace
-        if ch.isspace():
-            i += 1
-            continue
-        # line comment
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        # block comment
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise SqlSyntaxError("unterminated block comment", i)
-            i = end + 2
-            continue
-        # string literal (single quotes; '' escapes a quote)
-        if ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise SqlSyntaxError("unterminated string literal", i)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), i))
-            i = j + 1
-            continue
-        # number
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = text[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    # exponent must be followed by digits or sign+digits
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        seen_exp = True
-                        j = k
-                    else:
-                        break
-                else:
-                    break
-            tokens.append(Token(TokenType.NUMBER, text[i:j], i))
-            i = j
-            continue
-        # identifier / keyword (allow leading @ for SQL-variable flavor,
-        # and bracket-quoted [name] identifiers)
-        if ch == "[":
-            end = text.find("]", i)
-            if end < 0:
-                raise SqlSyntaxError("unterminated [identifier]", i)
-            tokens.append(Token(TokenType.IDENT, text[i + 1:end].lower(), i))
-            i = end + 1
-            continue
-        if ch.lower() in _IDENT_START:
-            j = i
-            while j < n and text[j].lower() in _IDENT_BODY:
-                j += 1
-            word = text[i:j].lower()
-            if word in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, word, i))
-            else:
-                tokens.append(Token(TokenType.IDENT, word, i))
-            i = j
-            continue
-        # operators
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                value = "!=" if op == "<>" else op
-                tokens.append(Token(TokenType.OPERATOR, value, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
+    append = tokens.append
+    for match in scanner.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        start = match.start(kind)
+        if kind == "word":
+            value = value.lower()
+            append(Token(
+                TokenType.KEYWORD if value in KEYWORDS else TokenType.IDENT,
+                value, start,
+            ))
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, value, start))
+        elif kind == "operator":
+            append(Token(
+                TokenType.OPERATOR, "!=" if value == "<>" else value, start
+            ))
+        elif kind == "punct":
+            append(Token(TokenType.PUNCT, value, start))
+        elif kind == "string":
+            append(Token(
+                TokenType.STRING, value[1:-1].replace("''", "'"), start
+            ))
+        elif kind == "bracket":
+            append(Token(TokenType.IDENT, value[1:-1].lower(), start))
+        elif kind == "end":
+            break
+        elif kind == "other":
+            raise SqlSyntaxError(f"unexpected character {value!r}", start)
+        else:
+            raise SqlSyntaxError(_UNTERMINATED[kind], start)
+    append(Token(TokenType.EOF, "", len(text)))
     return tokens

@@ -165,3 +165,81 @@ class TestTreeUtilities:
     def test_frozen_equality(self):
         assert col("a") == ColumnRef("a")
         assert lit(1) == Literal(1)
+
+
+class TestIntegerArithmeticFailsAsTSql:
+    """Integer ``%`` by zero and ``+ - *`` past int64 raise, in every
+    evaluator: the interpreted walk, the fused kernel and either rewrite
+    mode; floats keep IEEE answers."""
+
+    MODES = [
+        {"compiled_expressions": c, "rewrites": r}
+        for c in (True, False) for r in (True, False)
+    ]
+
+    @staticmethod
+    def build(**knobs):
+        from repro.engine.config import EngineConfig
+        from repro.engine.database import Database
+
+        db = Database("ints", config=EngineConfig(**knobs))
+        db.create_table("t", {
+            "id": np.arange(4, dtype=np.int64),
+            "a": np.array([7, 2 ** 62, -(2 ** 63), 5], dtype=np.int64),
+            "b": np.array([3, 2 ** 62, -1, 0], dtype=np.int64),
+        })
+        return db
+
+    @pytest.mark.parametrize("knobs", MODES)
+    @pytest.mark.parametrize("sql", [
+        "SELECT 5 % 0 AS v",
+        "SELECT a % b AS v FROM t",
+        "SELECT id FROM t WHERE a % b = 1",
+    ])
+    def test_integer_modulo_by_zero(self, knobs, sql):
+        with pytest.raises(SqlPlanError, match="divide by zero"):
+            self.build(**knobs).sql(sql)
+
+    @pytest.mark.parametrize("knobs", MODES)
+    @pytest.mark.parametrize("sql", [
+        "SELECT 9007199254740993 * 4611686018427387903 AS v",
+        "SELECT a + b AS v FROM t",
+        "SELECT a * b AS v FROM t WHERE id = 2",
+        "SELECT a - 1 AS v FROM t WHERE id = 2",
+        "SELECT id FROM t WHERE a + a > 0",
+    ])
+    def test_integer_overflow(self, knobs, sql):
+        with pytest.raises(SqlPlanError, match="arithmetic overflow"):
+            self.build(**knobs).sql(sql)
+
+    @pytest.mark.parametrize("knobs", MODES)
+    def test_in_range_answers_are_unchanged(self, knobs):
+        db = self.build(**knobs)
+        rows = db.sql(
+            "SELECT a % b AS m, a - b AS d, a * b AS p FROM t WHERE id = 0"
+        ).rows()
+        assert rows == [{"m": 1, "d": 4, "p": 21}]
+        # the int64 extremes themselves are in range
+        assert db.sql("SELECT a + 0 AS v FROM t WHERE id = 2").scalar() == \
+            -(2 ** 63)
+        assert db.sql(
+            "SELECT -9223372036854775807 - 1 AS v"
+        ).scalar() == -(2 ** 63)
+        assert db.sql("SELECT a * -1 AS v FROM t WHERE id = 1").scalar() == \
+            -(2 ** 62)
+
+    def test_float_operands_keep_ieee_answers(self):
+        db = self.build()
+        assert db.sql("SELECT 1 / 0 AS v").scalar() == np.inf
+        assert db.sql("SELECT a / 0 AS v FROM t WHERE id = 0").scalar() == \
+            np.inf
+
+    def test_direct_evaluation(self):
+        batch = {"x": np.array([2 ** 62, 1], dtype=np.int64)}
+        with pytest.raises(SqlPlanError, match="arithmetic overflow"):
+            BinaryOp("*", col("x"), lit(4)).eval(batch)
+        with pytest.raises(SqlPlanError, match="divide by zero"):
+            BinaryOp("%", col("x"), lit(0)).eval(batch)
+        assert BinaryOp("-", col("x"), lit(1)).eval(batch).tolist() == [
+            2 ** 62 - 1, 0
+        ]

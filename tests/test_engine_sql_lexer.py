@@ -1,8 +1,13 @@
 """SQL tokenizer."""
 
-import pytest
+import ast
+from pathlib import Path
 
-from repro.engine.sql.lexer import Token, TokenType, tokenize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.sql.lexer import KEYWORDS, Token, TokenType, tokenize
 from repro.errors import SqlSyntaxError
 
 
@@ -85,3 +90,175 @@ class TestTokenHelpers:
         assert token.is_keyword("select")
         assert token.is_keyword("select", "from")
         assert not token.is_keyword("from")
+
+
+# ---------------------------------------------------------------------------
+# the master-regex scanner against the per-character loop it replaced
+# ---------------------------------------------------------------------------
+_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "*", "/", "%")
+_PUNCT = "(),.;"
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyz_@#")
+_IDENT_BODY = _IDENT_START | set("0123456789$")
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The per-character tokenizer the scanner replaced, kept verbatim
+    as the oracle its token stream and errors are checked against."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("--", i):
+            end = text.find("\n", i)
+            i = n if end < 0 else end + 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise SqlSyntaxError("unterminated block comment", i)
+            i = end + 2
+            continue
+        if ch == "'":
+            j = i + 1
+            parts: list[str] = []
+            while True:
+                if j >= n:
+                    raise SqlSyntaxError("unterminated string literal", i)
+                if text[j] == "'":
+                    if j + 1 < n and text[j + 1] == "'":
+                        parts.append("'")
+                        j += 2
+                        continue
+                    break
+                parts.append(text[j])
+                j += 1
+            tokens.append(Token(TokenType.STRING, "".join(parts), i))
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            seen_exp = False
+            while j < n:
+                c = text[j]
+                if c.isdigit():
+                    j += 1
+                elif c == "." and not seen_dot and not seen_exp:
+                    seen_dot = True
+                    j += 1
+                elif c in "eE" and not seen_exp and j > i:
+                    k = j + 1
+                    if k < n and text[k] in "+-":
+                        k += 1
+                    if k < n and text[k].isdigit():
+                        seen_exp = True
+                        j = k
+                    else:
+                        break
+                else:
+                    break
+            tokens.append(Token(TokenType.NUMBER, text[i:j], i))
+            i = j
+            continue
+        if ch == "[":
+            end = text.find("]", i)
+            if end < 0:
+                raise SqlSyntaxError("unterminated [identifier]", i)
+            tokens.append(Token(TokenType.IDENT, text[i + 1:end].lower(), i))
+            i = end + 1
+            continue
+        if ch.lower() in _IDENT_START:
+            j = i
+            while j < n and text[j].lower() in _IDENT_BODY:
+                j += 1
+            word = text[i:j].lower()
+            if word in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, word, i))
+            else:
+                tokens.append(Token(TokenType.IDENT, word, i))
+            i = j
+            continue
+        matched = False
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                value = "!=" if op == "<>" else op
+                tokens.append(Token(TokenType.OPERATOR, value, i))
+                i += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token(TokenType.PUNCT, ch, i))
+            i += 1
+            continue
+        raise SqlSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(Token(TokenType.EOF, "", n))
+    return tokens
+
+
+def outcome(tokenizer, text: str):
+    """The token stream, or the error's message and position."""
+    try:
+        return tokenizer(text)
+    except SqlSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def statements_in_sql_tests():
+    """Every string constant in the lexer and parser tests."""
+    texts = set()
+    for name in ("test_engine_sql_lexer.py", "test_engine_sql_parser.py"):
+        tree = ast.parse((Path(__file__).parent / name).read_text())
+        texts.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    return sorted(texts)
+
+
+#: SQL fragments, the characters every token kind starts or ends on,
+#: and the non-ASCII ones the old predicates accept (a non-breaking and
+#: a line-separator space, a superscript and an Arabic-Indic digit, the
+#: Kelvin sign, which lowercases to "k") or reject.
+FRAGMENTS = (
+    "SELECT", "from", "Where", "[x y]", "'it''s'", "1.5e-3", ".5", "1e",
+    "--", "/*", "*/", "<>", "<=", "!=", "\n", " ", "\t", "'", "''", "[",
+    "]", ".", "e", "E", "+", "-", "0", "9", "@a", "#t", "$", "_", "!",
+    "^", "\"", "?", ";", ",", "(", ")", "%", "*", "/", "=", "<", ">",
+    "\u00a0", "\u2028", "\u00b2", "\u0663", "\u212a", "\u00e9", "\u00c9",
+)
+
+
+#: Where a token kind's boundary rules bite.
+EDGE_TEXTS = (
+    "1.", "1.e5", "1e5.3", "1.2.3", ".5.3", "..5", "1e+", "1e+x", "2E-",
+    "'a''", "'a''b'", "''''", "/*/", "/**/x", "--\nx", "-- x", "[a", "[]",
+    "a$b", "$a", "@x#y", "!", "!=<>", "<<=", "Key", "²3",
+    "1²", "٣.٣e٣", "x y", "café",
+)
+
+
+class TestScannerMatchesTheCharacterLoop:
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_edge_texts(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize("text", statements_in_sql_tests())
+    def test_test_statements(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=24))
+    @settings(max_examples=400, deadline=None)
+    def test_fragment_soup(self, parts):
+        text = "".join(parts)
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_text(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
