@@ -121,7 +121,8 @@ class _Frame:
 
     The frame is also the child evaluator every node's ``apply``
     receives: calling it evaluates a node over the current selection,
-    through the CSE cache.
+    through the CSE cache, or over a subset of it (AND and OR narrow
+    their right side to the rows the left leaves open).
     """
 
     __slots__ = ("batch", "n_full", "sel", "n", "cache", "shared",
@@ -151,7 +152,11 @@ class _Frame:
             }
         self.narrowed = None
 
-    def __call__(self, node: Expr) -> np.ndarray:
+    def __call__(
+        self, node: Expr, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        if rows is not None:
+            return self._over(rows)(node)
         if self.cache:
             cached = self.cache.get(node)
             if cached is not None:
@@ -161,6 +166,19 @@ class _Frame:
         if self.shared and node in self.shared:
             self.cache[node] = value
         return value
+
+    def _over(self, rows: np.ndarray) -> "_Frame":
+        """A frame over only ``rows`` (positions in the current
+        selection), its cache narrowed to match; what it computes is
+        not cached back here."""
+        frame = _Frame(self.batch, self.n_full, self.shared)
+        frame.sel = rows if self.sel is None else self.sel[rows]
+        frame.n = int(rows.size)
+        if self.cache:
+            frame.cache = {
+                node: value[rows] for node, value in self.cache.items()
+            }
+        return frame
 
     def _compute(self, node: Expr) -> np.ndarray:
         TALLY.nodes_evaluated += 1

@@ -531,8 +531,7 @@ class Database:
         return stmt, keyed
 
     def _run_statement(
-        self, stmt, text: str, keyed: PlanKey | None = None,
-        analyze: bool = False,
+        self, stmt, text: str, keyed: PlanKey | None, analyze: bool = False
     ) -> QueryResult:
         """One user statement: the statement-level half of the SELECT path.
 
@@ -540,11 +539,11 @@ class Database:
         execute (``Executor``, inside an ``engine.sql`` trace span) ->
         Query Store record -> cache put -> slow log.  Cache and store
         are stages that cost one ``is None`` test when off; non-queries
-        have no key and pass straight to the executor, as does a
-        statement passed without one.  ``analyze`` (EXPLAIN ANALYZE)
-        skips the cache lookup and has the plan's nodes record what
-        they do; every other stage runs as for ``sql()``.  See
-        DESIGN.md, "Life of a SELECT".
+        and unkeyable queries have no key and pass straight to the
+        executor, which does not try to key them again.  ``analyze``
+        (EXPLAIN ANALYZE) skips the cache lookup and has the plan's
+        nodes record what they do; every other stage runs as for
+        ``sql()``.  See DESIGN.md, "Life of a SELECT".
         """
         from repro.obs.slowlog import get_slow_log
         from repro.obs.trace import span

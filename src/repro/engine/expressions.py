@@ -7,7 +7,9 @@ follows SQL: a qualified reference must match exactly; a bare reference
 must resolve to exactly one column across the visible relations.
 
 Each node states its semantics once, in ``apply(evaluate, n)``: its
-value over ``n`` rows, with ``evaluate`` computing a child.  Three
+value over ``n`` rows, with ``evaluate`` computing a child (over all
+``n`` rows, or over given row positions: AND and OR evaluate their
+right side only where the left leaves the answer open).  Three
 callers share it — :meth:`Expr.eval` (the interpreted walk), the fused
 kernel in :mod:`repro.engine.compile` (which hands in its CSE-caching,
 selection-narrowed evaluator) and the constant folder in
@@ -111,12 +113,18 @@ class Expr:
     """Base expression node."""
 
     #: ``apply(evaluate, n)``: this node's value over ``n`` rows, with
-    #: ``evaluate(child)`` computing a child.  None on nodes that keep
-    #: their own :meth:`eval`.
+    #: ``evaluate(child)`` computing a child and ``evaluate(child,
+    #: rows)`` computing it over only those row positions.  None on
+    #: nodes that keep their own :meth:`eval`.
     apply: Callable[..., np.ndarray] | None = None
 
     def eval(self, batch: Batch) -> np.ndarray:
-        return self.apply(lambda child: child.eval(batch), batch_length(batch))
+        def evaluate(child: Expr, rows: np.ndarray | None = None):
+            if rows is None:
+                return child.eval(batch)
+            return eval_over_rows(child, batch, rows)
+
+        return self.apply(evaluate, batch_length(batch))
 
     def column_refs(self) -> list["ColumnRef"]:
         """All column references in this subtree (planner analysis)."""
@@ -255,18 +263,21 @@ class BinaryOp(Expr):
 
     def apply(self, evaluate, n: int) -> np.ndarray:
         op = self.op.upper() if self.op.isalpha() else self.op
-        if op == "AND":
+        if op == "AND" or op == "OR":
+            # The right side sees only the rows the left leaves open,
+            # so a row the left decides cannot fail on the right
+            # (``b <> 0 AND a % b = 1``): the vectorized short-circuit.
             left = np.asarray(evaluate(self.left), dtype=bool)
-            # No short-circuit across a batch, but skip the right side
-            # when nothing survives — the vectorized analogue.
-            if not left.any():
+            open_rows = left if op == "AND" else ~left
+            if not open_rows.any():
                 return left
-            return left & np.asarray(evaluate(self.right), dtype=bool)
-        if op == "OR":
-            left = np.asarray(evaluate(self.left), dtype=bool)
-            if left.all():
-                return left
-            return left | np.asarray(evaluate(self.right), dtype=bool)
+            if open_rows.all():
+                right = np.asarray(evaluate(self.right), dtype=bool)
+                return left & right if op == "AND" else left | right
+            rows = np.flatnonzero(open_rows)
+            result = left.copy()
+            result[rows] = np.asarray(evaluate(self.right, rows), dtype=bool)
+            return result
         lhs = evaluate(self.left)
         rhs = evaluate(self.right)
         if op == "/":

@@ -99,6 +99,13 @@ class QueryResult:
         return next(iter(self.columns.values()))[0].item()
 
 
+#: The ``keyed`` of a SELECT no one has tried to key yet: one nested in
+#: another statement (INSERT..SELECT, UNION branches, matview
+#: refreshes).  The database's statement lookup passes the statement's
+#: ``PlanKey``, or None when it found nothing to key.
+UNKEYED = object()
+
+
 class Executor:
     """Executes parsed statements against a database.
 
@@ -112,7 +119,7 @@ class Executor:
         self.planner = Planner(self.database)
 
     def execute(
-        self, stmt: Statement, keyed=None, analyze: bool = False
+        self, stmt: Statement, keyed=UNKEYED, analyze: bool = False
     ) -> QueryResult:
         if isinstance(stmt, SelectStatement):
             return self._select(stmt, keyed, analyze)
@@ -202,24 +209,26 @@ class Executor:
         return QueryResult()
 
     # ------------------------------------------------------------------
-    def plan(self, stmt: SelectStatement, keyed=None):
+    def plan(self, stmt: SelectStatement, keyed=UNKEYED):
         """Stages 5-7 of the SELECT path: forced plan / memo / planner.
 
         Returns ``(keyed, plan, decision, plan_origin, planning_s)`` —
         the plan the statement runs now.  ``Database.explain`` stops
         here.  ``keyed`` is the statement's
         :class:`~repro.engine.cache.PlanKey` from the database's
-        statement lookup (stage 0); SELECTs nested in another statement
-        (INSERT..SELECT, UNION branches, matview refreshes) arrive
-        unkeyed and are fingerprinted here if a stage needs it.
+        statement lookup (stage 0), or None when that lookup found
+        nothing to key; SELECTs nested in another statement arrive
+        :data:`UNKEYED` and are fingerprinted here if a stage needs it.
         Each stage costs one ``is None`` test when its subsystem is off.
         """
         database = self.database
         feedback, forcer = database.feedback, database.plan_forcer
-        if keyed is None and (feedback is not None or forcer is not None):
-            from repro.engine.cache import plan_fingerprint
+        if keyed is UNKEYED:
+            keyed = None
+            if feedback is not None or forcer is not None:
+                from repro.engine.cache import plan_fingerprint
 
-            keyed = plan_fingerprint(stmt, database)
+                keyed = plan_fingerprint(stmt, database)
 
         def replan():
             return self.planner.plan_select(
@@ -250,7 +259,7 @@ class Executor:
         return keyed, plan, decision, plan_origin, planning_s
 
     def _select(
-        self, stmt: SelectStatement, keyed=None, analyze: bool = False
+        self, stmt: SelectStatement, keyed=UNKEYED, analyze: bool = False
     ) -> QueryResult:
         """Plan -> execute -> feedback: every SELECT.
 

@@ -10,9 +10,7 @@ walks the statement, so the per-character work happens inside ``re``.
 
 from __future__ import annotations
 
-import functools
 import re
-import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -52,26 +50,31 @@ class Token(NamedTuple):
         return f"{self.type.value}:{self.value}"
 
 
-#: Whitespace and comments, skipped in front of every token.
-_SKIP = r"(?:\s++|--[^\n]*+\n?|/\*.*?\*/)*+"
+#: Whitespace and comments, skipped in front of every token.  Some
+#: token alternative always matches where the skip ends (``other``
+#: takes any character, ``end`` the end of the text), so the engine
+#: never backtracks into the skip.
+_SKIP = r"(?:\s+|--[^\n]*\n?|/\*.*?\*/)*"
 
 #: One alternative per token kind, tried in this order where the skip
 #: ends: numbers before punctuation (``.5``), an unclosed ``/*`` before
 #: the ``/`` operator.  The ``unterminated_*`` arms match only where
-#: the complete form failed, ``other`` any single
-#: character and ``end`` the end of the text, so ``finditer`` tiles the
-#: whole text.  ``{digit}`` is the class ``str.isdigit`` accepts and
+#: the complete form failed, ``other`` any single character and
+#: ``end`` the end of the text, so ``finditer`` tiles the whole text.
+#: Strings and brackets are unrolled loops, which match in one pass;
+#: a string's closing quote must not be the first of an escaped ``''``,
+#: so a backtracked shorter string never matches.  ``{digit}`` is the class ``str.isdigit`` accepts and
 #: ``{ident}`` the non-ASCII characters whose lowercase is an
 #: identifier letter (``\s`` already is exactly ``str.isspace``).
 _TOKENS = "|".join((
-    r"(?P<word>[a-zA-Z_@#{ident}][a-zA-Z_@#{ident}0-9$]*+)",
-    r"(?P<number>(?:{digit}++(?:\.{digit}*+)?|\.{digit}++)"
-    r"(?:[eE][+-]?{digit}++)?)",
+    r"(?P<word>[a-zA-Z_@#{ident}][a-zA-Z_@#{ident}0-9$]*)",
+    r"(?P<number>(?:{digit}+(?:\.{digit}*)?|\.{digit}+)"
+    r"(?:[eE][+-]?{digit}+)?)",
     r"(?P<unterminated_comment>/\*)",
     r"(?P<operator><=|>=|!=|<>|[=<>+\-*/%])",
     r"(?P<punct>[(),.;])",
-    r"(?P<string>'(?:[^']++|'')*+')",
-    r"(?P<bracket>\[[^\]]*+\])",
+    r"(?P<string>'[^']*(?:''[^']*)*'(?!'))",
+    r"(?P<bracket>\[[^\]]*\])",
     r"(?P<unterminated_string>')",
     r"(?P<unterminated_bracket>\[)",
     r"(?P<other>.)",
@@ -84,34 +87,28 @@ _UNTERMINATED = {
     "unterminated_bracket": "unterminated [identifier]",
 }
 
+#: The digits ``str.isdigit`` accepts beyond ``\d`` (superscripts,
+#: circled numbers: digits that are not decimal).  All of them lie in
+#: the first two Unicode planes, so the scan stops there.
+_EXTRA_DIGITS = "".join(
+    c for c in map(chr, range(0x20000)) if c.isdigit() and not c.isdecimal()
+)
 
-def _compile(digit: str, ident: str) -> re.Pattern:
-    tokens = _TOKENS.format(digit=digit, ident=ident)
-    return re.compile(f"{_SKIP}(?:{tokens})", re.DOTALL)
-
-
-#: The scanner for ASCII text, where ``\d`` is exactly ``str.isdigit``.
-_ASCII_SCANNER = _compile(r"\d", "")
-
-
-@functools.cache
-def _unicode_scanner() -> re.Pattern:
-    """The scanner for any text: ``\\d`` misses the digits that are not
-    decimal (superscripts, circled numbers), and the Kelvin sign
-    lowercases to ``k``.  Built on the first non-ASCII statement."""
-    extra_digits = "".join(
-        c for c in map(chr, range(sys.maxunicode + 1))
-        if c.isdigit() and not c.isdecimal()
-    )
-    return _compile(rf"[\d{re.escape(extra_digits)}]", "\u212a")
+#: The master expression.  The Kelvin sign is the one non-ASCII
+#: character whose lowercase is an identifier letter (``k``).
+_SCANNER = re.compile(
+    _SKIP + "(?:" + _TOKENS.format(
+        digit=rf"[\d{re.escape(_EXTRA_DIGITS)}]", ident="\u212a",
+    ) + ")",
+    re.DOTALL,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlSyntaxError` on bad input."""
-    scanner = _ASCII_SCANNER if text.isascii() else _unicode_scanner()
     tokens: list[Token] = []
     append = tokens.append
-    for match in scanner.finditer(text):
+    for match in _SCANNER.finditer(text):
         kind = match.lastgroup
         value = match[kind]
         start = match.start(kind)

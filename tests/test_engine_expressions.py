@@ -213,6 +213,29 @@ class TestIntegerArithmeticFailsAsTSql:
             self.build(**knobs).sql(sql)
 
     @pytest.mark.parametrize("knobs", MODES)
+    @pytest.mark.parametrize("sql, ids", [
+        ("SELECT id FROM t WHERE b <> 0 AND a % b = 1", [0]),
+        ("SELECT id FROM t WHERE b = 0 OR a % b = 1", [0, 3]),
+        ("SELECT id FROM t WHERE id = 9 OR (b <> 0 AND a % b = 1)", [0]),
+        ("SELECT id FROM t WHERE id = 0 AND a * b > 0", [0]),
+        ("SELECT id FROM t WHERE id <> 0 OR a * b > 0", [0, 1, 2, 3]),
+    ])
+    def test_a_guarded_operand_does_not_fail(self, knobs, sql, ids):
+        """AND and OR evaluate their right side only over the rows the
+        left leaves open, in every evaluator, so a guard keeps a failing
+        row away from the arithmetic."""
+        db = self.build(**knobs)
+        assert sorted(db.sql(sql).columns["id"].tolist()) == ids
+
+    def test_a_guarded_projection_does_not_fail(self):
+        for knobs in self.MODES:
+            db = self.build(**knobs)
+            flags = db.sql(
+                "SELECT id, b <> 0 AND a % b = 1 AS f FROM t"
+            ).columns["f"].tolist()
+            assert flags == [True, False, False, False], knobs
+
+    @pytest.mark.parametrize("knobs", MODES)
     def test_in_range_answers_are_unchanged(self, knobs):
         db = self.build(**knobs)
         rows = db.sql(

@@ -1,6 +1,8 @@
 """SQL tokenizer."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,3 +264,21 @@ class TestScannerMatchesTheCharacterLoop:
     @settings(max_examples=300, deadline=None)
     def test_random_text(self, text):
         assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+    def test_scanner_needs_no_python_311_regex_syntax(self):
+        """No possessive quantifier or atomic group: ``re`` rejects them
+        before Python 3.11, and the package supports 3.10."""
+        from repro.engine.sql.lexer import _SCANNER
+
+        assert not re.search(r"[*+?}]\+|\(\?>", _SCANNER.pattern)
+
+    def test_digit_class_covers_the_whole_code_space(self):
+        """The extra digits are gathered from the first two planes; no
+        character beyond them is a digit either."""
+        from repro.engine.sql.lexer import _EXTRA_DIGITS
+
+        everywhere = {
+            c for c in map(chr, range(sys.maxunicode + 1))
+            if c.isdigit() and not c.isdecimal()
+        }
+        assert everywhere == set(_EXTRA_DIGITS)

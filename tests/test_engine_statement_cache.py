@@ -71,6 +71,35 @@ class TestReuse:
         assert taken(calls) == (0, 0)
 
 
+    @pytest.mark.parametrize("corner", ["feedback", "store"])
+    def test_an_unkeyable_select_is_fingerprinted_once(
+        self, corner, monkeypatch
+    ):
+        """A table-function reader has no key; the executor must not try
+        again what the statement lookup already tried."""
+        import repro.engine.cache as cache_module
+        import repro.engine.database as database_module
+
+        db = build_db(**CORNERS[corner])
+        db.create_table_function(
+            "ones", ("v",), lambda n: {"v": np.ones(int(n), dtype=np.int64)}
+        )
+        tried = []
+        real = cache_module.plan_fingerprint
+
+        def counting(*args):
+            tried.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(cache_module, "plan_fingerprint", counting)
+        monkeypatch.setattr(database_module, "plan_fingerprint", counting)
+        for _ in range(3):
+            result = db.sql("SELECT v FROM ones(2) o")
+            assert result.fingerprint is None
+            assert result.column("v").tolist() == [1, 1]
+        assert len(tried) == 1
+
+
 class TestCatalogChangesReKey:
     @pytest.mark.parametrize("corner", CORNERS)
     def test_a_redefined_view_answers_its_new_body(self, corner):
