@@ -44,6 +44,20 @@ def _drop_nulls(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _checked_integer_sum(values: np.ndarray):
+    """``SUM`` over integers, failing where numpy would wrap, as T-SQL
+    does.  When ``size * max(|min|, |max|)`` fits the result dtype no
+    partial sum can leave it; otherwise the exact sum decides."""
+    total = values.sum()
+    info = np.iinfo(total.dtype)
+    if max(-int(values.min()), int(values.max())) * values.size > info.max:
+        if not info.min <= sum(values.tolist()) <= info.max:
+            raise SqlPlanError(
+                f"arithmetic overflow: integer SUM outside {total.dtype}"
+            )
+    return total
+
+
 def _reduce(func: str, values: np.ndarray):
     if func == "count":
         # COUNT(expr) skips NULLs; COUNT(*) reaches here with an
@@ -55,6 +69,8 @@ def _reduce(func: str, values: np.ndarray):
         # SQL semantics: other aggregates over empty inputs yield NULL
         return np.nan
     if func == "sum":
+        if values.dtype.kind in "iu":
+            return _checked_integer_sum(values)
         return values.sum()
     if func == "min":
         return values.min()

@@ -7,7 +7,8 @@ keyed on ``(fingerprint, table versions)``:
 
 * the **fingerprint** hashes the *normalized* statement (re-rendered
   through the one true printer, so formatting and alias spelling don't
-  fragment the cache) together with the planner mode;
+  fragment the cache) together with the config's
+  :meth:`~repro.engine.config.EngineConfig.plan_signature`;
 * the **versions** tuple snapshots the version counter of every base
   table the statement touches (views and materialized views are
   resolved down to their sources), so any DML or load since the entry
@@ -92,11 +93,11 @@ class PlanKey:
 def plan_fingerprint(stmt, database) -> PlanKey | None:
     """The :class:`PlanKey` of a trackable SELECT (or UNION), else None.
 
-    The one keying rule shared by the result cache, the plan memo and
-    the Query Store: the fingerprint hashes the printer-normalized,
-    *post-rewrite* statement under a mode tag (``cost+rewrite`` etc.),
-    so rewrite-equivalent spellings share one identity while
-    rewrites-on and rewrites-off instances never cross-match (a cached
+    The one keying rule shared by the result cache, the plan memo, the
+    feedback store and the Query Store: the fingerprint hashes the
+    printer-normalized, *post-rewrite* statement under
+    ``config.plan_signature()``, so rewrite-equivalent spellings share
+    one identity while two planning configs never cross-match (a cached
     entry carries the plan text that produced it; two modes give
     identical rows but different EXPLAIN output).  Tables come from the
     statement as written — rewrites only ever drop relations, never add
@@ -112,7 +113,6 @@ def plan_fingerprint(stmt, database) -> PlanKey | None:
     if tables is None:
         return None
     config = database.config
-    mode = config.optimizer
     fingerprint_stmt = stmt
     rewritten = None
     if config.rewrites:
@@ -126,11 +126,9 @@ def plan_fingerprint(stmt, database) -> PlanKey | None:
             count_swallowed_error("cache.plan_fingerprint")
             return None
         fingerprint_stmt = rewritten[0]
-        mode = f"{mode}+rewrite"
-    if config.compiled_expressions:
-        mode = f"{mode}+compiled"
     sql = normalize_statement(fingerprint_stmt)
-    digest = hashlib.sha256(f"{mode}\x00{sql}".encode()).hexdigest()
+    signature = config.plan_signature()
+    digest = hashlib.sha256(f"{signature}\x00{sql}".encode()).hexdigest()
     return PlanKey(digest[:32], sql, frozenset(tables), rewritten)
 
 

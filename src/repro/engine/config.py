@@ -161,16 +161,20 @@ class EngineConfig:
     def plan_signature(self) -> str:
         """The planning-relevant knob set, as a stable string.
 
-        Part of every plan-memo key: two databases whose configs differ
-        in any knob that changes what the planner produces must never
-        cross-serve each other's memoized plans.
+        Every statement fingerprint hashes it, so configs that plan
+        differently never share a cached result, memoized plan,
+        feedback history or Query Store entry.  It reads
+        ``cost+rewrite+compiled`` by default; band joins on add nothing,
+        so fingerprints saved before that knob was spelled here hold.
         """
-        return (
-            f"optimizer={self.optimizer}"
-            f",band_joins={int(self.band_joins)}"
-            f",rewrites={int(self.rewrites)}"
-            f",compiled={int(self.compiled_expressions)}"
-        )
+        signature = self.optimizer
+        if self.rewrites:
+            signature += "+rewrite"
+        if self.compiled_expressions:
+            signature += "+compiled"
+        if not self.band_joins:
+            signature += "+nobandjoins"
+        return signature
 
 
 #: The all-defaults configuration, shared where no knob is overridden.

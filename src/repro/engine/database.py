@@ -133,8 +133,10 @@ class Database:
 
         Only :data:`~repro.engine.config.PLANNING_KNOBS` may differ from
         the current config — the other fields sized the pool, cache,
-        memo and Query Store at construction.  Memoized plans carry the
-        old ``plan_signature()`` in their key and miss from here on.
+        memo and Query Store at construction.  Every fingerprint hashes
+        ``plan_signature()``, so a flip starts new fingerprints: cached
+        results, memoized plans, feedback history, Query Store entries
+        and plan pins of the old config no longer match.
         """
         self._config.check_live_change(config)
         self._config = config
@@ -701,7 +703,6 @@ class Database:
             plan_id=plan_id,
             structure=plan.structure,
             plan_text=plan.plan_text,
-            plan_signature=plan.plan_signature,
             node=plan.node,
         )
         if self.feedback is not None:

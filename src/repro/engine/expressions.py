@@ -219,17 +219,18 @@ _CHECKED_INTEGER_OPS = frozenset(("+", "-", "*", "%"))
 def _checked_integer_op(op: str, ufunc, lhs: np.ndarray, rhs: np.ndarray):
     """``lhs op rhs`` over signed integers, failing as T-SQL does.
 
-    A ``%`` by zero is a divide-by-zero error (``np.mod`` answers 0);
-    a ``+ - *`` outside the result dtype is an arithmetic overflow
-    (numpy wraps silently).  A sum or difference wrapped iff its sign
-    disagrees with both operands' (with the subtrahend's flipped); a
-    product iff dividing it back does not give the multiplicand, except
-    that ``MIN * -1`` divides back to itself.
+    A ``%`` takes the dividend's sign (``np.fmod``; ``np.mod`` floors
+    to the divisor's), and by zero is a divide-by-zero error (numpy
+    answers 0); a ``+ - *`` outside the result dtype is an arithmetic
+    overflow (numpy wraps silently).  A sum or difference wrapped iff
+    its sign disagrees with both operands' (with the subtrahend's
+    flipped); a product iff dividing it back does not give the
+    multiplicand, except that ``MIN * -1`` divides back to itself.
     """
     if op == "%":
         if np.any(rhs == 0):
             raise SqlPlanError("divide by zero: integer '%' by 0")
-        return ufunc(lhs, rhs)
+        return np.fmod(lhs, rhs)
     result = ufunc(lhs, rhs)
     if op == "+":
         wrapped = ((lhs ^ result) & (rhs ^ result)) < 0

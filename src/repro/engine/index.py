@@ -19,6 +19,8 @@ the same order, that a sequential scan plus filter returns.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.engine.table import Table
@@ -40,9 +42,18 @@ class ClusteredIndex:
                 raise EngineError(
                     f"table '{table.name}' has no column '{key}' to index"
                 )
-        self.table = table
+        # weak: the table holds its clustered index, and a cycle would
+        # keep a dropped table's columns alive until the collector ran
+        self._table = weakref.ref(table)
         self.keys = tuple(k.lower() for k in keys)
         self._built = False
+
+    @property
+    def table(self) -> Table:
+        table = self._table()
+        if table is None:
+            raise EngineError("clustered index of a dropped table")
+        return table
 
     def build(self) -> None:
         """Sort the table by the key columns (stable, last key least

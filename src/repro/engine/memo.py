@@ -4,17 +4,15 @@ Multi-user batch traffic is dominated by repeated statement shapes
 ("Batch is back: CasJobs") — so once the optimizer has chosen a plan
 for a normalized statement, repeat executions should not pay
 rewrite + DP planning again.  A :class:`PlanMemo` stores the chosen
-physical plan per ``(fingerprint, config signature)``:
-
-* the **fingerprint** hashes the printer-normalized, post-rewrite
-  statement (the same normalization the result cache uses), so
-  formatting, alias spelling and rewrite-equivalent forms share one
-  entry;
-* the **config signature** (``db.config.plan_signature()``, read at
-  every lookup) captures every planning-relevant knob (optimizer mode,
-  band joins, rewrites, compiled kernels), so neither two databases with differing
-  :class:`~repro.engine.config.EngineConfig`\\ s nor one database before
-  and after ``db.config = ...`` cross-serve plans.
+physical plan per statement **fingerprint**
+(:func:`~repro.engine.cache.plan_fingerprint`): a hash of the
+printer-normalized, post-rewrite statement (the normalization the
+result cache uses) under ``db.config.plan_signature()``.  Formatting,
+alias spelling and rewrite-equivalent forms therefore share one entry,
+while two databases with differing
+:class:`~repro.engine.config.EngineConfig`\\ s, or one database before
+and after ``db.config = ...``, never do: the signature spells every
+planning knob (optimizer mode, band joins, rewrites, compiled kernels).
 
 Invalidation is structural, like the result cache's: each entry
 snapshots, per referenced table, the mutation ``version`` *and* the
@@ -36,9 +34,6 @@ from dataclasses import dataclass
 from repro.engine.cache import BoundedLRU
 from repro.engine.operators import PlanNode
 
-#: Fully-qualified memo key: (statement fingerprint, config signature).
-MemoKey = tuple[str, str]
-
 #: How many statement fingerprints the plan memo and the feedback store
 #: each keep.
 MAX_FINGERPRINTS = 256
@@ -48,7 +43,7 @@ MAX_FINGERPRINTS = 256
 class MemoEntry:
     """One memoized physical plan and the state it was planned under."""
 
-    key: MemoKey
+    key: str
     plan: PlanNode
     tables: frozenset[str]
     #: Per-table mutation counters at planning time.
@@ -84,7 +79,7 @@ class PlanMemo:
 
     def get(
         self,
-        key: MemoKey,
+        key: str,
         table_versions: dict[str, int | None],
         stats_versions: dict[str, int],
         overrides_version: int,
@@ -111,7 +106,7 @@ class PlanMemo:
 
     def put(
         self,
-        key: MemoKey,
+        key: str,
         plan: PlanNode,
         tables: set[str] | frozenset[str],
         table_versions: dict[str, int | None],
@@ -145,8 +140,8 @@ class PlanMemo:
         return self._lru.invalidate(lambda _key, e: lowered in e.tables)
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Drop every entry for one statement fingerprint (any config)."""
-        return self._lru.invalidate(lambda key, _e: key[0] == fingerprint)
+        """Drop the plan memoized for one statement fingerprint."""
+        return self._lru.invalidate(lambda key, _e: key == fingerprint)
 
     def entries(self) -> list[MemoEntry]:
         """A snapshot of the live entries, most recently used last."""
@@ -170,7 +165,7 @@ class PlanMemo:
         for entry in self.entries():
             root = entry.plan.explain().splitlines()[0]
             lines.append(
-                f"  {entry.key[0][:12]}  hits={entry.hits}  "
+                f"  {entry.key[:12]}  hits={entry.hits}  "
                 f"planned_in={entry.planning_s * 1e3:.2f}ms  "
                 f"tables={','.join(sorted(entry.tables)) or '-'}  {root}"
             )

@@ -380,21 +380,20 @@ class FeedbackController:
         """The fingerprint's memoized plan, else ``replan()`` memoized.
 
         Returns ``(plan, decision, plan_origin, planning_s)``.  The
-        memo key pairs the fingerprint with the *live*
-        ``config.plan_signature()``, so flipping a planning knob misses
-        structurally.  An unkeyed (untrackable) statement is planned
-        fresh every time.
+        memo key is the fingerprint, which hashes the
+        ``config.plan_signature()`` it was taken under, so flipping a
+        planning knob misses structurally.  An unkeyed (untrackable)
+        statement is planned fresh every time.
         """
         database = self.database
         table_versions: dict[str, int | None] = {}
         stats_versions: dict[str, int] = {}
-        memo_key = pending = None
+        pending = None
         if keyed is not None:
-            memo_key = (keyed.fingerprint, database.config.plan_signature())
             table_versions = database.table_versions(keyed.tables)
             stats_versions = self.stats_versions(keyed.tables)
             entry = self.memo.get(
-                memo_key, table_versions, stats_versions,
+                keyed.fingerprint, table_versions, stats_versions,
                 self.overrides.version,
             )
             if entry is not None:
@@ -413,9 +412,9 @@ class FeedbackController:
         planning_s = time.perf_counter() - started
         if pending is not None:
             self._m_replans.inc()
-        if memo_key is not None and self.memoizable(plan):
+        if keyed is not None and self.memoizable(plan):
             self.memo.put(
-                memo_key, plan, keyed.tables,
+                keyed.fingerprint, plan, keyed.tables,
                 table_versions, stats_versions,
                 self.overrides.version, planning_s,
                 decision=decision,

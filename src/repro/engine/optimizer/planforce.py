@@ -93,7 +93,6 @@ class ForcedPlan:
     plan_id: int
     structure: str
     plan_text: str
-    plan_signature: str = ""
     #: Live operator tree; None after a restore until re-established.
     node: PlanNode | None = None
     forced_at: float = 0.0
@@ -132,7 +131,6 @@ class PlanForcer:
         plan_id: int,
         structure: str,
         plan_text: str,
-        plan_signature: str = "",
         node: PlanNode | None = None,
     ) -> ForcedPlan:
         """Pin a fingerprint to a plan (replacing any existing pin)."""
@@ -145,7 +143,6 @@ class PlanForcer:
             plan_id=plan_id,
             structure=structure,
             plan_text=plan_text,
-            plan_signature=plan_signature,
             node=node,
             forced_at=time.time(),
         )

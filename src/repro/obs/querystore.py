@@ -20,12 +20,14 @@ normalized-statement fingerprint:
   CasJobs service via the :func:`attribution` context manager.
 
 Whenever a fingerprint's current plan *changes* (feedback re-plan,
-ANALYZE, forcing, config change) a :class:`PlanChange` event is
-recorded; once the new plan has enough post-change executions its mean
-wall time is compared against the old plan's and the change is
-classified **regression** / **improvement** / **neutral** — surfaced by
-``repro querystore regressions`` and the
-``engine.querystore.regressions`` counter.
+ANALYZE, forcing) a :class:`PlanChange` event is recorded; once the new
+plan has enough post-change executions its mean wall time is compared
+against the old plan's and the change is classified **regression** /
+**improvement** / **neutral** — surfaced by ``repro querystore
+regressions`` and the ``engine.querystore.regressions`` counter.  A
+planning knob flip records no change: every fingerprint hashes the
+config's ``plan_signature()``, so the flipped config starts a new
+fingerprint.
 
 The store dogfoods the engine: :meth:`QueryStore.sync_views`
 materializes it as three real catalog tables
@@ -657,7 +659,6 @@ class QueryStore:
                 "plan_id": e.plan_id,
                 "structure": e.structure,
                 "plan_text": e.plan_text,
-                "plan_signature": e.plan_signature,
             }
             for e in (forcer.entries() if forcer is not None else [])
         ]
@@ -711,7 +712,6 @@ class QueryStore:
                     plan_id=pin["plan_id"],
                     structure=pin["structure"],
                     plan_text=pin["plan_text"],
-                    plan_signature=pin.get("plan_signature", ""),
                     node=None,  # re-established structurally on first run
                 )
 

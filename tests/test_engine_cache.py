@@ -67,7 +67,7 @@ class TestEngineConfig:
             "optimizer", "band_joins", "rewrites", "compiled_expressions"
         )
         assert DEFAULT_ENGINE_CONFIG.plan_signature() == (
-            "optimizer=cost,band_joins=1,rewrites=1,compiled=1"
+            "cost+rewrite+compiled"
         )
         for removed in ("intra_query_workers", "page_compression"):
             with pytest.raises(TypeError, match=removed):
@@ -197,12 +197,12 @@ def replay_memo(seed: int = 2005, ops: int = 400):
     memo = PlanMemo(max_entries=4)
 
     def live():
-        return [int(e.key[0]) for e in memo.entries()]
+        return [int(e.key) for e in memo.entries()]
 
     evicted = []
     for _ in range(ops):
         roll, k = rng.random(), rng.randrange(REPLAY_KEYS)
-        key, table = (str(k), "sig"), REPLAY_TABLES[k % 3]
+        key, table = str(k), REPLAY_TABLES[k % 3]
         state = ({table: versions[table]}, {table: 0}, 0)
         if roll < 0.45:
             memo.get(key, *state)
@@ -263,10 +263,10 @@ class TestBoundedLRU:
                                   {"x": np.arange(n, dtype=np.int64)}, "",
                                   {table})
                     elif roll < 0.7:
-                        memo.get((str(k), "sig"), *state)
+                        memo.get(str(k), *state)
                         gets["memo"][index] += 1
                     elif roll < 0.9:
-                        memo.put((str(k), "sig"), None, {table}, *state)
+                        memo.put(str(k), None, {table}, *state)
                     elif roll < 0.95:
                         cache.invalidate_table(table)
                     else:

@@ -376,9 +376,9 @@ KERNEL_SQL = (
 
 def test_engine_config_knobs_and_signature():
     assert EngineConfig().compiled_expressions is True
-    assert "compiled=1" in EngineConfig().plan_signature()
+    assert EngineConfig().plan_signature() == "cost+rewrite+compiled"
     off = EngineConfig(compiled_expressions=False)
-    assert "compiled=0" in off.plan_signature()
+    assert off.plan_signature() == "cost+rewrite"
     assert not Database("off", config=off).config.compiled_expressions
 
 

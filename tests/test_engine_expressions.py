@@ -168,9 +168,10 @@ class TestTreeUtilities:
 
 
 class TestIntegerArithmeticFailsAsTSql:
-    """Integer ``%`` by zero and ``+ - *`` past int64 raise, in every
-    evaluator: the interpreted walk, the fused kernel and either rewrite
-    mode; floats keep IEEE answers."""
+    """Integer ``%`` by zero and ``+ - *`` or ``SUM`` past int64 raise,
+    and an integer ``%`` takes the dividend's sign, in every evaluator:
+    the interpreted walk, the fused kernel and either rewrite mode;
+    floats keep IEEE answers."""
 
     MODES = [
         {"compiled_expressions": c, "rewrites": r}
@@ -250,6 +251,53 @@ class TestIntegerArithmeticFailsAsTSql:
         ).scalar() == -(2 ** 63)
         assert db.sql("SELECT a * -1 AS v FROM t WHERE id = 1").scalar() == \
             -(2 ** 62)
+
+    @pytest.mark.parametrize("knobs", MODES)
+    def test_integer_modulo_takes_the_dividends_sign(self, knobs):
+        db = self.build(**knobs)
+        assert db.sql(
+            "SELECT -5 % 3 AS p, 5 % -3 AS q, -5 % -3 AS r"
+        ).rows() == [{"p": -2, "q": 2, "r": -2}]
+        assert db.sql(
+            "SELECT (0 - a) % b AS m FROM t WHERE id = 0"
+        ).scalar() == -1
+        # MIN % -1 is 0, not an overflow
+        assert db.sql("SELECT a % b AS m FROM t WHERE id = 2").scalar() == 0
+        # a float % still floors to the divisor's sign
+        assert db.sql("SELECT -5.5 % 3 AS f").scalar() == 0.5
+
+    @pytest.mark.parametrize("knobs", MODES)
+    @pytest.mark.parametrize("sql", [
+        "SELECT SUM(v) AS s FROM big WHERE g = 1",
+        "SELECT g, SUM(v) AS s FROM big GROUP BY g",
+        "SELECT SUM(v) AS s FROM big WHERE g = 3",
+    ], ids=["scalar", "grouped", "negative"])
+    def test_integer_sum_overflow(self, knobs, sql):
+        db = self.build(**knobs)
+        db.create_table("big", {
+            "g": np.array([1, 1, 2, 2, 3, 3], dtype=np.int64),
+            "v": np.array(
+                [2 ** 62, 2 ** 62, 7, 5, -(2 ** 63), -1], dtype=np.int64
+            ),
+        })
+        with pytest.raises(SqlPlanError, match="arithmetic overflow"):
+            db.sql(sql)
+
+    def test_integer_sum_in_range(self):
+        db = self.build()
+        db.create_table("big", {
+            "g": np.array([1, 1, 1, 1, 2], dtype=np.int64),
+            "v": np.array(
+                [2 ** 62, 2 ** 62, -(2 ** 62), -(2 ** 62), 9], dtype=np.int64
+            ),
+            "f": np.array([0.5, 0.25, 0.0, 0.0, 1.0]),
+        })
+        # partial sums may leave int64 as long as the total does not
+        assert db.sql("SELECT SUM(v) AS s FROM big").scalar() == 9
+        assert db.sql(
+            "SELECT g, SUM(v) AS s FROM big GROUP BY g ORDER BY g"
+        ).columns["s"].tolist() == [0, 9]
+        assert db.sql("SELECT SUM(f) AS s FROM big").scalar() == 1.75
 
     def test_float_operands_keep_ieee_answers(self):
         db = self.build()

@@ -159,7 +159,7 @@ class TestPlanMemo:
     def test_lru_eviction_bounded(self):
         memo = PlanMemo(max_entries=2)
         for i in range(4):
-            memo.put((f"fp{i}", "sig"), plan=object(), tables=frozenset(),
+            memo.put(f"fp{i}", plan=object(), tables=frozenset(),
                      table_versions={}, stats_versions={},
                      overrides_version=0, planning_s=0.001)
         assert len(memo.entries()) == 2

@@ -1,6 +1,9 @@
 """The clustered index (sorted base plus append tail) and primary-key
 seeks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,30 @@ class TestClusteredIndex:
         with pytest.raises(EngineError):
             ClusteredIndex(table, ())
 
+
+
+class TestFootprint:
+    def test_a_dropped_clustered_table_is_freed_without_the_collector(self):
+        """The index's back-reference is weak: a table and its clustered
+        index form no cycle, so dropping the table frees it at once."""
+        db = Database("footprint")
+        db.create_table("t", {
+            "id": np.arange(200, dtype=np.int64),
+            "zoneid": np.arange(200, dtype=np.int64) % 7,
+        })
+        index = db.create_clustered_index("t", "zoneid")
+        db.analyze()
+        ran = db.sql("SELECT COUNT(*) AS n FROM t WHERE zoneid = 3")
+        assert "IndexRangeScan" in ran.plan and ran.scalar() == 29
+        dropped = weakref.ref(db.table("t"))
+        gc.disable()
+        try:
+            db.drop_table("t")
+            assert dropped() is None
+        finally:
+            gc.enable()
+        with pytest.raises(EngineError, match="dropped table"):
+            index.range_scan(3, 3)
 
 
 class TestBaseAndTail:

@@ -1,12 +1,18 @@
 """Plan forcing: structural signatures, pins, restarts, failures."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.optimizer.planforce import PlanForcer, plan_structure
-from repro.engine.storage import load_database, save_database
+from repro.engine.storage import (
+    QUERY_STORE_FILE,
+    load_database,
+    save_database,
+)
 from repro.errors import EngineError
 
 JOIN_SQL = "SELECT COUNT(*) AS n FROM t JOIN u ON t.grp = u.grp"
@@ -163,6 +169,30 @@ class TestRestart:
         assert entry.re_established
         assert entry.node is not None
         # subsequent executions run the adopted live node directly
+        assert restored.sql(JOIN_SQL).memo_decision == "forced"
+
+    def test_pin_saved_with_a_config_signature_still_loads(self, tmp_path):
+        """Pins once carried the config signature they were forced
+        under.  Such a file loads, and its pin re-establishes: with band
+        joins on, fingerprints hash the same text as before."""
+        db = make_db()
+        db.sql(JOIN_SQL)
+        fp = db.statement_key(JOIN_SQL)
+        db.force_plan(fp, db.query_store.query(fp).current_plan_id)
+        save_database(db, tmp_path)
+        path = tmp_path / QUERY_STORE_FILE
+        payload = json.loads(path.read_text())
+        (pin,) = payload["forced"]
+        assert "plan_signature" not in pin
+        pin["plan_signature"] = (
+            "optimizer=cost,band_joins=1,rewrites=1,compiled=1"
+        )
+        path.write_text(json.dumps(payload))
+
+        restored = load_database(tmp_path, config=EngineConfig(**CONFIG_KW))
+        assert restored.statement_key(JOIN_SQL) == fp
+        assert restored.plan_forcer.get(fp).node is None
+        assert restored.sql(JOIN_SQL).memo_decision == "forced-reestablished"
         assert restored.sql(JOIN_SQL).memo_decision == "forced"
 
     def test_force_failure_is_visible(self):

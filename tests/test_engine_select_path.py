@@ -296,7 +296,42 @@ class TestLiveConfig:
         assert third.memo_decision != "hit"
         assert "BandJoin" not in third.plan
         assert third.columns["n"].tobytes() == first.columns["n"].tobytes()
-        assert "band_joins=0" in db.config.plan_signature()
+        assert db.config.plan_signature() == (
+            "cost+rewrite+compiled+nobandjoins"
+        )
+
+    def test_flipping_band_joins_misses_the_result_cache(self):
+        """A cached BandJoin answer must not serve the oracle arm."""
+        db = build_db(result_cache=True)
+        first, second = db.sql(BAND_SQL), db.sql(BAND_SQL)
+        assert second.plan.startswith("[answered from cache]")
+        assert "BandJoin" in db.explain(BAND_SQL)
+        db.config = db.config.replace(band_joins=False)
+        third = db.sql(BAND_SQL)
+        assert not third.plan.startswith("[answered from cache]")
+        assert "BandJoin" not in third.plan
+        assert "BandJoin" not in db.explain(BAND_SQL)
+        assert third.columns["n"].tobytes() == first.columns["n"].tobytes()
+
+    def test_flipping_band_joins_changes_the_statement_key(self):
+        db = build_db()
+        on = db.statement_key(BAND_SQL)
+        db.config = db.config.replace(band_joins=False)
+        off = db.statement_key(BAND_SQL)
+        assert on is not None and off is not None and on != off
+        db.config = db.config.replace(band_joins=True)
+        assert db.statement_key(BAND_SQL) == on
+
+    def test_band_join_arms_keep_separate_feedback(self):
+        db = build_db(feedback=True, qerror_ceiling=1e9)
+        on = db.statement_key(BAND_SQL)
+        db.sql(BAND_SQL)
+        db.sql(BAND_SQL)
+        db.config = db.config.replace(band_joins=False)
+        off = db.statement_key(BAND_SQL)
+        db.sql(BAND_SQL)
+        store = db.feedback.store
+        assert (store.get(on).executions, store.get(off).executions) == (2, 1)
 
     def test_long_lived_planner_follows_the_config(self):
         db = build_db()
@@ -338,6 +373,7 @@ class TestRunScriptTakesTheSamePath:
 
 
 PROJECT_SQL = "SELECT id, mag * 2 AS m2 FROM obj WHERE mag < 18 AND zoneid > 3"
+ZONE_SQL = "SELECT COUNT(*) AS n FROM obj WHERE zoneid = 3"
 
 
 class TestTheMeasuredPlanIsThePlanThatRuns:
@@ -364,19 +400,28 @@ class TestTheMeasuredPlanIsThePlanThatRuns:
 
     def test_explain_and_analyze_see_the_forced_plan(self):
         db = build_db(query_store=True, feedback=True)
-        pinned = db.sql(BAND_SQL)
-        fp = db.statement_key(BAND_SQL)
+        pinned = db.sql(ZONE_SQL)
+        fp = db.statement_key(ZONE_SQL)
         db.force_plan(fp, db.query_store.query(fp).current_plan_id)
-        # the planner would no longer choose the pinned BandJoin
-        db.config = db.config.replace(band_joins=False)
-        assert db.statement_key(BAND_SQL) == fp
-        assert db.sql(BAND_SQL).memo_decision == "forced"
-        assert db.explain(BAND_SQL) == pinned.plan
-        report = db.explain_analyze(BAND_SQL)
+        # the planner would now range-scan the index, not the pinned
+        # SeqScan; an index build keeps the fingerprint
+        db.create_clustered_index("obj", "zoneid")
+        db.analyze()
+        assert db.statement_key(ZONE_SQL) == fp
+        assert db.sql(ZONE_SQL).memo_decision == "forced"
+        assert db.explain(ZONE_SQL) == pinned.plan
+        report = db.explain_analyze(ZONE_SQL)
         assert report.plan is pinned.plan_node
-        assert report.node("BandJoin").calls == 1
+        assert report.node("SeqScan").calls == 1
+        # a knob flip is a new fingerprint, which the pin does not cover
+        db.config = db.config.replace(band_joins=False)
+        assert db.statement_key(ZONE_SQL) != fp
+        assert db.sql(ZONE_SQL).memo_decision != "forced"
+        assert "IndexRangeScan" in db.explain(ZONE_SQL)
+        db.config = db.config.replace(band_joins=True)
+        assert db.explain(ZONE_SQL) == pinned.plan
         db.unforce_plan(fp)
-        assert "BandJoin" not in db.explain(BAND_SQL)
+        assert "IndexRangeScan" in db.explain(ZONE_SQL)
 
     def test_explain_of_a_cached_statement_is_the_cached_plan(self):
         db = build_db(result_cache=True)
