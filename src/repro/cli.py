@@ -282,9 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
     memo_p.add_argument("--repeat", type=int, default=4,
                         help="how many times to execute the statement")
     memo_p.add_argument("--shift", action="store_true",
-                        help="mutate the data between executions so "
-                        "statistics go stale and the feedback loop has "
-                        "something to correct")
+                        help="skew the data between executions: the "
+                        "memoized plan keeps running until its q-error "
+                        "breaches the ceiling and the feedback loop "
+                        "re-plans")
 
     qs_p = sub.add_parser(
         "querystore",
@@ -648,17 +649,23 @@ def cmd_memo(args) -> int:
     )
     for cycle in range(max(args.repeat, 1)):
         if args.shift and cycle == 1:
-            # stale the statistics mid-run: duplicate the low zones so
-            # the analyzed histograms no longer match the data
+            # skew the data mid-run: a write changes neither the catalog
+            # nor the statistics, so the memoized plan keeps running
+            # (and reads the new rows) until its q-error breaches the
+            # ceiling and the feedback loop retires it
             low = int(db.sql("SELECT MIN(zoneid) AS z FROM zone").scalar())
-            db.sql(f"INSERT INTO zone SELECT objid + 1000000, zoneid, "
-                   f"ra, dec FROM zone WHERE zoneid <= {low + 2}")
-            print("-- shifted: low zones duplicated, stats now stale")
+            db.sql(f"INSERT INTO zone SELECT objid + 1000000, {low}, "
+                   "ra, dec FROM zone WHERE objid % 4 = 0")
+            print("-- shifted: a quarter of the rows copied into the lowest "
+                  "zone; the memo keeps its plan until a breach retires it")
         result = db.sql(sql)
         entry = db.feedback.store.get(result.fingerprint)
         max_q = entry.last_max_q if entry is not None else None
+        answer = ""
+        if result.row_count == 1 and len(result.columns) == 1:
+            answer = f"  answer={result.scalar()}"
         print(f"cycle {cycle}: memo={result.memo_decision:16s} "
-              f"rows={result.row_count:,}"
+              f"rows={result.row_count:,}{answer}"
               + (f"  max_q={max_q:.2f}" if max_q is not None else ""))
     print()
     print(db.feedback.render())

@@ -81,6 +81,17 @@ def _reduce(func: str, values: np.ndarray):
     raise SqlPlanError(f"unknown aggregate '{func}'")
 
 
+def _grouped_dtype(func: str, values: np.ndarray):
+    """Result dtype of one grouped aggregate: counts are int64, integer
+    SUM / MIN / MAX answer as their scalar form does (a group is never
+    empty, so it never needs a NaN), everything else float64."""
+    if func in ("count", "count_distinct"):
+        return np.int64
+    if func in ("sum", "min", "max") and values.dtype.kind in "iu":
+        return (values[:0].sum() if func == "sum" else values).dtype
+    return np.float64
+
+
 @dataclass
 class Aggregate(PlanNode):
     """Hash aggregation over optional group keys."""
@@ -113,10 +124,9 @@ class Aggregate(PlanNode):
                 name.lower(): key[:0]
                 for (name, _), key in zip(self.group_by, key_arrays)
             }
-            for spec in self.aggregates:
-                counts = spec.func.lower() in ("count", "count_distinct")
+            for spec, values in zip(self.aggregates, agg_values):
                 out[spec.name.lower()] = np.empty(
-                    0, dtype=np.int64 if counts else np.float64
+                    0, dtype=_grouped_dtype(spec.func.lower(), values)
                 )
             return out
 
@@ -169,14 +179,11 @@ class Aggregate(PlanNode):
                 groups = np.arange(n_groups)
                 starts = np.searchsorted(sorted_groups, groups, side="left")
                 stops = np.searchsorted(sorted_groups, groups, side="right")
-            result = np.empty(n_groups, dtype=np.float64)
+            result = np.empty(n_groups, dtype=_grouped_dtype(func, values))
             sorted_vals = values[by_group]
             for g in range(n_groups):
                 result[g] = _reduce(func, sorted_vals[starts[g]:stops[g]])
-            if func == "count_distinct":
-                out[spec.name.lower()] = result.astype(np.int64)
-            else:
-                out[spec.name.lower()] = result
+            out[spec.name.lower()] = result
         return out
 
     def _describe(self) -> str:

@@ -450,18 +450,16 @@ class Database:
         return table.clustered if table is not None else None
 
     def invalidate_caches(self, table_name: str) -> None:
-        """Drop result-cache entries and memoized plans that read the
-        table, after a write.
+        """Drop result-cache entries that read the table, after a write.
 
-        Both are keyed on table versions, so lookups would miss them
+        They are keyed on table versions, so lookups would miss them
         regardless; dropping now reclaims the memory and makes the
-        invalidation observable.  Indexes need nothing here: the table
-        keeps them through every write.
+        invalidation observable.  Memoized plans and indexes need
+        nothing here: a plan reads its tables as they are when it runs,
+        and the table keeps its indexes through every write.
         """
         if self.result_cache is not None:
             self.result_cache.invalidate_table(table_name)
-        if self.feedback is not None:
-            self.feedback.memo.invalidate_table(table_name)
 
     # ------------------------------------------------------------------
     # versions
@@ -682,9 +680,10 @@ class Database:
 
         Every execution of the fingerprint runs the pinned plan,
         bypassing the plan memo and the feedback loop, until
-        :meth:`unforce_plan`.  Survives restarts via ``save_database``:
-        a restored pin is re-established by structural signature on the
-        fingerprint's next execution.
+        :meth:`unforce_plan`.  Survives restarts via ``save_database``
+        and catalog changes: a restored pin, or one whose plan is no
+        longer bound to the catalog generation, is re-established by
+        structural signature on the fingerprint's next execution.
         """
         if self.query_store is None:
             raise EngineError(
@@ -698,16 +697,13 @@ class Database:
                 f"plan {plan_id} belongs to fingerprint "
                 f"'{plan.fingerprint[:12]}', not '{fingerprint[:12]}'"
             )
-        entry = self.plan_forcer.force(
+        return self.plan_forcer.force(
             fingerprint=fingerprint,
             plan_id=plan_id,
             structure=plan.structure,
             plan_text=plan.plan_text,
             node=plan.node,
         )
-        if self.feedback is not None:
-            self.feedback.memo.invalidate_fingerprint(fingerprint)
-        return entry
 
     def unforce_plan(self, fingerprint: str) -> bool:
         """Remove a pin; returns whether one existed."""
@@ -715,11 +711,7 @@ class Database:
             raise EngineError(
                 "plan forcing requires EngineConfig(query_store=True)"
             )
-        removed = self.plan_forcer.unforce(fingerprint)
-        if removed is not None and self.feedback is not None:
-            # the pinned plan may be memoized stale; force a re-plan
-            self.feedback.memo.invalidate_fingerprint(fingerprint)
-        return removed is not None
+        return self.plan_forcer.unforce(fingerprint) is not None
 
     # ------------------------------------------------------------------
     # statistics
@@ -744,12 +736,9 @@ class Database:
             table.stats = build_table_stats(table)
             table.modified_rows = 0
             # statistics generation moved: any plan chosen under the old
-            # stats must miss the memo and re-plan, even though the data
-            # (table.version) has not changed
+            # stats is no longer fresh and re-plans
             table.stats_version += 1
             table.apply_compression(choose_codecs(table.stats, table.schema))
-            if self.feedback is not None:
-                self.feedback.memo.invalidate_table(name)
         return [n.lower() for n in names]
 
     # ------------------------------------------------------------------

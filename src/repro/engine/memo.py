@@ -14,14 +14,19 @@ while two databases with differing
 and after ``db.config = ...``, never do: the signature spells every
 planning knob (optimizer mode, band joins, rewrites, compiled kernels).
 
-Invalidation is structural, like the result cache's: each entry
-snapshots, per referenced table, the mutation ``version`` *and* the
-statistics ``stats_version`` plus the learned-override generation —
-DML, ANALYZE (targeted or global), matview refresh and newly installed
-selectivity overrides all make the next lookup miss, which is exactly
-what forces the re-plan the feedback loop wants.  That validity rule
-is the one predicate :meth:`PlanMemo.get` hands its
-:class:`~repro.engine.cache.BoundedLRU`, which keeps the
+A plan is reused while it is *bound* and *fresh*.  Bound: its root's
+``generation`` stamp (set by ``Executor.plan``) equals
+``Database._catalog_generation``, the one rule the statement cache and
+plan forcing use too, so a create or drop of a table, view or matview
+retires it.  Fresh: the referenced tables' ``stats_version`` and the
+learned-override generation are what they were at planning time, so
+ANALYZE (targeted or global), a clustered-index build, the end of a
+clustered order (TRUNCATE, a key-column UPDATE, matview REFRESH) and a
+newly installed selectivity override all miss.  Plain DML does not: a
+plan reads its tables as they are when it runs, and the feedback loop's
+q-error ceiling retires a plan whose estimates the writes have made
+wrong.  That validity rule is the one predicate :meth:`PlanMemo.get`
+hands its :class:`~repro.engine.cache.BoundedLRU`, which keeps the
 :data:`MAX_FINGERPRINTS` most recently used plans and feeds the
 hit/miss/insert/invalidation/eviction counters to the obs metrics
 registry under ``engine.memo.*``.
@@ -41,14 +46,12 @@ MAX_FINGERPRINTS = 256
 
 @dataclass
 class MemoEntry:
-    """One memoized physical plan and the state it was planned under."""
+    """One memoized physical plan and the state it was planned under
+    (the catalog generation is the plan's own ``generation`` stamp)."""
 
     key: str
     plan: PlanNode
-    tables: frozenset[str]
-    #: Per-table mutation counters at planning time.
-    table_versions: dict[str, int]
-    #: Per-table statistics generations at planning time.
+    #: Statistics generation of each referenced table at planning time.
     stats_versions: dict[str, int]
     #: Learned-override generation at planning time.
     overrides_version: int
@@ -80,20 +83,21 @@ class PlanMemo:
     def get(
         self,
         key: str,
-        table_versions: dict[str, int | None],
+        generation: int,
         stats_versions: dict[str, int],
         overrides_version: int,
     ) -> MemoEntry | None:
-        """Look up a plan; any version drift is a structural miss.
+        """Look up a plan bound under ``generation`` and still fresh.
 
-        A stale entry (table mutated, re-ANALYZEd, or overrides newer
-        than planning time) is dropped on sight — the caller re-plans
-        and re-memoizes under the current state.
+        An unbound or stale entry (catalog changed, table re-ANALYZEd or
+        re-ordered, or overrides newer than planning time) is dropped on
+        sight — the caller re-plans and re-memoizes under the current
+        state.
         """
 
         def valid(entry: MemoEntry) -> bool:
             return (
-                entry.table_versions == table_versions
+                entry.plan.generation == generation
                 and entry.stats_versions == stats_versions
                 and entry.overrides_version == overrides_version
             )
@@ -108,8 +112,6 @@ class PlanMemo:
         self,
         key: str,
         plan: PlanNode,
-        tables: set[str] | frozenset[str],
-        table_versions: dict[str, int | None],
         stats_versions: dict[str, int],
         overrides_version: int,
         planning_s: float = 0.0,
@@ -119,8 +121,6 @@ class PlanMemo:
         entry = MemoEntry(
             key=key,
             plan=plan,
-            tables=frozenset(t.lower() for t in tables),
-            table_versions=dict(table_versions),
             stats_versions=dict(stats_versions),
             overrides_version=overrides_version,
             planning_s=planning_s,
@@ -128,16 +128,6 @@ class PlanMemo:
         )
         self._lru.put(key, entry)
         return entry
-
-    def invalidate_table(self, table_name: str) -> int:
-        """Eagerly drop every plan that reads the given table.
-
-        Version-keyed lookups would miss stale entries anyway; eager
-        invalidation reclaims memory immediately and makes DML/ANALYZE
-        invalidation observable in the metrics.
-        """
-        lowered = table_name.lower()
-        return self._lru.invalidate(lambda _key, e: lowered in e.tables)
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop the plan memoized for one statement fingerprint."""
@@ -164,9 +154,10 @@ class PlanMemo:
         ]
         for entry in self.entries():
             root = entry.plan.explain().splitlines()[0]
+            tables = ",".join(sorted(entry.stats_versions)) or "-"
             lines.append(
                 f"  {entry.key[:12]}  hits={entry.hits}  "
                 f"planned_in={entry.planning_s * 1e3:.2f}ms  "
-                f"tables={','.join(sorted(entry.tables)) or '-'}  {root}"
+                f"tables={tables}  {root}"
             )
         return "\n".join(lines)

@@ -132,6 +132,13 @@ class PlanNode:
     #: statement.  Rendered ahead of the operator tree by EXPLAIN.
     rewrite_trace: tuple[str, ...] = ()
 
+    #: The ``Database._catalog_generation`` a reusable plan was bound
+    #: under, stamped on the root by ``Executor.plan``.  The memo and
+    #: plan forcing reuse a plan only while it equals the current
+    #: generation: a create or drop since may have replaced a table the
+    #: plan holds.
+    generation: int | None = None
+
     def execute(self) -> Batch:
         """Run this node inside the current :class:`Execution`, opening
         one when this is the top-level call; measured when the

@@ -395,7 +395,12 @@ def _index_range_rows(node: IndexRangeScan,
     ref = ColumnRef(node.index.leading_key, node.alias)
     lo = node.lo if isinstance(node.lo, (int, float)) else None
     hi = node.hi if isinstance(node.hi, (int, float)) else None
-    fraction = estimator._range(ref, lo, hi)
+    if lo is not None and lo == hi:
+        # a point on the key: priced as the Filter prices ``key = v``,
+        # not as a zero-width range
+        fraction = estimator._equality(ref, lo)
+    else:
+        fraction = estimator._range(ref, lo, hi)
     return float(table.row_count) * fraction
 
 

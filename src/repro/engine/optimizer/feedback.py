@@ -382,19 +382,18 @@ class FeedbackController:
         Returns ``(plan, decision, plan_origin, planning_s)``.  The
         memo key is the fingerprint, which hashes the
         ``config.plan_signature()`` it was taken under, so flipping a
-        planning knob misses structurally.  An unkeyed (untrackable)
-        statement is planned fresh every time.
+        planning knob misses structurally; an entry is reused while its
+        plan is bound and fresh (:mod:`repro.engine.memo`), writes in
+        between or not.  An unkeyed (untrackable) statement is planned
+        fresh every time.
         """
-        database = self.database
-        table_versions: dict[str, int | None] = {}
         stats_versions: dict[str, int] = {}
         pending = None
         if keyed is not None:
-            table_versions = database.table_versions(keyed.tables)
             stats_versions = self.stats_versions(keyed.tables)
             entry = self.memo.get(
-                keyed.fingerprint, table_versions, stats_versions,
-                self.overrides.version,
+                keyed.fingerprint, self.database._catalog_generation,
+                stats_versions, self.overrides.version,
             )
             if entry is not None:
                 return entry.plan, "hit", entry.decision, 0.0
@@ -414,8 +413,7 @@ class FeedbackController:
             self._m_replans.inc()
         if keyed is not None and self.memoizable(plan):
             self.memo.put(
-                keyed.fingerprint, plan, keyed.tables,
-                table_versions, stats_versions,
+                keyed.fingerprint, plan, stats_versions,
                 self.overrides.version, planning_s,
                 decision=decision,
             )

@@ -12,14 +12,17 @@ Forcing is structural, not pickled: a live
 index objects that do not survive a restart, so a :class:`ForcedPlan`
 stores the plan's **structural signature** (:func:`plan_structure` — a
 hash of the operator tree that ignores cardinality estimates) alongside
-the plan text.  While the process that forced the plan is alive the
-live node is reused directly; after a restore the forcer re-plans once
-and *adopts* the result if its structure matches the stored signature
-("forced-reestablished").  When the catalog has drifted so far that the
-planner can no longer produce the forced shape, the force **fails
-visibly**: the fresh plan runs, the failure is counted, and the reason
-is recorded on the entry — the moral equivalent of Query Store's
-``last_force_failure_reason``.
+the plan text.  The live node is reused directly only while it is
+*bound* — its ``generation`` stamp equals the database's catalog
+generation, the rule the statement cache and the plan memo use too.
+After a restore, or once a create or drop may have replaced a table the
+node holds, the forcer re-plans and *adopts* the result if its
+structure matches the stored signature ("forced-reestablished").  A pin
+ignores statistics: ANALYZE or writes never move it.  When the catalog
+has drifted so far that the planner can no longer produce the forced
+shape, the force **fails visibly**: the fresh plan runs, the failure is
+counted, and the reason is recorded on the entry — the moral equivalent
+of Query Store's ``last_force_failure_reason``.
 """
 
 from __future__ import annotations
@@ -93,12 +96,13 @@ class ForcedPlan:
     plan_id: int
     structure: str
     plan_text: str
-    #: Live operator tree; None after a restore until re-established.
+    #: Live operator tree; None after a restore (or a failed force)
+    #: until re-established.
     node: PlanNode | None = None
     forced_at: float = 0.0
     executions: int = 0
     #: Whether the live node was re-adopted by structure match after a
-    #: restart (as opposed to surviving from the forcing process).
+    #: restart or a catalog change (as opposed to the node forced).
     re_established: bool = False
     failures: int = 0
     last_failure: str | None = None
@@ -175,16 +179,18 @@ class PlanForcer:
 
     # ------------------------------------------------------------------
     def resolve(
-        self, fingerprint: str, replan: Callable[[], PlanNode]
+        self, fingerprint: str, replan: Callable[[], PlanNode],
+        generation: int,
     ) -> tuple[PlanNode, str] | None:
         """The plan to run for a forced fingerprint, or None if unpinned.
 
         Returns ``(plan, decision)`` with decision one of:
 
-        * ``"forced"`` — the pinned live plan ran;
-        * ``"forced-reestablished"`` — no live node (restored pin); the
-          planner's fresh plan matched the stored structure and was
-          adopted as the live node;
+        * ``"forced"`` — the pinned live plan, bound under catalog
+          ``generation``, ran;
+        * ``"forced-reestablished"`` — no bound live node (restored pin,
+          or the catalog changed); the planner's fresh plan matched the
+          stored structure and was adopted as the live node;
         * ``"force-failed"`` — the fresh plan's structure diverged from
           the pin; the fresh plan runs anyway and the failure is
           recorded on the entry.
@@ -192,11 +198,12 @@ class PlanForcer:
         entry = self.get(fingerprint)
         if entry is None:
             return None
-        if entry.node is not None:
+        node = entry.node
+        if node is not None and node.generation == generation:
             with self._lock:
                 entry.executions += 1
             self._m_forced.inc()
-            return entry.node, "forced"
+            return node, "forced"
         plan = replan()
         structure = plan_structure(plan)
         if structure == entry.structure:
@@ -210,6 +217,7 @@ class PlanForcer:
             self._m_forced.inc()
             return plan, "forced-reestablished"
         with self._lock:
+            entry.node = None  # an unbound node may hold dropped tables
             entry.failures += 1
             entry.last_failure = (
                 f"planner produced structure {structure[:12]}, "
@@ -226,9 +234,9 @@ class PlanForcer:
             return "forced plans: none"
         lines = [f"forced plans ({len(entries)}):"]
         for entry in sorted(entries, key=lambda e: e.fingerprint):
-            state = "live" if entry.node is not None else "awaiting re-plan"
-            if entry.re_established:
-                state = "re-established"
+            state = "awaiting re-plan"
+            if entry.node is not None:
+                state = "re-established" if entry.re_established else "live"
             lines.append(
                 f"  {entry.fingerprint[:12]} -> plan {entry.plan_id} "
                 f"[{state}]  execs={entry.executions}  "

@@ -231,9 +231,14 @@ class Executor:
                 keyed = plan_fingerprint(stmt, database)
 
         def replan():
-            return self.planner.plan_select(
+            # the one place plans for reuse are made: bind to the
+            # catalog generation planning starts under
+            generation = database._catalog_generation
+            plan = self.planner.plan_select(
                 stmt, rewritten=keyed.rewritten if keyed is not None else None
             )
+            plan.generation = generation
+            return plan
 
         plan = decision = plan_origin = None
         planning_s = 0.0
@@ -241,7 +246,9 @@ class Executor:
             # a forced fingerprint bypasses memo and feedback: the
             # operator pinned the plan, the loop must not fight it
             started = time.perf_counter()
-            resolved = forcer.resolve(keyed.fingerprint, replan)
+            resolved = forcer.resolve(
+                keyed.fingerprint, replan, database._catalog_generation
+            )
             if resolved is not None:
                 plan, decision = resolved
                 plan_origin = decision

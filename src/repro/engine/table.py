@@ -48,9 +48,10 @@ class Table:
         #: invalidate structurally.
         self.version = 0
         #: Monotonic statistics generation: bumped each time ANALYZE
-        #: rebuilds ``stats``.  The plan memo snapshots it so a plan
-        #: chosen under old statistics is replanned after re-ANALYZE
-        #: even when the data itself (``version``) has not moved.
+        #: rebuilds ``stats`` and each time the physical order the
+        #: planner reads (``clustered``) changes.  The plan memo
+        #: snapshots it, so a plan chosen under old statistics or an old
+        #: order re-plans; plain DML leaves it alone.
         self.stats_version = 0
         #: Active page compression plan (a
         #: :class:`~repro.engine.pages.CompressionPlan`), set by ANALYZE
@@ -280,12 +281,15 @@ class Table:
         self.file.read_range(0, self.row_count)
         self.file.write_range(0, self.row_count)
         # physical order changed: uncorrelated cached results may rely
-        # on scan order, so a reorder is a version event too
+        # on scan order, so a reorder is a version event too, and plans
+        # chosen for the old order are no longer fresh
         self.version += 1
+        self.stats_version += 1
 
     def _end_order(self) -> None:
         self.clustered = None
         self.base_rows = 0
+        self.stats_version += 1
 
     # ------------------------------------------------------------------
     # primary-key index

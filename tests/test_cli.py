@@ -136,15 +136,23 @@ class TestMemo:
         assert "feedback store" in out
 
     def test_memo_shift_invalidates(self, capsys):
-        code = main([
-            "memo", *small_args(), "--shift", "--repeat", "3",
-            "-e", "SELECT COUNT(*) AS n FROM zone",
-        ])
+        code = main(["memo", *small_args(), "--shift", "--repeat", "4"])
         assert code == 0
         out = capsys.readouterr().out
         assert "shifted" in out
-        # the shift's DML bumps the table version: no stale hit on cycle 1
-        assert out.count("memo=miss") >= 2 or "memo=replan" in out
+        cycles = [line.split() for line in out.splitlines()
+                  if line.startswith("cycle ")]
+        decisions = [words[2] for words in cycles]
+        # the write leaves the plan bound and fresh: cycle 1 runs it
+        # over the new rows, breaches the q-error ceiling, and the
+        # feedback loop retires it before cycle 2
+        assert decisions[:2] == ["memo=miss", "memo=hit"]
+        assert decisions[2] in ("memo=replan", "memo=learned-override")
+        assert decisions[3] == "memo=hit"
+        # the kept plan answers what the fresh plan does
+        answers = [words[4] for words in cycles]
+        assert answers[0] != answers[1]
+        assert answers[1] == answers[2] == answers[3]
 
 
 class TestQueryStore:

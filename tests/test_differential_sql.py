@@ -83,10 +83,12 @@ def make_tables(seed: int) -> tuple[dict, dict, dict]:
 def make_database(t1: dict, t2: dict, t3: dict, optimizer: str = "cost",
                   result_cache: bool = False,
                   rewrites: bool = True,
-                  compiled: bool = True) -> Database:
+                  compiled: bool = True,
+                  feedback: bool = False) -> Database:
     config = EngineConfig(optimizer=optimizer, result_cache=result_cache,
                           rewrites=rewrites,
-                          compiled_expressions=compiled)
+                          compiled_expressions=compiled,
+                          feedback=feedback)
     db = Database("diff", config=config)
     db.create_table("t1", dict(t1), primary_key="id")
     db.create_table("t2", dict(t2))
@@ -586,6 +588,61 @@ def test_differential_queries_with_result_cache(seed):
     # the corpus avoids TVFs, so essentially everything is cacheable
     assert cache_hits == len(TEMPLATES) * QUERIES_PER_TEMPLATE
     # fingerprinting named every exception it caught (see the smoke)
+    assert swallowed.value == swallowed_before
+
+
+def dml_round(rng, round_no: int) -> list[str]:
+    """One seeded round of writes that leaves every template's input
+    non-empty: copies of a slice of ``t1`` (ids kept unique by a
+    per-round power-of-ten offset), a nudge to ``t1.b`` on one key, a
+    sliver of ``t2`` deleted and a ``t3`` weight changed."""
+    return [
+        f"INSERT INTO t1 SELECT id + {1000 * 10 ** round_no}, k, a, b "
+        f"FROM t1 WHERE id % 7 = {int(rng.integers(0, 7))}",
+        f"UPDATE t1 SET b = b + 0.5 WHERE k = {int(rng.integers(0, 8))}",
+        f"DELETE FROM t2 WHERE c > {float(rng.uniform(93.0, 97.0))!r}",
+        f"UPDATE t3 SET w = w * 1.5 WHERE k = {int(rng.integers(0, 8))}",
+    ]
+
+
+@pytest.mark.parametrize("seed", DATASET_SEEDS[:2])
+def test_differential_queries_interleaved_with_dml(seed):
+    """Memoized plans stay right across writes.
+
+    A feedback-on database keeps its memoized plans through INSERT,
+    UPDATE and DELETE (they change neither the catalog nor the
+    statistics); a plain twin plans every statement afresh.  Both get
+    the same seeded writes between passes over the corpus, and must
+    answer alike on every pass.
+    """
+    t1, t2, t3 = make_tables(seed)
+    fed = make_database(t1, t2, t3, feedback=True)
+    plain = make_database(t1, t2, t3)
+    rng = np.random.default_rng(seed * 1000 + 7)
+    corpus = [
+        template(rng, t1, t2, t3)
+        for template in TEMPLATES
+        for _ in range(QUERIES_PER_TEMPLATE)
+    ]
+    writes = np.random.default_rng(seed * 1000 + 11)
+    swallowed = get_metrics().counter("engine.swallowed_errors")
+    swallowed_before = swallowed.value
+
+    for sql, oracle_rows, ordered in corpus:
+        assert_rows_equal(fed.sql(sql).rows(), oracle_rows, sql,
+                          ordered=ordered)
+    memo = fed.feedback.memo.stats
+    hits_before, misses_before = memo.hits, memo.misses
+    for round_no in range(3):
+        for statement in dml_round(writes, round_no):
+            assert (fed.sql(statement).rows_affected
+                    == plain.sql(statement).rows_affected)
+        for sql, _, ordered in corpus:
+            assert_rows_equal(fed.sql(sql).rows(), plain.sql(sql).rows(),
+                              sql, ordered=ordered)
+    # the memo served most plans across the writes (a q-error breach
+    # may still retire one), and they answered right
+    assert memo.hits - hits_before > memo.misses - misses_before
     assert swallowed.value == swallowed_before
 
 

@@ -115,6 +115,29 @@ class TestGroupedAggregates:
             assert out[name].dtype == arr.dtype and out[name].size == 0
         assert out["c"].dtype == np.int64
 
+    def test_integer_sum_min_max_keep_the_integer_dtype(self):
+        """A grouped integer SUM answers as exactly as the scalar one."""
+        src = Materialized({
+            "t.k": np.array([1, 1, 2], dtype=np.int64),
+            "t.v": np.array([2 ** 62, 1, -(2 ** 62) - 3], dtype=np.int64),
+        })
+        specs = [
+            AggregateSpec(func, col("v", "t"), func)
+            for func in ("sum", "min", "max")
+        ]
+        grouped = Aggregate(src, [("k", col("k", "t"))], specs).execute()
+        for func in ("sum", "min", "max"):
+            assert grouped[func].dtype == np.int64
+        assert grouped["sum"].tolist() == [2 ** 62 + 1, -(2 ** 62) - 3]
+        assert grouped["min"].tolist() == [1, -(2 ** 62) - 3]
+        assert grouped["max"].tolist() == [2 ** 62, -(2 ** 62) - 3]
+        scalar = Aggregate(src, [], specs[:1]).execute()
+        assert grouped["sum"][0] + grouped["sum"][1] == scalar["sum"][0]
+        empty = Materialized({"t.k": np.empty(0, np.int64),
+                              "t.v": np.empty(0, np.int64)})
+        none = Aggregate(empty, [("k", col("k", "t"))], specs).execute()
+        assert none["sum"].dtype == np.int64 and none["sum"].size == 0
+
     def test_count_dtype_integer(self):
         plan = Aggregate(
             source(), [("zid", col("zid", "t"))],

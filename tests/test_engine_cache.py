@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,12 +189,18 @@ def replay_cache(seed: int = 2005, ops: int = 400):
     return counts, evicted, sorted(live()), cache.bytes_used
 
 
+def bound_plan(generation: int) -> SimpleNamespace:
+    """A stand-in plan root stamped with a catalog generation."""
+    return SimpleNamespace(generation=generation)
+
+
 def replay_memo(seed: int = 2005, ops: int = 400):
-    """Seeded get/put/version drift/invalidation against a small
-    PlanMemo; returns counters, evicted keys and the surviving keys in
-    recency order."""
+    """Seeded get/put/statistics drift/catalog drift/invalidation
+    against a small PlanMemo; returns counters, evicted keys and the
+    surviving keys in recency order."""
     rng = random.Random(seed)
-    versions = dict.fromkeys(REPLAY_TABLES, 0)
+    stats = dict.fromkeys(REPLAY_TABLES, 0)
+    generation = 0
     memo = PlanMemo(max_entries=4)
 
     def live():
@@ -203,17 +210,17 @@ def replay_memo(seed: int = 2005, ops: int = 400):
     for _ in range(ops):
         roll, k = rng.random(), rng.randrange(REPLAY_KEYS)
         key, table = str(k), REPLAY_TABLES[k % 3]
-        state = ({table: versions[table]}, {table: 0}, 0)
+        fresh = ({table: stats[table]}, 0)
         if roll < 0.45:
-            memo.get(key, *state)
+            memo.get(key, generation, *fresh)
         elif roll < 0.85:
             before = set(live())
-            memo.put(key, None, {table}, *state)
+            memo.put(key, bound_plan(generation), *fresh)
             evicted.extend(sorted(before - set(live()) - {k}))
         elif roll < 0.93:
-            versions[rng.choice(REPLAY_TABLES)] += 1
+            stats[rng.choice(REPLAY_TABLES)] += 1
         elif roll < 0.97:
-            memo.invalidate_table(rng.choice(REPLAY_TABLES))
+            generation += 1
         else:
             memo.invalidate_fingerprint(str(k))
     s = memo.stats
@@ -235,11 +242,11 @@ class TestBoundedLRU:
 
     def test_memo_replay_is_pinned(self):
         counts, evicted, live = replay_memo()
-        assert counts == (69, 124, 144, 56, 36)
+        assert counts == (63, 129, 146, 63, 27)
         assert "".join(map(str, evicted)) == (
-            "18251065830973084257426572086397424130624830683202984082"
+            "182510658309730842742635724089635974241301526483068320929827480"
         )
-        assert live == [4, 5, 8, 6]
+        assert live == [2, 4, 9, 6]
 
     def test_concurrent_callers_keep_the_bounds_and_the_counts(self):
         cache = ResultCache(max_bytes=8 * 64, max_entries=4)
@@ -253,7 +260,7 @@ class TestBoundedLRU:
                 for _ in range(500):
                     roll, k = rng.random(), rng.randrange(REPLAY_KEYS)
                     table = REPLAY_TABLES[k % 3]
-                    state = ({table: rng.randrange(2)}, {table: 0}, 0)
+                    generation = rng.randrange(2)
                     if roll < 0.25:
                         cache.get((str(k), ()))
                         gets["cache"][index] += 1
@@ -263,14 +270,15 @@ class TestBoundedLRU:
                                   {"x": np.arange(n, dtype=np.int64)}, "",
                                   {table})
                     elif roll < 0.7:
-                        memo.get(str(k), *state)
+                        memo.get(str(k), generation, {table: 0}, 0)
                         gets["memo"][index] += 1
                     elif roll < 0.9:
-                        memo.put(str(k), None, {table}, *state)
+                        memo.put(str(k), bound_plan(generation),
+                                 {table: 0}, 0)
                     elif roll < 0.95:
                         cache.invalidate_table(table)
                     else:
-                        memo.invalidate_table(table)
+                        memo.invalidate_fingerprint(str(k))
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

@@ -1,7 +1,8 @@
 """The adaptive feedback optimizer: plan memo + q-error closed loop.
 
-Covers the plan-memo layer (hits skip planning, every invalidation
-source forces a miss, never a stale cross-serve), the q-error edge
+Covers the plan-memo layer (hits skip planning, catalog, statistics
+and order changes force a miss, DML keeps the plan and its answers
+right, never a stale cross-serve), the q-error edge
 cases the instrumentation can produce (zero and NaN actuals), the
 learned-selectivity override path (breach -> re-ANALYZE -> override ->
 re-plan -> convergence), the observable surface (slow-query log fields,
@@ -159,15 +160,15 @@ class TestPlanMemo:
     def test_lru_eviction_bounded(self):
         memo = PlanMemo(max_entries=2)
         for i in range(4):
-            memo.put(f"fp{i}", plan=object(), tables=frozenset(),
-                     table_versions={}, stats_versions={},
+            memo.put(f"fp{i}", plan=object(), stats_versions={},
                      overrides_version=0, planning_s=0.001)
         assert len(memo.entries()) == 2
         assert memo.stats.evictions == 2
 
 
 class TestMemoInvalidation:
-    """Every staleness source must force a miss — never a stale plan."""
+    """Catalog, statistics and order changes force a miss; plain DML
+    keeps the plan, whose answers stay those of a memo-off twin."""
 
     def _assert_miss_after(self, db, mutate):
         before = db.sql(SIMPLE_JOIN)
@@ -177,22 +178,34 @@ class TestMemoInvalidation:
         assert after.memo_decision in ("miss", "replan", "learned-override")
         return before, after
 
+    def _assert_hit_after_write(self, write):
+        db, twin = make_db(), make_db(EngineConfig())
+        before = db.sql(SIMPLE_JOIN)
+        assert db.sql(SIMPLE_JOIN).memo_decision == "hit"
+        version = db.table("b").version
+        write(db)
+        write(twin)
+        # the data version moved (the result cache keys on it) ...
+        assert db.table("b").version > version
+        after = db.sql(SIMPLE_JOIN)
+        # ... but the plan is still bound and fresh, and reads the
+        # table as it is now
+        assert after.memo_decision == "hit"
+        assert batch_digest(after) == batch_digest(twin.sql(SIMPLE_JOIN))
+        return before, after
+
     def test_insert_bumps_version(self):
-        before, after = self._assert_miss_after(
-            make_db(),
-            lambda db: db.sql("INSERT INTO b SELECT k1, k2 FROM b"),
-        )
+        before, after = self._assert_hit_after_write(
+            lambda db: db.sql("INSERT INTO b SELECT k1, k2 FROM b"))
         assert batch_digest(before) != batch_digest(after)  # data changed
 
     def test_update_bumps_version(self):
-        db = make_db()
-        self._assert_miss_after(
-            db, lambda d: d.sql("UPDATE b SET k2 = 1 WHERE k2 = 19"))
+        self._assert_hit_after_write(
+            lambda d: d.sql("UPDATE b SET k2 = 1 WHERE k2 = 19"))
 
     def test_delete_bumps_version(self):
-        db = make_db()
-        before, after = self._assert_miss_after(
-            db, lambda d: d.sql("DELETE FROM b WHERE k1 >= 20"))
+        before, after = self._assert_hit_after_write(
+            lambda d: d.sql("DELETE FROM b WHERE k1 >= 20"))
         assert batch_digest(before) != batch_digest(after)
 
     def test_analyze_bumps_stats_version(self):
@@ -216,6 +229,41 @@ class TestMemoInvalidation:
         db.sql(SIMPLE_JOIN)
         db.sql("TRUNCATE TABLE b")
         assert db.sql(SIMPLE_JOIN).memo_decision == "miss"
+
+    def test_drop_and_create_invalidate(self):
+        db = make_db()
+        db.sql(SIMPLE_JOIN)
+
+        def replace_b(d):
+            rows = d.sql("SELECT k1, k2 FROM b WHERE k1 < 20").columns
+            d.sql("DROP TABLE b")
+            d.create_table("b", rows)
+            # same statistics generation as the dropped b: only the
+            # catalog generation tells the old plan from a new one
+            d.analyze("b")
+            assert d.table("b").stats_version == 1
+
+        before, after = self._assert_miss_after(db, replace_b)
+        assert after.scalar() < before.scalar()
+
+    def test_override_install_invalidates(self):
+        db = make_db()
+        self._assert_miss_after(
+            db, lambda d: d.feedback.overrides.install(
+                "equi", SelectivityOverrides.equi_key("a.k1", "b.k1"),
+                1.0, "test"))
+
+    def test_clustered_index_build_replans_to_a_range_scan(self):
+        db = make_db()
+        query = "SELECT COUNT(*) AS n FROM b WHERE k1 BETWEEN 3 AND 4"
+        first = db.sql(query)
+        assert "SeqScan(b" in first.plan
+        assert db.sql(query).memo_decision == "hit"
+        db.create_clustered_index("b", "k1")
+        after = db.sql(query)
+        assert after.memo_decision == "miss"
+        assert "IndexRangeScan(b.k1 in [3, 4]" in after.plan
+        assert after.scalar() == first.scalar()
 
     def test_matview_refresh_invalidates_reader(self):
         db = make_db()

@@ -492,6 +492,16 @@ class TestEstRowsAndQuality:
         assert node.q_error is not None
         assert node.q_error < 1.2  # histogram knows uniform [0,1)
 
+    def test_clustered_point_is_priced_as_an_equality(self):
+        """``key = v`` on a clustered key is a zero-width range; it is
+        estimated as the Filter estimates the same predicate, not 0."""
+        db = _join_db()
+        db.create_clustered_index("big", "d", "v")
+        report = db.explain_analyze("SELECT id FROM big WHERE d = 3")
+        node = report.node("IndexRangeScan(big.d in [3, 3]")
+        assert node.est_rows == pytest.approx(2000 / 50)
+        assert node.q_error < 2.0
+
     def test_quality_report_from_explain_analyze(self):
         db = _join_db()
         report = db.explain_analyze(

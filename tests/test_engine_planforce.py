@@ -117,8 +117,7 @@ class TestForcedExecution:
         structure = db.query_store.plan(pid).structure
         db.force_plan(fp, pid)
         db.sql(JOIN_SQL)
-        # DML bumps table versions: every memo entry over t is dead,
-        # but the pin is not the memo's to invalidate
+        # DML moves neither the catalog generation nor a pin
         db.sql("INSERT INTO t VALUES (1000, 0)")
         result = db.sql(JOIN_SQL)
         assert result.memo_decision == "forced"
@@ -147,6 +146,51 @@ class TestForcedExecution:
         # a pinned statement must not install overrides or demand
         # re-plans however bad its q-error looks
         assert len(db.feedback.overrides) == overrides_before
+
+
+class TestCatalogChange:
+    """A pinned live plan is reused only while it is bound to the
+    catalog generation: after a drop and a create it re-establishes by
+    structure or fails visibly, and never reads the dropped table."""
+
+    SQL = "SELECT COUNT(*) AS n FROM t WHERE a < 50"
+    RANGE_SQL = "SELECT COUNT(*) AS n FROM t WHERE a BETWEEN 0 AND 49"
+
+    @staticmethod
+    def pinned(sql: str, rows: int, clustered: bool = False) -> Database:
+        db = Database("pf_catalog", config=EngineConfig(**CONFIG_KW))
+        db.create_table("t", {"a": np.arange(rows, dtype=np.int64)})
+        if clustered:
+            db.create_clustered_index("t", "a")
+        db.sql("ANALYZE")
+        db.sql(sql)
+        fp = db.statement_key(sql)
+        db.force_plan(fp, db.query_store.query(fp).current_plan_id)
+        assert db.sql(sql).memo_decision == "forced"
+        db.sql("DROP TABLE t")
+        db.create_table("t", {"a": np.arange(100, dtype=np.int64)})
+        return db
+
+    def test_pinned_seq_scan_reads_the_new_table(self):
+        db = self.pinned(self.SQL, rows=10)
+        result = db.sql(self.SQL)
+        assert "SeqScan(t" in result.plan
+        assert result.memo_decision == "forced-reestablished"
+        assert result.scalar() == 50
+        again = db.sql(self.SQL)
+        assert (again.memo_decision, again.scalar()) == ("forced", 50)
+
+    def test_pinned_index_scan_fails_visibly_on_a_heap(self):
+        db = self.pinned(self.RANGE_SQL, rows=1000, clustered=True)
+        fp = db.statement_key(self.RANGE_SQL)
+        assert "IndexRangeScan(t.a" in db.plan_forcer.get(fp).plan_text
+        result = db.sql(self.RANGE_SQL)
+        assert result.memo_decision == "force-failed"
+        assert result.scalar() == 50
+        entry = db.plan_forcer.get(fp)
+        assert entry.last_failure is not None
+        assert entry.node is None  # the dropped table's plan is let go
+        assert db.sql(self.RANGE_SQL).scalar() == 50
 
 
 class TestRestart:
