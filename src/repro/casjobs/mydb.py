@@ -62,10 +62,6 @@ class MyDB:
             for name in self.database.table_names()
         )
 
-    def remaining_rows(self) -> int:
-        """Quota headroom (never negative)."""
-        return max(0, self.quota_rows - self.rows_used())
-
     def at_quota(self) -> bool:
         return self.rows_used() >= self.quota_rows
 

@@ -521,9 +521,6 @@ class Scheduler:
         self.pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    def running_count(self) -> int:
-        return len(self._running)
-
     def status(self) -> dict[str, object]:
         """A snapshot for CLIs and monitors."""
         return {

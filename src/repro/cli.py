@@ -402,14 +402,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sql(args) -> int:
-    from repro.core.procedures import install_maxbcg
-    from repro.engine.database import Database
-
-    config, kcorr, sky = _make_sky(args)
-    db = Database("cli", config=_engine_config(args))
-    db.create_table("galaxy_source", sky.catalog.as_columns(),
-                    primary_key="objid")
-    install_maxbcg(db, kcorr, config)
+    db = _demo_database(args, zoned=False)
     text = args.execute
     if args.script:
         with open(args.script) as handle:
@@ -427,8 +420,9 @@ def cmd_sql(args) -> int:
     return 0
 
 
-def _demo_database(args):
-    """The demo catalog: MaxBCG installed, galaxies imported and zoned."""
+def _demo_database(args, zoned: bool = True):
+    """The demo catalog: MaxBCG installed over ``galaxy_source`` and,
+    when ``zoned``, the galaxies imported and zoned."""
     from repro.core.procedures import install_maxbcg
     from repro.engine.database import Database
 
@@ -437,10 +431,11 @@ def _demo_database(args):
     db.create_table("galaxy_source", sky.catalog.as_columns(),
                     primary_key="objid")
     install_maxbcg(db, kcorr, config)
-    box = args.target.expand(2 * config.buffer_deg)
-    db.sql(f"EXEC spImportGalaxy {box.ra_min}, {box.ra_max}, "
-           f"{box.dec_min}, {box.dec_max}")
-    db.sql("EXEC spZone")
+    if zoned:
+        box = args.target.expand(2 * config.buffer_deg)
+        db.sql(f"EXEC spImportGalaxy {box.ra_min}, {box.ra_max}, "
+               f"{box.dec_min}, {box.dec_max}")
+        db.sql("EXEC spZone")
     return db
 
 

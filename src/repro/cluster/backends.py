@@ -27,7 +27,6 @@ same inputs, same answer, byte for byte — only the wall clock differs.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import warnings
 from collections import deque
@@ -543,11 +542,6 @@ def resolve_job_pool(
     raise ConfigError(
         f"pool must be a name or a JobPool, got {type(spec).__name__}"
     )
-
-
-def default_worker_count(n_units: int) -> int:
-    """Workers to use when the caller does not say: min(units, cores)."""
-    return max(1, min(n_units, os.cpu_count() or 1))
 
 
 def resolve_backend(spec: str | ExecutionBackend) -> ExecutionBackend:

@@ -49,11 +49,6 @@ class Partition:
     buffer: RegionBox
     imported: RegionBox
 
-    @property
-    def skirt_area(self) -> float:
-        """Flat-sky area imported beyond the native target stripe (deg²)."""
-        return self.imported.flat_area() - self.target.flat_area()
-
 
 @dataclass(frozen=True)
 class PartitionLayout:

@@ -33,6 +33,7 @@ from repro.engine.index import ClusteredIndex
 from repro.engine.instrument import AnalyzeReport, max_q_error
 from repro.engine.matview import MaterializedView
 from repro.engine.memo import MAX_FINGERPRINTS
+from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan, plan_nodes
 from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES, choose_codecs
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql.executor import Executor, QueryResult
@@ -145,13 +146,50 @@ class Database:
     # catalog
     # ------------------------------------------------------------------
     def _catalog_changed(self) -> None:
-        """Retire every statement-cache entry keyed before this change.
+        """Retire every statement-cache entry keyed and every memoized
+        plan bound before this change.
 
         Locked: a racing increment could write back an older value and
         make an entry keyed before a later change look current again.
+        The memo drops its unbound plans now, not on their next lookup:
+        they can never hit again, and they hold the tables they read.
         """
         with self._catalog_lock:
             self._catalog_generation += 1
+            generation = self._catalog_generation
+        if self.feedback is not None:
+            self.feedback.memo.retire_unbound(generation)
+
+    def rebind(self, plan: PlanNode) -> bool:
+        """Whether a plan may run against the current catalog.
+
+        True while it is bound (stamped with the current generation).
+        Plan pins, which outrank re-planning, also survive a catalog
+        change that replaced none of the tables and views the plan
+        reads: the plan is re-stamped and stays bound.
+        """
+        generation = self._catalog_generation
+        if plan.generation == generation:
+            return True
+        tables = list(self._tables.values())
+        live = {id(obj) for obj in (*tables, *self._views.values())}
+        live.update(id(table.clustered) for table in tables)
+        for node in plan_nodes(plan):
+            if isinstance(node, SeqScan):
+                read = node.table
+            elif isinstance(node, IndexRangeScan):
+                # a clustered index holds its table weakly: check the
+                # index itself
+                index = node.index
+                read = index if isinstance(index, ClusteredIndex) else (
+                    index.table
+                )
+            else:
+                read = getattr(node, "view", None)  # a view's SubqueryScan
+            if read is not None and id(read) not in live:
+                return False
+        plan.generation = generation
+        return True
 
     def _maybe_sync_system_views(self, key: str) -> None:
         """Lazily (re)materialize a Query Store system view on lookup.

@@ -18,15 +18,19 @@ A plan is reused while it is *bound* and *fresh*.  Bound: its root's
 ``generation`` stamp (set by ``Executor.plan``) equals
 ``Database._catalog_generation``, the one rule the statement cache and
 plan forcing use too, so a create or drop of a table, view or matview
-retires it.  Fresh: the referenced tables' ``stats_version`` and the
-learned-override generation are what they were at planning time, so
-ANALYZE (targeted or global), a clustered-index build, the end of a
-clustered order (TRUNCATE, a key-column UPDATE, matview REFRESH) and a
-newly installed selectivity override all miss.  Plain DML does not: a
-plan reads its tables as they are when it runs, and the feedback loop's
-q-error ceiling retires a plan whose estimates the writes have made
-wrong.  That validity rule is the one predicate :meth:`PlanMemo.get`
-hands its :class:`~repro.engine.cache.BoundedLRU`, which keeps the
+retires it (``Database._catalog_changed`` drops every such plan at
+once, releasing the tables it holds).  Fresh: the referenced tables'
+``stats_version`` and the learned-override generation are what they
+were at planning time, so ANALYZE (targeted or global), a
+clustered-index build, the end of a clustered order (TRUNCATE, a
+key-column UPDATE, matview REFRESH) and a newly installed selectivity
+override all miss.  Plain DML does not: a plan reads its tables as they
+are when it runs, and the feedback loop's q-error ceiling retires a
+plan whose estimates the writes have made wrong.  A plan answered from
+a materialized view, at any depth, is never memoized: the view goes
+stale on a write to its sources.  That validity rule is the one
+predicate :meth:`PlanMemo.get` hands its
+:class:`~repro.engine.cache.BoundedLRU`, which keeps the
 :data:`MAX_FINGERPRINTS` most recently used plans and feeds the
 hit/miss/insert/invalidation/eviction counters to the obs metrics
 registry under ``engine.memo.*``.
@@ -128,6 +132,13 @@ class PlanMemo:
         )
         self._lru.put(key, entry)
         return entry
+
+    def retire_unbound(self, generation: int) -> int:
+        """Drop every plan bound under a catalog generation other than
+        ``generation``."""
+        return self._lru.invalidate(
+            lambda _key, entry: entry.plan.generation != generation
+        )
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop the plan memoized for one statement fingerprint."""

@@ -139,6 +139,11 @@ class PlanNode:
     #: plan holds.
     generation: int | None = None
 
+    #: Plans of the subquery predicates in a statement's WHERE and
+    #: HAVING, stamped by the planner on that statement's root: they
+    #: sit in expressions, not in ``_children()``.
+    subplans: tuple[PlanNode, ...] = ()
+
     def execute(self) -> Batch:
         """Run this node inside the current :class:`Execution`, opening
         one when this is the top-level call; measured when the
@@ -230,6 +235,11 @@ class SubqueryScan(PlanNode):
 
     child: PlanNode
     alias: str
+
+    #: The stored body of the view this scan expands, stamped by the
+    #: planner so a plan pin can tell when the view is redefined.  Not
+    #: a field: ``plan_structure`` and EXPLAIN ignore it.
+    view = None
 
     def _execute(self) -> Batch:
         batch = self.child.execute()
@@ -513,3 +523,13 @@ class Materialized(PlanNode):
 
     def _describe(self) -> str:
         return f"Materialized({self.label}, {batch_length(self.batch)} rows)"
+
+
+def plan_nodes(plan: PlanNode):
+    """Every plan node under ``plan``, each before its children, the
+    bodies of subquery predicates (``subplans``) included."""
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend((*node._children(), *node.subplans))

@@ -44,7 +44,7 @@ from repro.engine.cache import BoundedLRU, PlanKey
 from repro.engine.instrument import NodeStats, max_q_error
 from repro.engine.join import BandJoin, HashJoin
 from repro.engine.memo import MAX_FINGERPRINTS, PlanMemo
-from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan
+from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan, plan_nodes
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
     profile_for_table,
@@ -357,24 +357,17 @@ class FeedbackController:
     # ------------------------------------------------------------------
     # the memo stage of the SELECT path (Executor._select)
     # ------------------------------------------------------------------
-    def stats_versions(self, tables) -> dict[str, int]:
-        """Live statistics generations for the named (lowercased) tables."""
-        catalog = self.database._tables
-        return {
-            name: catalog[name].stats_version if name in catalog else -1
-            for name in tables
-        }
-
     @staticmethod
     def memoizable(plan: PlanNode) -> bool:
         """Matview-substituted plans must not memoize: substitution is
         re-decided per statement from the view's freshness, and a
-        memoized substitution would outlive it."""
-        for node in _preorder(plan):
-            reason = getattr(node, "reason", None)
-            if reason and "answered from matview" in reason:
-                return False
-        return True
+        memoized substitution would outlive it, as a write to the
+        view's sources moves neither the catalog nor statistics.  That
+        holds at any depth, subquery-predicate bodies included."""
+        return not any(
+            "answered from matview" in (getattr(node, "reason", None) or "")
+            for node in plan_nodes(plan)
+        )
 
     def recall_or_plan(self, keyed: PlanKey | None, replan):
         """The fingerprint's memoized plan, else ``replan()`` memoized.
@@ -390,7 +383,11 @@ class FeedbackController:
         stats_versions: dict[str, int] = {}
         pending = None
         if keyed is not None:
-            stats_versions = self.stats_versions(keyed.tables)
+            catalog = self.database._tables
+            stats_versions = {  # -1: a table dropped since keying
+                name: catalog[name].stats_version if name in catalog else -1
+                for name in keyed.tables
+            }
             entry = self.memo.get(
                 keyed.fingerprint, self.database._catalog_generation,
                 stats_versions, self.overrides.version,

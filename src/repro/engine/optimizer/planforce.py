@@ -14,15 +14,17 @@ stores the plan's **structural signature** (:func:`plan_structure` — a
 hash of the operator tree that ignores cardinality estimates) alongside
 the plan text.  The live node is reused directly only while it is
 *bound* — its ``generation`` stamp equals the database's catalog
-generation, the rule the statement cache and the plan memo use too.
-After a restore, or once a create or drop may have replaced a table the
-node holds, the forcer re-plans and *adopts* the result if its
-structure matches the stored signature ("forced-reestablished").  A pin
-ignores statistics: ANALYZE or writes never move it.  When the catalog
-has drifted so far that the planner can no longer produce the forced
-shape, the force **fails visibly**: the fresh plan runs, the failure is
-counted, and the reason is recorded on the entry — the moral equivalent
-of Query Store's ``last_force_failure_reason``.
+generation, the rule the statement cache and the plan memo use too.  A
+catalog change that replaced none of the tables and views the node
+reads re-stamps it (``Database.rebind``), so an unrelated CREATE or
+DROP never moves a pin.  After a restore, or once a table or view the
+node reads was replaced, the forcer re-plans and *adopts* the result if
+its structure matches the stored signature ("forced-reestablished").  A
+pin ignores statistics: ANALYZE or writes never move it.  When the
+catalog has drifted so far that the planner can no longer produce the
+forced shape, the force **fails visibly**: the fresh plan runs, the
+failure is counted, and the reason is recorded on the entry — the moral
+equivalent of Query Store's ``last_force_failure_reason``.
 """
 
 from __future__ import annotations
@@ -180,17 +182,18 @@ class PlanForcer:
     # ------------------------------------------------------------------
     def resolve(
         self, fingerprint: str, replan: Callable[[], PlanNode],
-        generation: int,
+        bound: Callable[[PlanNode], bool],
     ) -> tuple[PlanNode, str] | None:
         """The plan to run for a forced fingerprint, or None if unpinned.
 
         Returns ``(plan, decision)`` with decision one of:
 
-        * ``"forced"`` — the pinned live plan, bound under catalog
-          ``generation``, ran;
+        * ``"forced"`` — the pinned live plan ran: ``bound(node)``
+          (:meth:`~repro.engine.database.Database.rebind`) holds;
         * ``"forced-reestablished"`` — no bound live node (restored pin,
-          or the catalog changed); the planner's fresh plan matched the
-          stored structure and was adopted as the live node;
+          or a table or view the node reads was replaced); the planner's
+          fresh plan matched the stored structure and was adopted as the
+          live node;
         * ``"force-failed"`` — the fresh plan's structure diverged from
           the pin; the fresh plan runs anyway and the failure is
           recorded on the entry.
@@ -199,7 +202,7 @@ class PlanForcer:
         if entry is None:
             return None
         node = entry.node
-        if node is not None and node.generation == generation:
+        if node is not None and bound(node):
             with self._lock:
                 entry.executions += 1
             self._m_forced.inc()

@@ -247,7 +247,7 @@ class Executor:
             # operator pinned the plan, the loop must not fight it
             started = time.perf_counter()
             resolved = forcer.resolve(
-                keyed.fingerprint, replan, database._catalog_generation
+                keyed.fingerprint, replan, database.rebind
             )
             if resolved is not None:
                 plan, decision = resolved

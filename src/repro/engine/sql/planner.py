@@ -339,7 +339,7 @@ class Planner:
 
     def _plan_select(self, stmt: SelectStatement) -> PlanNode:
         relations = self._bind_relations(stmt)
-        stmt = self._plan_subquery_predicates(stmt, relations)
+        stmt, subplans = self._plan_subquery_predicates(stmt, relations)
         where_parts = split_conjuncts(stmt.where)
 
         # Aliases bound as the nullable side of a LEFT JOIN: their WHERE
@@ -387,6 +387,7 @@ class Planner:
             plan = Distinct(plan)
         if stmt.limit is not None:
             plan = Limit(plan, stmt.limit, stmt.offset or 0)
+        plan.subplans = subplans
         return plan
 
     # ------------------------------------------------------------------
@@ -410,16 +411,7 @@ class Planner:
     ) -> _Relation:
         if ref.is_subquery:
             assert ref.subquery is not None
-            subplan = self.plan_select(ref.subquery, _nested=True)
-            return _Relation(
-                ref=ref,
-                scan=SubqueryScan(subplan, ref.alias),
-                columns={
-                    name.lower()
-                    for name in self.select_output_names(ref.subquery)
-                },
-                derived=True,
-            )
+            return self._derived(ref, ref.subquery)
         if ref.is_function:
             tvf = self.database.table_function(ref.table)
             return _Relation(
@@ -431,29 +423,9 @@ class Planner:
             )
         # CTEs shadow views and base tables of the same name
         if ctes and ref.table.lower() in ctes:
-            body = ctes[ref.table.lower()]
-            subplan = self.plan_select(body, _nested=True)
-            return _Relation(
-                ref=ref,
-                scan=SubqueryScan(subplan, ref.alias),
-                columns={
-                    name.lower()
-                    for name in self.select_output_names(body)
-                },
-                derived=True,
-            )
+            return self._derived(ref, ctes[ref.table.lower()])
         if self.database.has_view(ref.table):
-            view_stmt = self.database.view(ref.table)
-            subplan = self.plan_select(view_stmt, _nested=True)
-            return _Relation(
-                ref=ref,
-                scan=SubqueryScan(subplan, ref.alias),
-                columns={
-                    name.lower()
-                    for name in self.select_output_names(view_stmt)
-                },
-                derived=True,
-            )
+            return self._derived(ref, self.database.view(ref.table), True)
         table = self.database.table(ref.table)
         return _Relation(
             ref=ref,
@@ -461,20 +433,36 @@ class Planner:
             columns={c.lower() for c in table.schema.column_names},
         )
 
+    def _derived(
+        self, ref: TableRef, body: SelectStatement, view: bool = False
+    ) -> _Relation:
+        """A relation over a planned SELECT: a derived table, a CTE or,
+        with ``view``, the view whose stored body ``body`` is."""
+        scan = SubqueryScan(self.plan_select(body, _nested=True), ref.alias)
+        if view:
+            scan.view = body
+        return _Relation(
+            ref=ref,
+            scan=scan,
+            columns={name.lower() for name in self.select_output_names(body)},
+            derived=True,
+        )
+
     # ------------------------------------------------------------------
     # EXISTS / IN (SELECT ...) — the naive (non-decorrelated) path
     # ------------------------------------------------------------------
     def _plan_subquery_predicates(
         self, stmt: SelectStatement, relations: list[_Relation]
-    ) -> SelectStatement:
+    ) -> tuple[SelectStatement, tuple[PlanNode, ...]]:
         """Replace Exists/InSubquery nodes in WHERE/HAVING with
-        evaluatable :class:`SubqueryPredicate` expressions."""
+        evaluatable :class:`SubqueryPredicate` expressions; also returns
+        their plans."""
         targets: list[Expr] = []
         for predicate in (stmt.where, stmt.having):
             if predicate is not None:
                 targets.extend(find_subquery_exprs(predicate))
         if not targets:
-            return stmt
+            return stmt, ()
         mapping: dict[Expr, Expr] = {}
         for node in targets:
             if node not in mapping:
@@ -484,7 +472,8 @@ class Planner:
             changes["where"] = rewrite(stmt.where, mapping)
         if stmt.having is not None:
             changes["having"] = rewrite(stmt.having, mapping)
-        return dataclasses.replace(stmt, **changes)
+        subplans = tuple(pred.subplan for pred in mapping.values())
+        return dataclasses.replace(stmt, **changes), subplans
 
     def _plan_one_subquery(
         self, node: Expr, relations: list[_Relation]

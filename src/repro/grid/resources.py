@@ -64,10 +64,6 @@ class ClusterSpec:
     def total_slots(self) -> int:
         return sum(node.slots for node in self.nodes)
 
-    @property
-    def total_ram_mb(self) -> float:
-        return sum(node.ram_mb for node in self.nodes)
-
 
 def tam_cluster() -> ClusterSpec:
     """The Terabyte Analysis Machine: 5 x dual-600MHz PIII, 1 GB each.

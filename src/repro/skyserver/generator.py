@@ -126,9 +126,6 @@ class SyntheticSky:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def truth_bcg_objids(self) -> set[int]:
-        return {c.bcg_objid for c in self.clusters}
-
 
 class SkySimulator:
     """Deterministic generator of :class:`SyntheticSky` instances.

@@ -10,7 +10,9 @@ re-plan -> convergence), the observable surface (slow-query log fields,
 cluster plumbing (per-worker memo summaries in ``WorkUnitOutcome``).
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +248,18 @@ class TestMemoInvalidation:
         before, after = self._assert_miss_after(db, replace_b)
         assert after.scalar() < before.scalar()
 
+    def test_drop_releases_the_tables_of_memoized_plans(self):
+        db = make_db()
+        db.sql(SIMPLE_JOIN)
+        assert len(db.feedback.memo) == 1
+        dropped = weakref.ref(db.table("b"))
+        db.sql("DROP TABLE b")
+        # every plan bound before the drop is let go at once, not on
+        # its fingerprint's next lookup
+        assert len(db.feedback.memo) == 0
+        gc.collect()
+        assert dropped() is None
+
     def test_override_install_invalidates(self):
         db = make_db()
         self._assert_miss_after(
@@ -276,6 +290,27 @@ class TestMemoInvalidation:
         db.sql("REFRESH MATERIALIZED VIEW hot")
         after = db.sql(query)
         assert after.memo_decision in ("miss", "replan", "learned-override")
+
+    @pytest.mark.parametrize("query", [
+        "SELECT COUNT(*) AS n FROM a "
+        "WHERE EXISTS (SELECT k1 FROM b WHERE k2 = 19)",
+        "SELECT COUNT(*) AS n FROM a WHERE k1 IN "
+        "(SELECT k1 FROM b WHERE k2 = 19 GROUP BY k1)",
+    ])
+    def test_matview_answered_subquery_is_not_memoized(self, query):
+        # the subquery body is planned as written, so a fresh matview
+        # answers it; that substitution must not outlive the view's
+        # freshness, which a write to b ends
+        db, twin = make_db(), make_db(EngineConfig())
+        matview = query[query.index("(SELECT") + 1:-1]
+        for d in (db, twin):
+            d.sql(f"CREATE MATERIALIZED VIEW hot AS {matview}")
+        db.sql(query)
+        assert len(db.feedback.memo) == 0
+        for d in (db, twin):
+            d.sql("DELETE FROM b WHERE k2 = 19")
+        after = db.sql(query)
+        assert after.scalar() == twin.sql(query).scalar() == 0
 
     def test_config_signature_partitions_memo(self):
         # same statement under different EngineConfigs must not share a

@@ -149,9 +149,10 @@ class TestForcedExecution:
 
 
 class TestCatalogChange:
-    """A pinned live plan is reused only while it is bound to the
-    catalog generation: after a drop and a create it re-establishes by
-    structure or fails visibly, and never reads the dropped table."""
+    """A pinned live plan is reused while it is bound to the catalog
+    generation, or re-bound because no table or view it reads was
+    replaced: after a drop and a create of its table it re-establishes
+    by structure or fails visibly, and never reads the dropped table."""
 
     SQL = "SELECT COUNT(*) AS n FROM t WHERE a < 50"
     RANGE_SQL = "SELECT COUNT(*) AS n FROM t WHERE a BETWEEN 0 AND 49"
@@ -191,6 +192,44 @@ class TestCatalogChange:
         assert entry.last_failure is not None
         assert entry.node is None  # the dropped table's plan is let go
         assert db.sql(self.RANGE_SQL).scalar() == 50
+
+    def test_pin_survives_an_unrelated_catalog_change(self):
+        db = make_db()
+        db.sql(JOIN_SQL)
+        fp = db.statement_key(JOIN_SQL)
+        pid = db.query_store.query(fp).current_plan_id
+        node = db.query_store.plan(pid).node
+        # a structure the planner would not produce: only the live node
+        # serves this pin, so any re-plan would fail it
+        db.plan_forcer.force(
+            fingerprint=fp, plan_id=pid, structure="0" * 32,
+            plan_text="pinned", node=node,
+        )
+        assert db.sql(JOIN_SQL).memo_decision == "forced"
+        db.create_table("scratch", {"x": np.arange(3, dtype=np.int64)})
+        db.sql("DROP TABLE scratch")
+        result = db.sql(JOIN_SQL)
+        assert (result.memo_decision, result.scalar()) == ("forced", 480)
+        assert result.plan_node is node
+        assert db.plan_forcer.get(fp).failures == 0
+
+    def test_redefined_view_replaces_the_pinned_plan(self):
+        # with rewrites off the view is not merged into the fingerprinted
+        # statement, so its redefinition keeps the fingerprint and pin
+        db = make_db(rewrites=False)
+        db.sql("CREATE VIEW v AS SELECT grp FROM t WHERE id < 30")
+        sql = "SELECT COUNT(*) AS n FROM v WHERE grp = 2"
+        assert db.sql(sql).scalar() == 6
+        fp = db.statement_key(sql)
+        db.force_plan(fp, db.query_store.query(fp).current_plan_id)
+        assert db.sql(sql).memo_decision == "forced"
+        db.sql("DROP VIEW v")
+        db.sql("CREATE VIEW v AS SELECT grp FROM t WHERE id < 60")
+        assert db.statement_key(sql) == fp
+        result = db.sql(sql)
+        # the pinned node holds the old body: it must not run
+        assert result.memo_decision != "forced"
+        assert result.scalar() == 12
 
 
 class TestRestart:
