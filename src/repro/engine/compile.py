@@ -33,10 +33,9 @@ kernel adds is strategy, checked byte for byte against the plain walk
 Kernels compile once per plan node (:func:`plan_kernel`) and are
 reusable across batches (CasJobs threads running one memoized plan
 share its kernels; per-call state lives in a private frame).  Column
-references gather through the selection vector; node types without an
-``apply`` — ``Case`` and planner-internal predicates like
-``SubqueryPredicate`` — fall back to ``node.eval`` over a narrowed
-batch, so the compiler never has to chase the closed type set.
+references gather through the selection vector; a node type without an
+``apply`` (``Case``) falls back to ``node.eval`` over a narrowed batch,
+so the compiler never has to chase the closed type set.
 
 Execution tallies feed the ``engine.compile.*`` metrics by pull, the
 same zero-hot-path-cost pattern the buffer pool uses.
@@ -191,8 +190,7 @@ class _Frame:
         apply = node.apply
         if apply is not None:
             return apply(self, self.n)
-        # No apply (Case, the planner's SubqueryPredicate): evaluate
-        # interpreted over the narrowed batch.
+        # No apply (Case): evaluate interpreted over the narrowed batch.
         return np.asarray(node.eval(self._narrowed()))
 
     def _narrowed(self) -> Batch:

@@ -310,9 +310,6 @@ class Database:
         del self._views[name.lower()]
         self._catalog_changed()
 
-    def view_names(self) -> list[str]:
-        return sorted(self._views)
-
     # ------------------------------------------------------------------
     # materialized views
     # ------------------------------------------------------------------
@@ -326,9 +323,6 @@ class Database:
             raise TableNotFoundError(
                 f"no materialized view '{name}'"
             ) from None
-
-    def matview_names(self) -> list[str]:
-        return sorted(self._matviews)
 
     @contextmanager
     def _materializing(self):

@@ -16,8 +16,9 @@ selection-narrowed evaluator) and the constant folder in
 :mod:`repro.engine.optimizer.rewrite` (which evaluates a literal-only
 node over :data:`ONE_ROW` via :func:`scalar_value`) — so an answer
 cannot depend on which of them computed it.  ``ColumnRef`` (name
-resolution), ``Case`` (row-subset evaluation) and the planner's
-subquery predicates have no ``apply`` and keep their own ``eval``.
+resolution) and ``Case`` (row-subset evaluation) have no ``apply`` and
+keep their own ``eval``; ``EXISTS`` / ``IN (SELECT ...)`` are planned
+as semi-joins and never evaluate.
 
 The scalar function registry covers what the paper's SQL uses (POWER,
 SQRT, LOG, ABS, FLOOR, SIN, COS, RADIANS, PI, ...).

@@ -9,7 +9,9 @@ equi-join on ``zid`` executed as a hash join.  The planner picks
 expressions over the other (the set-oriented rewrite the original
 authors used for neighbor searches: sort one side, visit only the rows
 inside each probe's interval), and falls back to
-:class:`NestedLoopJoin` otherwise.
+:class:`NestedLoopJoin` otherwise.  An ``IN`` / ``EXISTS`` subquery is
+a :class:`SemiJoin`: the outer rows filtered, or marked, by whether a
+matching inner row exists.
 
 Join outputs are *canonically ordered*: pairs appear sorted by
 (left row, right row), exactly the order a naive nested loop emits.
@@ -477,3 +479,113 @@ class CrossJoin(PlanNode):
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
+
+
+#: dtype kinds compared as numbers (a string never equals one)
+_NUMERIC_KINDS = "biuf"
+
+
+def _null_keys(values: np.ndarray) -> np.ndarray:
+    """Where a key is NULL — NaN, or None in a string column."""
+    if values.dtype.kind == "f":
+        return np.isnan(values)
+    if values.dtype.kind == "O":
+        return np.equal(values, None)
+    return np.zeros(values.shape[0], dtype=bool)
+
+
+def _key_codes(columns: list[np.ndarray]) -> np.ndarray:
+    """One int64 per row, equal exactly where every column is equal:
+    each column factorized, the codes combined and re-densified."""
+    codes = None
+    for values in columns:
+        _, inverse = np.unique(values, return_inverse=True)
+        if codes is None:
+            codes = inverse
+        else:
+            _, codes = np.unique(
+                codes * (int(inverse.max(initial=0)) + 1) + inverse,
+                return_inverse=True,
+            )
+    return codes
+
+
+@dataclass
+class SemiJoin(PlanNode):
+    """``IN`` / ``EXISTS`` as a join: does an outer row have a match
+    among the inner rows?
+
+    ``kind`` says what the operator makes of its outer input, whose row
+    order it keeps: ``"semi"`` keeps the rows that match (a top-level
+    ``IN`` / ``EXISTS`` conjunct), ``"anti"`` the rows that do not
+    (``NOT IN`` / ``NOT EXISTS``), and ``"mark"`` keeps every row and
+    appends the boolean column ``mark``, which the rest of a predicate
+    reads (a subquery under OR, CASE or a nested NOT).
+
+    A row matches when its ``outer_keys`` equal some inner row's
+    ``inner_keys``; with no keys (an uncorrelated EXISTS) every row
+    matches when the inner input is non-empty.  The inner keys are
+    deduplicated once per execution and probed with ``np.isin``, one
+    key by value, several by factorized codes combined into one int64,
+    so no Python loop runs per row or per distinct key.  A NULL key
+    never matches, on either side, and a string never equals a number.
+    An empty outer input leaves the inner unexecuted.
+    """
+
+    outer: PlanNode
+    inner: PlanNode
+    outer_keys: tuple[Expr, ...]
+    inner_keys: tuple[Expr, ...]
+    kind: str = "semi"
+    mark: str | None = None
+
+    def _execute(self) -> Batch:
+        batch = self.outer.execute()
+        n = batch_length(batch)
+        found = self._found(batch, n) if n else np.zeros(0, dtype=bool)
+        if self.kind == "mark":
+            return {**batch, self.mark: found}
+        return take(batch, found if self.kind == "semi" else ~found)
+
+    def _found(self, batch: Batch, n: int) -> np.ndarray:
+        inner = self.inner.execute()
+        m = batch_length(inner)
+        if not self.outer_keys:
+            return np.full(n, m > 0)
+        outer_cols = [
+            np.broadcast_to(_as_array(key.eval(batch)), (n,))
+            for key in self.outer_keys
+        ]
+        inner_cols = [
+            np.broadcast_to(_as_array(key.eval(inner)), (m,))
+            for key in self.inner_keys
+        ]
+        found = np.zeros(n, dtype=bool)
+        if any(
+            (o.dtype.kind in _NUMERIC_KINDS) != (i.dtype.kind in _NUMERIC_KINDS)
+            for o, i in zip(outer_cols, inner_cols)
+        ):
+            return found
+        outer_ok = ~np.logical_or.reduce([_null_keys(c) for c in outer_cols])
+        inner_ok = ~np.logical_or.reduce([_null_keys(c) for c in inner_cols])
+        outer_cols = [c[outer_ok] for c in outer_cols]
+        inner_cols = [c[inner_ok] for c in inner_cols]
+        if len(outer_cols) == 1 and outer_cols[0].dtype.kind in _NUMERIC_KINDS:
+            probe, build = outer_cols[0], inner_cols[0]
+        else:
+            codes = _key_codes([
+                np.concatenate([o, i]) for o, i in zip(outer_cols, inner_cols)
+            ])
+            probe, build = np.split(codes, [len(outer_cols[0])])
+        found[outer_ok] = np.isin(probe, np.unique(build))
+        return found
+
+    def _describe(self) -> str:
+        kind = f"mark AS {self.mark}" if self.kind == "mark" else self.kind
+        keys = " AND ".join(
+            f"{o} = {i}" for o, i in zip(self.outer_keys, self.inner_keys)
+        )
+        return f"SemiJoin({kind}, {keys or 'inner non-empty'})"
+
+    def _children(self) -> tuple[PlanNode, ...]:
+        return (self.outer, self.inner)

@@ -50,19 +50,15 @@ class Execution:
     ``records`` maps ``id(node)`` to that node's
     :class:`~repro.engine.instrument.NodeStats` in ``_children()``
     preorder (empty when nobody measures); I/O is read off
-    ``counters``.  ``subquery_rows`` holds what each
-    :class:`~repro.engine.sql.planner.SubqueryPredicate` materialized,
-    so a subquery runs once per execution and never outlives it.
-    Context-local, so CasJobs threads running one memoized plan object
-    at once each fill their own.
+    ``counters``.  Context-local, so CasJobs threads running one
+    memoized plan object at once each fill their own.
     """
 
-    __slots__ = ("records", "counters", "subquery_rows")
+    __slots__ = ("records", "counters")
 
     def __init__(self, records: dict | None = None, counters=None):
         self.records = records or {}
         self.counters = counters
-        self.subquery_rows: dict[Expr, Batch] = {}
 
     @staticmethod
     def current() -> "Execution | None":
@@ -79,7 +75,7 @@ class Execution:
     def measured(self, node: "PlanNode", body, count_rows: bool = True) -> Batch:
         """Run ``body`` and add its time, I/O and rows to ``node``'s
         record.  Inclusive: ``body`` runs the node's children too.  A
-        node with no record (a subquery's plan) just runs."""
+        node with no record just runs."""
         stats = self.records.get(id(node))
         if stats is None:
             return body()
@@ -138,11 +134,6 @@ class PlanNode:
     #: generation: a create or drop since may have replaced a table the
     #: plan holds.
     generation: int | None = None
-
-    #: Plans of the subquery predicates in a statement's WHERE and
-    #: HAVING, stamped by the planner on that statement's root: they
-    #: sit in expressions, not in ``_children()``.
-    subplans: tuple[PlanNode, ...] = ()
 
     def execute(self) -> Batch:
         """Run this node inside the current :class:`Execution`, opening
@@ -513,7 +504,7 @@ class Distinct(PlanNode):
 
 @dataclass
 class Materialized(PlanNode):
-    """Wrap a precomputed batch (subquery results, VALUES lists)."""
+    """A precomputed batch as a plan leaf."""
 
     batch: Batch
     label: str = "values"
@@ -526,10 +517,10 @@ class Materialized(PlanNode):
 
 
 def plan_nodes(plan: PlanNode):
-    """Every plan node under ``plan``, each before its children, the
-    bodies of subquery predicates (``subplans``) included."""
+    """Every plan node under ``plan`` in preorder: each before its
+    ``_children()``, which come in order."""
     stack = [plan]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend((*node._children(), *node.subplans))
+        stack.extend(reversed(node._children()))

@@ -37,7 +37,13 @@ from repro.engine.expressions import (
     literal_value,
 )
 from repro.engine.index import PrimaryKeyIndex
-from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
+from repro.engine.join import (
+    BandJoin,
+    CrossJoin,
+    HashJoin,
+    NestedLoopJoin,
+    SemiJoin,
+)
 from repro.engine.operators import (
     Distinct,
     Filter,
@@ -404,6 +410,15 @@ def _index_range_rows(node: IndexRangeScan,
     return float(table.row_count) * fraction
 
 
+def _qualified(expr: Expr, profiles: list[RelationProfile]) -> Expr:
+    """A bare column ref qualified by the one profile holding it."""
+    if isinstance(expr, ColumnRef) and expr.qualifier is None:
+        owners = [p.alias for p in profiles if expr.name.lower() in p.columns]
+        if len(owners) == 1:
+            return ColumnRef(expr.name, owners[0])
+    return expr
+
+
 def annotate_plan(plan: PlanNode, overrides=None) -> float:
     """Stamp ``est_rows`` on every node of a physical plan; returns the
     root estimate.  Works on any plan — cost-based or syntactic — so
@@ -468,6 +483,27 @@ def _estimate(
         sel = estimator.band_selectivity(node.right_key, node.low, node.high)
         sel *= estimator.selectivity(node.residual)
         return left_est * right_est * sel, profiles
+    if isinstance(node, SemiJoin):
+        outer_est, profiles = _annotate(node.outer, overrides)
+        inner_est, inner_profiles = _annotate(node.inner, overrides)
+        if node.kind == "mark":
+            return outer_est, profiles
+        # the chance an outer row finds one of the inner rows: each
+        # inner row matches it with the equi-join selectivity of the
+        # keys, read through the inner root's projection and resolved
+        # on their own side (``k IN (SELECT k ...)`` names both ``k``)
+        estimator = CardinalityEstimator(profiles + inner_profiles, overrides)
+        defined = dict(node.inner.outputs) \
+            if isinstance(node.inner, Project) else {}
+        sel = 1.0
+        for outer, inner in zip(node.outer_keys, node.inner_keys):
+            if isinstance(inner, ColumnRef):
+                inner = defined.get(inner.name, inner)
+            sel *= estimator.equi_selectivity(
+                _qualified(outer, profiles), _qualified(inner, inner_profiles)
+            )
+        semi = outer_est * min(1.0, inner_est * sel)
+        return (semi if node.kind == "semi" else outer_est - semi), profiles
     if isinstance(node, (NestedLoopJoin, CrossJoin)):
         left_est, left_profiles = _annotate(node.left, overrides)
         right_est, right_profiles = _annotate(node.right, overrides)

@@ -291,16 +291,9 @@ class FeedbackStore:
 # ----------------------------------------------------------------------
 # plan walking helpers
 # ----------------------------------------------------------------------
-def _preorder(node: PlanNode):
-    """A plan's nodes, parents before their ``_children()``."""
-    yield node
-    for child in node._children():
-        yield from _preorder(child)
-
-
 def _scan_leaves(node: PlanNode):
     """Base-table scans under a node (SeqScan / IndexRangeScan)."""
-    for leaf in _preorder(node):
+    for leaf in plan_nodes(node):
         if isinstance(leaf, SeqScan):
             yield leaf.alias.lower(), leaf.table
         elif isinstance(leaf, IndexRangeScan):
@@ -363,7 +356,7 @@ class FeedbackController:
         re-decided per statement from the view's freshness, and a
         memoized substitution would outlive it, as a write to the
         view's sources moves neither the catalog nor statistics.  That
-        holds at any depth, subquery-predicate bodies included."""
+        holds at any depth, subquery bodies included."""
         return not any(
             "answered from matview" in (getattr(node, "reason", None) or "")
             for node in plan_nodes(plan)
@@ -482,7 +475,7 @@ class FeedbackController:
         """
         offenders = [
             (node, rec)
-            for node in _preorder(plan)
+            for node in plan_nodes(plan)
             if (rec := records[id(node)]).q_error is not None
             and rec.q_error > self.ceiling
         ]

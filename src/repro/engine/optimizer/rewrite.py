@@ -50,13 +50,20 @@ from repro.engine.expressions import (
     split_conjuncts,
     transform,
 )
-from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
+from repro.engine.join import (
+    BandJoin,
+    CrossJoin,
+    HashJoin,
+    NestedLoopJoin,
+    SemiJoin,
+)
 from repro.engine.operators import (
     Filter,
     IndexRangeScan,
     PlanNode,
     SeqScan,
     Sort,
+    plan_nodes,
 )
 from repro.engine.optimizer.cost import DEFAULT_COST_MODEL, CostModel
 from repro.engine.sql.ast import (
@@ -72,7 +79,6 @@ from repro.engine.sql.ast import (
 )
 from repro.engine.sql.planner import (
     Planner,
-    _Relation,
     and_all,
     find_aggregates,
     rewrite as substitute_exprs,
@@ -148,6 +154,10 @@ def plan_cost(plan: PlanNode, model: CostModel = DEFAULT_COST_MODEL) -> float:
         return total + model.hash_join(
             plan.left.est_rows or 0.0, plan.right.est_rows or 0.0, est
         )
+    if isinstance(plan, SemiJoin):
+        return total + model.hash_join(
+            plan.outer.est_rows or 0.0, plan.inner.est_rows or 0.0, est
+        )
     if isinstance(plan, BandJoin):
         return total + model.band_join(
             plan.left.est_rows or 0.0, plan.right.est_rows or 0.0, est
@@ -162,13 +172,6 @@ def plan_cost(plan: PlanNode, model: CostModel = DEFAULT_COST_MODEL) -> float:
     return total + model.cpu_row * est
 
 
-def _total_est_rows(plan: PlanNode) -> float:
-    total = plan.est_rows or 0.0
-    for child in plan._children():
-        total += _total_est_rows(child)
-    return total
-
-
 def _plan_metrics(
     stmt: SelectStatement, database, optimizer: str | None
 ) -> tuple[float | None, float | None]:
@@ -181,7 +184,8 @@ def _plan_metrics(
     except Exception:
         count_swallowed_error("rewrite.plan_metrics")
         return None, None
-    return _total_est_rows(plan), plan_cost(plan)
+    total = sum(node.est_rows or 0.0 for node in plan_nodes(plan))
+    return total, plan_cost(plan)
 
 
 def price_firings(
@@ -869,118 +873,6 @@ def _rule_predicate_pushdown(stmt: SelectStatement, database):
 
 
 # ----------------------------------------------------------------------
-# rule: IN/EXISTS decorrelation into semi-joins
-# ----------------------------------------------------------------------
-def _rule_decorrelate(stmt: SelectStatement, database):
-    if stmt.source is None or stmt.where is None:
-        return None
-    if stmt.limit is not None:
-        # without a total order LIMIT picks rows by plan order, which
-        # the added join may change — keep the naive path
-        return None
-    if any(item.star and item.star_qualifier is None for item in stmt.items):
-        return None  # a new join would widen the * expansion
-    where_conjuncts = split_conjuncts(stmt.where)
-    if not any(isinstance(c, (Exists, InSubquery)) for c in where_conjuncts):
-        return None
-    planner = Planner(database, rewrites=False)
-    ctes = {name.lower(): body for name, body in stmt.ctes}
-    outer_refs = [stmt.source] + [j.table for j in stmt.joins]
-    try:
-        relations = [
-            _Relation(
-                ref=ref,
-                scan=None,  # type: ignore[arg-type] — name scope only
-                columns={
-                    c.lower()
-                    for c in planner._relation_columns(ref, ctes)
-                },
-                derived=ref.is_subquery,
-            )
-            for ref in outer_refs
-        ]
-    except ReproError:
-        return None
-    taken = {ref.alias.lower() for ref in outer_refs}
-    for index, conjunct in enumerate(where_conjuncts):
-        if not isinstance(conjunct, (Exists, InSubquery)):
-            continue
-        sub = conjunct.select
-        try:
-            inner_conjuncts, pairs = planner.split_correlation(
-                sub, relations
-            )
-        except SqlPlanError:
-            continue  # unsupported shape: the naive path reports it
-        value = (
-            conjunct.value if isinstance(conjunct, InSubquery) else None
-        )
-        if value is not None:
-            if len(sub.items) != 1 or sub.items[0].star \
-                    or sub.items[0].expr is None:
-                continue
-            if find_subquery_exprs(value):
-                continue
-            item_expr = sub.items[0].expr
-            if not pairs:
-                # an uncorrelated IN may still carry aggregation or
-                # LIMIT — the DISTINCT-key extraction would drop them
-                try:
-                    item_aggs = bool(find_aggregates(item_expr))
-                except SqlPlanError:
-                    continue
-                if (sub.group_by or sub.having is not None
-                        or sub.limit is not None
-                        or sub.offset is not None or item_aggs):
-                    continue
-            if find_subquery_exprs(item_expr):
-                continue
-            pairs = pairs + [(value, item_expr)]
-        if not pairs:
-            continue  # uncorrelated EXISTS: a cheap scalar check already
-        # NaN keys can never match under NULL semantics; `key = key` is
-        # false exactly for NaN and keeps the hash build NaN-free.
-        guards: list[Expr] = [
-            BinaryOp("=", inner, inner) for _, inner in pairs
-        ]
-        counter = 0
-        while f"__semi{counter}" in taken:
-            counter += 1
-        alias = f"__semi{counter}"
-        body = SelectStatement(
-            items=tuple(
-                SelectItem(inner, f"__ck{pos}")
-                for pos, (_, inner) in enumerate(pairs)
-            ),
-            source=sub.source,
-            joins=sub.joins,
-            where=and_all(inner_conjuncts + guards),
-            distinct=True,
-            ctes=sub.ctes,
-        )
-        condition = and_all([
-            BinaryOp("=", outer, ColumnRef(f"__ck{pos}", alias))
-            for pos, (outer, _) in enumerate(pairs)
-        ])
-        semi = JoinClause(
-            "inner", TableRef("", alias, subquery=body), condition
-        )
-        new_stmt = dataclasses.replace(
-            stmt,
-            where=and_all(
-                where_conjuncts[:index] + where_conjuncts[index + 1:]
-            ),
-            joins=stmt.joins + (semi,),
-        )
-        label = "IN" if value is not None else "EXISTS"
-        return new_stmt, (
-            f"decorrelated {label} subquery into semi-join "
-            f"derived table '{alias}'"
-        )
-    return None
-
-
-# ----------------------------------------------------------------------
 # rule: eager aggregation below a PK-keyed join
 # ----------------------------------------------------------------------
 def _refs_outside_aggregates(expr: Expr) -> list[ColumnRef]:
@@ -1174,7 +1066,6 @@ REWRITE_RULES: tuple[tuple[str, object], ...] = (
     ("redundant_join_elimination", _rule_join_elimination),
     ("derived_table_merge", _rule_derived_merge),
     ("predicate_pushdown", _rule_predicate_pushdown),
-    ("decorrelate_subquery", _rule_decorrelate),
     ("aggregate_pushdown", _rule_aggregate_pushdown),
 )
 

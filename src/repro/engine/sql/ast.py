@@ -64,14 +64,6 @@ class SelectItem:
 
 
 @dataclass(frozen=True)
-class AggregateCall:
-    """Marker for an aggregate in a select item (COUNT/SUM/MIN/MAX/AVG)."""
-
-    func: str
-    argument: Expr | None  # None encodes COUNT(*)
-
-
-@dataclass(frozen=True)
 class OrderItem:
     expr: Expr
     ascending: bool
@@ -100,9 +92,9 @@ class SelectStatement:
 class Exists(Expr):
     """``EXISTS (SELECT ...)`` predicate.
 
-    Not directly evaluatable: the planner replaces it with a
-    :class:`~repro.engine.sql.planner.SubqueryPredicate` (naive path)
-    or the rewrite pass decorrelates it into a semi-join.
+    Not directly evaluatable: the planner plans it as a
+    :class:`~repro.engine.join.SemiJoin` of the outer rows against the
+    subquery's rows.
     """
 
     select: "SelectStatement"

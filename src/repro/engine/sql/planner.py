@@ -25,15 +25,14 @@ annotation pass so EXPLAIN ANALYZE can report per-operator q-error.
 
 Aggregation rewrites aggregate calls found in the select list / HAVING
 into references to columns computed by one
-:class:`~repro.engine.aggregate.Aggregate` node.
+:class:`~repro.engine.aggregate.Aggregate` node.  ``IN`` / ``EXISTS``
+subqueries become :class:`~repro.engine.join.SemiJoin` operators whose
+inner child is the subquery's body.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.engine.aggregate import Aggregate, AggregateSpec
 from repro.engine.expressions import (
@@ -42,15 +41,21 @@ from repro.engine.expressions import (
     ColumnRef,
     Expr,
     FuncCall,
+    UnaryOp,
     literal_value,
     split_conjuncts,
     transform,
 )
 from repro.engine.index import PrimaryKeyIndex
-from repro.engine.join import BandJoin, CrossJoin, HashJoin, NestedLoopJoin
+from repro.engine.join import (
+    BandJoin,
+    CrossJoin,
+    HashJoin,
+    NestedLoopJoin,
+    SemiJoin,
+)
 from repro.engine.operators import (
     Distinct,
-    Execution,
     Filter,
     IndexRangeScan,
     Limit,
@@ -61,6 +66,7 @@ from repro.engine.operators import (
     Sort,
     SubqueryScan,
     TableFunctionScan,
+    plan_nodes,
 )
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
@@ -71,6 +77,7 @@ from repro.engine.optimizer.cardinality import (
 from repro.engine.optimizer.cost import DEFAULT_COST_MODEL
 from repro.engine.optimizer.joinorder import JoinPred, JoinRel, order_relations
 from repro.engine.sql.ast import (
+    Exists,
     InSubquery,
     SelectItem,
     SelectStatement,
@@ -125,92 +132,6 @@ def find_aggregates(expr: Expr) -> list[FuncCall]:
 
     visit(expr, False)
     return found
-
-
-@dataclass(frozen=True, eq=False)
-class SubqueryPredicate(Expr):
-    """Evaluatable form of ``EXISTS`` / ``IN (SELECT ...)``.
-
-    The planned subquery executes once per top-level execution of the
-    plan that holds it (its rows live on that
-    :class:`~repro.engine.operators.Execution`, never on this node: a
-    memoized or forced plan run again reads the tables as they are
-    then); each outer row then tests membership of its ``outer_exprs``
-    tuple against the subquery's ``inner_names`` output columns.  With
-    no outer expressions this is an uncorrelated EXISTS — a non-empty
-    check.
-    NULL (NaN) follows the engine's comparison semantics: a NaN key
-    never matches anything, on either side.
-    """
-
-    subplan: PlanNode
-    outer_exprs: tuple[Expr, ...]
-    inner_names: tuple[str, ...]
-    label: str = "exists"
-
-    def children(self) -> tuple[Expr, ...]:
-        return self.outer_exprs
-
-    def with_children(self, children: tuple[Expr, ...]) -> Expr:
-        # planned: the outer expressions are bound to the subplan's keys
-        return self
-
-    def _materialize(self):
-        run = Execution.current()
-        if run is None:  # evaluated outside any plan execution
-            return self.subplan.execute()
-        rows = run.subquery_rows.get(self)
-        if rows is None:
-            rows = run.subquery_rows[self] = self.subplan.execute()
-        return rows
-
-    def eval(self, batch):
-        from repro.engine.expressions import batch_length
-
-        rows = self._materialize()
-        n = batch_length(batch)
-        inner_n = batch_length(rows)
-        if not self.outer_exprs:
-            return np.full(n, inner_n > 0)
-        if len(self.outer_exprs) == 1:
-            value = np.asarray(self.outer_exprs[0].eval(batch))
-            value = np.broadcast_to(value, (n,))
-            result = np.zeros(n, dtype=bool)
-            inner = np.unique(np.asarray(rows[self.inner_names[0]]))
-            for option in inner:
-                # NaN == NaN is False, so NULL keys never match
-                result |= value == option
-            return result
-        inner_cols = [np.asarray(rows[name]) for name in self.inner_names]
-        keys = set()
-        for row in range(inner_n):
-            tup = tuple(col[row] for col in inner_cols)
-            if any(
-                isinstance(v, (float, np.floating)) and np.isnan(v)
-                for v in tup
-            ):
-                continue
-            keys.add(tup)
-        outer_cols = [
-            np.broadcast_to(np.asarray(e.eval(batch)), (n,))
-            for e in self.outer_exprs
-        ]
-        result = np.zeros(n, dtype=bool)
-        for row in range(n):
-            tup = tuple(col[row] for col in outer_cols)
-            if any(
-                isinstance(v, (float, np.floating)) and np.isnan(v)
-                for v in tup
-            ):
-                continue
-            result[row] = tup in keys
-        return result
-
-    def __str__(self) -> str:
-        if not self.outer_exprs:
-            return f"{self.label}(subquery)"
-        outer = ", ".join(str(e) for e in self.outer_exprs)
-        return f"{self.label}({outer} IN subquery)"
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +229,10 @@ class Planner:
             plan = self._plan_select(stmt)
         annotate_plan(plan, self._overrides())
         if self.database.config.compiled_expressions:
-            _stamp_compiled(plan)
+            # operators with expressions lower them into fused kernels
+            # lazily, on first execution
+            for node in plan_nodes(plan):
+                node.compiled = True
         if trace:
             plan.rewrite_trace = trace
         return plan
@@ -339,8 +263,10 @@ class Planner:
 
     def _plan_select(self, stmt: SelectStatement) -> PlanNode:
         relations = self._bind_relations(stmt)
-        stmt, subplans = self._plan_subquery_predicates(stmt, relations)
-        where_parts = split_conjuncts(stmt.where)
+        marks: list[str] = []
+        where_parts, semis = self._split_subqueries(
+            split_conjuncts(stmt.where), relations, marks
+        )
 
         # Aliases bound as the nullable side of a LEFT JOIN: their WHERE
         # conjuncts must apply *after* NULL padding, so no pushdown.
@@ -350,11 +276,13 @@ class Planner:
             if join.kind == "left"
         }
 
-        # Early filtering: push single-relation conjuncts onto their scan.
+        # Early filtering: push single-relation conjuncts onto their
+        # scan, and a subquery's semi-joins onto the relation that owns
+        # its outer keys.
         remaining: list[Expr] = []
         pushed: dict[str, list[Expr]] = {rel.ref.alias.lower(): [] for rel in relations}
         for conjunct in where_parts:
-            owner = self._single_relation(conjunct, relations)
+            owner = self._single_relation(conjunct.column_refs(), relations)
             if (
                 owner is not None
                 and owner not in nullable
@@ -363,16 +291,28 @@ class Planner:
                 pushed[owner].append(conjunct)
             else:
                 remaining.append(conjunct)
+        semis_of: dict[str | None, list] = {}
+        for entry in semis:
+            owner = self._single_relation(entry[0], relations)
+            semis_of.setdefault(
+                None if owner in nullable else owner, []
+            ).append(entry)
 
         for rel in relations:
-            rel.scan = self._access_path(rel, pushed[rel.ref.alias.lower()])
+            alias = rel.ref.alias.lower()
+            rel.scan = self._semi_filtered(
+                self._access_path(rel, pushed[alias]), semis_of.get(alias, ())
+            )
 
         if self._can_reorder(stmt, relations):
             plan = self._join_relations_cost(stmt, relations, remaining)
         else:
             plan = self._join_relations(stmt, relations, remaining)
+        plan = self._semi_filtered(plan, semis_of.get(None, ()))
 
-        plan, outputs, order_keys = self._aggregate_and_project(stmt, plan)
+        plan, outputs, order_keys = self._aggregate_and_project(
+            stmt, plan, relations, marks
+        )
 
         if order_keys:
             # ORDER BY may reference select aliases *or* source columns,
@@ -387,7 +327,6 @@ class Planner:
             plan = Distinct(plan)
         if stmt.limit is not None:
             plan = Limit(plan, stmt.limit, stmt.offset or 0)
-        plan.subplans = subplans
         return plan
 
     # ------------------------------------------------------------------
@@ -449,71 +388,119 @@ class Planner:
         )
 
     # ------------------------------------------------------------------
-    # EXISTS / IN (SELECT ...) — the naive (non-decorrelated) path
+    # EXISTS / IN (SELECT ...): semi-, anti- and mark joins
     # ------------------------------------------------------------------
-    def _plan_subquery_predicates(
-        self, stmt: SelectStatement, relations: list[_Relation]
-    ) -> tuple[SelectStatement, tuple[PlanNode, ...]]:
-        """Replace Exists/InSubquery nodes in WHERE/HAVING with
-        evaluatable :class:`SubqueryPredicate` expressions; also returns
-        their plans."""
-        targets: list[Expr] = []
-        for predicate in (stmt.where, stmt.having):
-            if predicate is not None:
-                targets.extend(find_subquery_exprs(predicate))
-        if not targets:
-            return stmt, ()
-        mapping: dict[Expr, Expr] = {}
-        for node in targets:
-            if node not in mapping:
-                mapping[node] = self._plan_one_subquery(node, relations)
-        changes: dict = {}
-        if stmt.where is not None:
-            changes["where"] = rewrite(stmt.where, mapping)
-        if stmt.having is not None:
-            changes["having"] = rewrite(stmt.having, mapping)
-        subplans = tuple(pred.subplan for pred in mapping.values())
-        return dataclasses.replace(stmt, **changes), subplans
+    def _split_subqueries(
+        self,
+        conjuncts: list[Expr],
+        relations: list[_Relation],
+        marks: list[str],
+        mapping: dict[Expr, Expr] | None = None,
+    ) -> tuple[list[Expr], list]:
+        """Split WHERE or HAVING conjuncts into the plain ones and one
+        ``(outer refs, semi-joins, residual)`` entry per conjunct that
+        holds an IN / EXISTS subquery.
 
-    def _plan_one_subquery(
-        self, node: Expr, relations: list[_Relation]
-    ) -> SubqueryPredicate:
+        A top-level ``IN`` / ``EXISTS`` is one ``semi`` join and a
+        ``NOT`` of one an ``anti`` join, with no residual.  Elsewhere
+        each subquery becomes a ``mark`` join whose column replaces it
+        in the residual, the conjunct left to filter on.  ``mapping``
+        maps the outer keys and the residual the way the caller maps
+        its predicate (HAVING's aggregate outputs).
+        """
+        mapping = mapping or {}
+        plain: list[Expr] = []
+        entries = []
+        for conjunct in conjuncts:
+            if not find_subquery_exprs(conjunct):
+                plain.append(conjunct)
+                continue
+            negated = isinstance(conjunct, UnaryOp) \
+                and conjunct.op.upper() == "NOT"
+            target = conjunct.operand if negated else conjunct
+            if isinstance(target, (Exists, InSubquery)):
+                kind = "anti" if negated else "semi"
+                joins = [self._semi_join(target, relations, mapping, kind)]
+                residual = None
+            else:
+                joins = []
+
+                def to_mark(node: Expr) -> Expr | None:
+                    if not isinstance(node, (Exists, InSubquery)):
+                        return None
+                    marks.append(f"__mark{len(marks)}")
+                    joins.append(self._semi_join(
+                        node, relations, mapping, "mark", marks[-1]
+                    ))
+                    return ColumnRef(marks[-1])
+
+                residual = rewrite(transform(conjunct, pre=to_mark), mapping)
+            refs = conjunct.column_refs() + [
+                ref for join in joins for key in join[1]
+                for ref in key.column_refs()
+            ]
+            entries.append((refs, joins, residual))
+        return plain, entries
+
+    def _semi_join(
+        self,
+        node: Expr,
+        relations: list[_Relation],
+        mapping: dict[Expr, Expr],
+        kind: str,
+        mark: str | None = None,
+    ) -> tuple:
+        """A subquery's :class:`SemiJoin` arguments after its outer input.
+
+        :meth:`split_correlation` splits the body; a correlated one is
+        planned as ``SELECT <inner keys> ... WHERE <inner conjuncts>``
+        (the operator deduplicates the keys), an uncorrelated one as
+        written, its IN key its one output column.
+        """
         sub = node.select  # type: ignore[union-attr]
         value = node.value if isinstance(node, InSubquery) else None
-        label = "in_subquery" if value is not None else "exists"
         if value is not None and (len(sub.items) != 1 or sub.items[0].star):
             raise SqlPlanError(
                 "IN (SELECT ...) requires exactly one output column"
             )
         inner_conjuncts, pairs = self.split_correlation(sub, relations)
-        if not pairs:
-            # uncorrelated: plan the subquery exactly as written
-            subplan = self.plan_select(sub, _nested=True)
+        if pairs:
             if value is not None:
-                name = self.select_output_names(sub)[0]
-                return SubqueryPredicate(subplan, (value,), (name,), label)
-            return SubqueryPredicate(subplan, (), (), label)
-        if value is not None:
-            assert sub.items[0].expr is not None
-            pairs = pairs + [(value, sub.items[0].expr)]
-        keys = SelectStatement(
-            items=tuple(
-                SelectItem(inner, f"__ck{pos}")
-                for pos, (_, inner) in enumerate(pairs)
-            ),
-            source=sub.source,
-            joins=sub.joins,
-            where=and_all(inner_conjuncts),
-            distinct=True,
-            ctes=sub.ctes,
+                pairs.append((value, sub.items[0].expr))
+            sub = SelectStatement(
+                items=tuple(
+                    SelectItem(inner, f"__ck{pos}")
+                    for pos, (_, inner) in enumerate(pairs)
+                ),
+                source=sub.source,
+                joins=sub.joins,
+                where=and_all(inner_conjuncts),
+                ctes=sub.ctes,
+            )
+            names = [f"__ck{pos}" for pos in range(len(pairs))]
+        elif value is not None:
+            pairs = [(value, None)]
+            names = self.select_output_names(sub)
+        else:
+            names = []
+        return (
+            self.plan_select(sub, _nested=True),
+            tuple(rewrite(outer, mapping) for outer, _ in pairs),
+            tuple(ColumnRef(name) for name in names),
+            kind,
+            mark,
         )
-        subplan = self.plan_select(keys, _nested=True)
-        return SubqueryPredicate(
-            subplan,
-            tuple(outer for outer, _ in pairs),
-            tuple(f"__ck{pos}" for pos in range(len(pairs))),
-            label,
-        )
+
+    def _semi_filtered(self, plan: PlanNode, entries) -> PlanNode:
+        """``plan`` under the semi-joins of ``entries``, then filtered on
+        what their marks leave to test."""
+        residuals = []
+        for _, joins, residual in entries:
+            for join in joins:
+                plan = SemiJoin(plan, *join)
+            if residual is not None:
+                residuals.append(residual)
+        return self._filtered(plan, residuals)
 
     def split_correlation(
         self, sub: SelectStatement, outer_relations: list[_Relation]
@@ -665,11 +652,11 @@ class Planner:
         return list(self.database.table(ref.table).schema.column_names)
 
     def _single_relation(
-        self, conjunct: Expr, relations: list[_Relation]
+        self, refs: list[ColumnRef], relations: list[_Relation]
     ) -> str | None:
-        """Alias of the only relation a conjunct touches, or None."""
+        """Alias of the only relation column refs touch, or None."""
         owners: set[str] = set()
-        for ref in conjunct.column_refs():
+        for ref in refs:
             alias = self._resolve_alias(ref, relations)
             if alias is None:
                 return None
@@ -896,9 +883,11 @@ class Planner:
     @staticmethod
     def _access_cost(scan: PlanNode, profile: RelationProfile, model) -> float:
         """Price a relation's already-chosen access path (post-annotation)."""
-        if isinstance(scan, Filter):
-            inner = Planner._access_cost(scan.child, profile, model)
-            return inner + model.filter(scan.child.est_rows or 0.0)
+        if isinstance(scan, (Filter, SemiJoin)):
+            # a semi-join probes each outer row, as a filter tests it
+            child = scan.child if isinstance(scan, Filter) else scan.outer
+            inner = Planner._access_cost(child, profile, model)
+            return inner + model.filter(child.est_rows or 0.0)
         if isinstance(scan, IndexRangeScan):
             return model.index_range_scan(
                 scan.est_rows or 0.0, profile.table_rows, profile.pages,
@@ -950,7 +939,11 @@ class Planner:
 
     # ------------------------------------------------------------------
     def _aggregate_and_project(
-        self, stmt: SelectStatement, plan: PlanNode
+        self,
+        stmt: SelectStatement,
+        plan: PlanNode,
+        relations: list[_Relation],
+        marks: list[str],
     ) -> tuple[PlanNode, list[tuple[str, Expr]], list[tuple[Expr, bool]]]:
         """Plan aggregation; returns (plan, projections, order keys).
 
@@ -1000,7 +993,14 @@ class Planner:
         plan = Aggregate(plan, group_names, specs)
 
         if stmt.having is not None:
-            plan = Filter(plan, rewrite(stmt.having, mapping))
+            having, semis = self._split_subqueries(
+                split_conjuncts(stmt.having), relations, marks, mapping
+            )
+            if having:
+                # HAVING as written unless a subquery conjunct left it
+                predicate = and_all(having) if semis else stmt.having
+                plan = Filter(plan, rewrite(predicate, mapping))
+            plan = self._semi_filtered(plan, semis)
 
         outputs: list[tuple[str, Expr]] = []
         for pos, item in enumerate(stmt.items):
@@ -1135,17 +1135,6 @@ def _band_key_aliases(
         if _band_bounds(conjunct, set(owners - {alias}), by_alias[alias],
                         relations) is not None
     )
-
-
-def _stamp_compiled(plan: PlanNode) -> None:
-    """Mark every operator for fused-kernel execution
-    (``EngineConfig(compiled_expressions=True)``).  Operators without
-    expressions ignore the flag; the ones with lower their trees into
-    :class:`~repro.engine.compile.CompiledKernel` programs lazily on
-    first execution."""
-    plan.compiled = True
-    for child in plan._children():
-        _stamp_compiled(child)
 
 
 def _band_bounds(

@@ -171,11 +171,6 @@ RULE_QUERIES = {
             "SELECT * FROM (SELECT id, a FROM t1) d WHERE d.a > 7 "
             "ORDER BY id",
     },
-    "decorrelate_subquery": {
-        "decorrelate_subquery":
-            "SELECT id FROM t1 WHERE k IN (SELECT k FROM t2 WHERE c > 50) "
-            "ORDER BY id",
-    },
     "aggregate_pushdown": {
         "aggregate_pushdown":
             "SELECT t3.k, SUM(t1.a) AS sa, MAX(t1.b) AS hi FROM t3 "
@@ -196,7 +191,7 @@ def test_rule_query_map_is_exhaustive():
     """Every registered rule has a query pinning it (and vice versa)."""
     registered = {name for name, _ in REWRITE_RULES}
     assert registered == set(RULE_QUERIES)
-    assert len(REWRITE_RULES) == 8
+    assert len(REWRITE_RULES) == 7
 
 
 @pytest.mark.parametrize("rule,sql", RULE_CASES)
@@ -499,9 +494,9 @@ def test_int64_min_literal_is_int64_min_in_every_mode():
 
 def test_rewrite_metrics_count_firings():
     db = build_db()
-    counter = get_metrics().counter("engine.rewrite.decorrelate_subquery")
+    counter = get_metrics().counter("engine.rewrite.derived_table_merge")
     before = counter.value
-    db.sql(RULE_QUERIES["decorrelate_subquery"]["decorrelate_subquery"])
+    db.sql(RULE_QUERIES["derived_table_merge"]["derived_table_merge"])
     assert counter.value == before + 1
 
 
