@@ -1,9 +1,17 @@
 """Grouped and scalar aggregation (GROUP BY / aggregate functions).
 
-Supports COUNT(*), COUNT(expr), SUM, MIN, MAX and AVG — the set the
-paper's SQL uses (``COUNT(*) ... GROUP BY c.zid``, ``MAX(k.radius)``,
-``MIN(chisq)``, ...).  Without a GROUP BY clause the result is a single
-scalar row, as in SQL.
+Supports COUNT(*), COUNT(expr), COUNT(DISTINCT expr), SUM, MIN, MAX
+and AVG — the set the paper's SQL uses (``COUNT(*) ... GROUP BY
+c.zid``, ``MAX(k.radius)``, ``MIN(chisq)``, ...).
+
+Rows are grouped by :func:`repro.engine.keys.group`, one stable sort by
+key, and every aggregate reduces its argument in that order, one
+segment per group: COUNT from the segment lengths, MIN, MAX and integer
+SUM by ``reduceat``, strings through their sorted codes.  Float SUM and
+AVG sum each segment with ``ndarray.sum`` / ``ndarray.mean``, whose
+pairwise order ``np.add.reduceat`` does not keep.  Without a GROUP BY
+clause the whole input is one group and the result one row, as in SQL;
+over no rows that row holds 0 for a count and NULL for the rest.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import keys
 from repro.engine.expressions import Batch, Expr, batch_length
 from repro.engine.operators import PlanNode
 from repro.errors import SqlPlanError
@@ -37,64 +46,76 @@ class AggregateSpec:
             raise SqlPlanError(f"{self.func}(*) is not valid; only COUNT(*)")
 
 
-def _drop_nulls(values: np.ndarray) -> np.ndarray:
-    """SQL NULL semantics: NaN values are absent for COUNT purposes."""
-    if values.dtype.kind == "f":
-        return values[~np.isnan(values)]
-    return values
-
-
-def _checked_integer_sum(values: np.ndarray):
-    """``SUM`` over integers, failing where numpy would wrap, as T-SQL
-    does.  When ``size * max(|min|, |max|)`` fits the result dtype no
-    partial sum can leave it; otherwise the exact sum decides."""
-    total = values.sum()
-    info = np.iinfo(total.dtype)
-    if max(-int(values.min()), int(values.max())) * values.size > info.max:
-        if not info.min <= sum(values.tolist()) <= info.max:
+def _checked_integer_sum(values: np.ndarray, starts: np.ndarray,
+                         lengths: np.ndarray) -> np.ndarray:
+    """``SUM`` over integers per segment, failing where numpy would
+    wrap, as T-SQL does.  Where a segment's ``size * max(|min|, |max|)``
+    fits the result dtype no partial sum can leave it; otherwise the
+    segment's exact Python-int sum decides."""
+    values = values.astype(values[:0].sum().dtype, copy=False)
+    totals = np.add.reduceat(values, starts)
+    info = np.iinfo(totals.dtype)
+    reach = np.maximum.reduceat(np.abs(values.astype(np.float64)), starts)
+    reach *= lengths
+    # flagging from half the bound on covers the float rounding
+    risky = reach > info.max / 2
+    for start, length in zip(starts[risky], lengths[risky]):
+        exact = sum(values[start:start + length].tolist())
+        if not info.min <= exact <= info.max:
             raise SqlPlanError(
-                f"arithmetic overflow: integer SUM outside {total.dtype}"
+                f"arithmetic overflow: integer SUM outside {totals.dtype}"
             )
-    return total
+    return totals
 
 
-def _reduce(func: str, values: np.ndarray):
+def _string_extreme(func: str, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+    """MIN / MAX of strings per segment through their sorted codes,
+    skipping NULL: an all-NULL segment answers None."""
+    codes = keys.codes(values)
+    null = keys.nulls(values)
+    if func == "max" and null is not None:
+        codes = np.where(null, -1, codes)
+    best = (np.minimum if func == "min" else np.maximum).reduceat(codes, starts)
+    # code -> its string; the NULL code and -1 stay None
+    spelled = np.full(values.shape[0] + 1, None, dtype=object)
+    valid = slice(None) if null is None else ~null
+    spelled[codes[valid]] = values[valid]
+    return spelled[best]
+
+
+def _segments(func: str, values: np.ndarray | None, starts: np.ndarray,
+              lengths: np.ndarray) -> np.ndarray:
+    """One aggregate over group-ordered ``values``, per segment."""
+    null = None if values is None else keys.nulls(values)
     if func == "count":
-        # COUNT(expr) skips NULLs; COUNT(*) reaches here with an
-        # all-ones surrogate and is unaffected
-        return int(_drop_nulls(values).size)
+        # COUNT(*) counts rows, COUNT(expr) the non-NULL ones
+        if null is None or not null.any():
+            return lengths
+        return np.add.reduceat((~null).astype(np.int64), starts)
     if func == "count_distinct":
-        return int(np.unique(_drop_nulls(values)).size)
-    if values.size == 0:
-        # SQL semantics: other aggregates over empty inputs yield NULL
-        return np.nan
-    if func == "sum":
-        if values.dtype.kind in "iu":
-            return _checked_integer_sum(values)
-        return values.sum()
-    if func == "min":
-        return values.min()
-    if func == "max":
-        return values.max()
-    if func == "avg":
-        return float(values.mean())
-    raise SqlPlanError(f"unknown aggregate '{func}'")
-
-
-def _grouped_dtype(func: str, values: np.ndarray):
-    """Result dtype of one grouped aggregate: counts are int64, integer
-    SUM / MIN / MAX answer as their scalar form does (a group is never
-    empty, so it never needs a NaN), everything else float64."""
-    if func in ("count", "count_distinct"):
-        return np.int64
-    if func in ("sum", "min", "max") and values.dtype.kind in "iu":
-        return (values[:0].sum() if func == "sum" else values).dtype
-    return np.float64
+        segment = np.repeat(np.arange(starts.size), lengths)
+        first = keys.group([segment, values]).first
+        if null is not None:
+            first = first[~null[first]]
+        return np.bincount(segment[first], minlength=starts.size)
+    if not lengths.all():
+        # a scalar aggregate over no rows is NULL
+        return np.full(starts.size, np.nan)
+    if func == "sum" and values.dtype.kind in "iub":
+        return _checked_integer_sum(values, starts, lengths)
+    if func in ("sum", "avg"):
+        reduce = np.ndarray.sum if func == "sum" else np.ndarray.mean
+        sums = [reduce(values[a:a + m]) for a, m in zip(starts, lengths)]
+        return np.array(sums, dtype=np.float64)
+    if values.dtype.kind in "OUS":
+        return _string_extreme(func, values, starts)
+    return (np.minimum if func == "min" else np.maximum).reduceat(values, starts)
 
 
 @dataclass
 class Aggregate(PlanNode):
-    """Hash aggregation over optional group keys."""
+    """Sort aggregation over optional group keys."""
 
     child: PlanNode
     group_by: list[tuple[str, Expr]]  # output name, key expression
@@ -103,93 +124,32 @@ class Aggregate(PlanNode):
     def _execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
-
-        agg_values: list[np.ndarray] = []
-        for spec in self.aggregates:
-            if spec.argument is None:
-                agg_values.append(np.ones(n))
-            else:
-                agg_values.append(np.asarray(spec.argument.eval(batch)))
-
-        if not self.group_by:
-            out: Batch = {}
-            for spec, values in zip(self.aggregates, agg_values):
-                out[spec.name.lower()] = np.asarray([_reduce(spec.func.lower(), values)])
-            return out
-
-        key_arrays = [np.asarray(expr.eval(batch)) for _, expr in self.group_by]
-        if n == 0:
-            # each key keeps its own dtype, as a non-empty grouping does
-            out = {
-                name.lower(): key[:0]
-                for (name, _), key in zip(self.group_by, key_arrays)
-            }
-            for spec, values in zip(self.aggregates, agg_values):
-                out[spec.name.lower()] = np.empty(
-                    0, dtype=_grouped_dtype(spec.func.lower(), values)
-                )
-            return out
-
-        # Group via sorted composite keys: stable and fully vectorized
-        # for the single-key case that dominates the workload.
-        if len(key_arrays) == 1:
-            keys = key_arrays[0]
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            boundaries = np.flatnonzero(
-                np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-            )
-            group_of_sorted = np.cumsum(
-                np.concatenate([[0], (sorted_keys[1:] != sorted_keys[:-1]).astype(int)])
-            )
-            uniques = [sorted_keys[boundaries]]
-            group_ids = np.empty(n, dtype=np.int64)
-            group_ids[order] = group_of_sorted
-            n_groups = boundaries.size
+        arguments = [
+            None if spec.argument is None
+            else np.asarray(spec.argument.eval(batch))
+            for spec in self.aggregates
+        ]
+        out: Batch = {}
+        if self.group_by:
+            key_arrays = [np.asarray(expr.eval(batch)) for _, expr in self.group_by]
+            order, starts, first = keys.group(key_arrays)
+            for (name, _), key in zip(self.group_by, key_arrays):
+                out[name.lower()] = key[first]
         else:
-            composite = np.empty(n, dtype=object)
-            rows = list(zip(*[k.tolist() for k in key_arrays]))
-            for row, values in enumerate(rows):
-                composite[row] = values
-            unique_vals, group_ids = np.unique(composite, return_inverse=True)
-            n_groups = unique_vals.size
-            uniques = [
-                np.asarray([v[i] for v in unique_vals.tolist()])
-                for i in range(len(key_arrays))
-            ]
-
-        out = {}
-        for (name, _), values in zip(self.group_by, uniques):
-            out[name.lower()] = values
-        by_group = None  # row order grouping the rows, built on demand
-        for spec, values in zip(self.aggregates, agg_values):
-            func = spec.func.lower()
-            if func == "count":
-                # every group in one pass; COUNT(expr) skips NULLs
-                counted = group_ids
-                if spec.argument is not None and values.dtype.kind == "f":
-                    counted = group_ids[~np.isnan(values)]
-                out[spec.name.lower()] = np.bincount(
-                    counted, minlength=n_groups
-                ).astype(np.int64)
-                continue
-            if by_group is None:
-                by_group = np.argsort(group_ids, kind="stable")
-                sorted_groups = group_ids[by_group]
-                groups = np.arange(n_groups)
-                starts = np.searchsorted(sorted_groups, groups, side="left")
-                stops = np.searchsorted(sorted_groups, groups, side="right")
-            result = np.empty(n_groups, dtype=_grouped_dtype(func, values))
-            sorted_vals = values[by_group]
-            for g in range(n_groups):
-                result[g] = _reduce(func, sorted_vals[starts[g]:stops[g]])
-            out[spec.name.lower()] = result
+            order, starts = None, np.zeros(1, dtype=np.int64)
+        lengths = np.diff(starts, append=n)
+        for spec, values in zip(self.aggregates, arguments):
+            if values is not None and order is not None:
+                values = values[order]
+            out[spec.name.lower()] = _segments(
+                spec.func.lower(), values, starts, lengths
+            )
         return out
 
     def _describe(self) -> str:
-        keys = ", ".join(name for name, _ in self.group_by) or "<scalar>"
+        names = ", ".join(name for name, _ in self.group_by) or "<scalar>"
         aggs = ", ".join(f"{s.func}->{s.name}" for s in self.aggregates)
-        return f"Aggregate(group by {keys}; {aggs})"
+        return f"Aggregate(group by {names}; {aggs})"
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.child,)

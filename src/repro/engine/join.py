@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import keys
 from repro.engine.compile import plan_kernel
 from repro.engine.expressions import (
     Batch,
@@ -64,31 +65,45 @@ def _row_bytes(*batches: Batch) -> int:
     return max(total, 1)
 
 
-def _sort_order(keys: np.ndarray, n_finite: int) -> np.ndarray | None:
-    """The stable argsort of ``keys``, or None when it is the identity.
+def _sort_order(values: np.ndarray, n_finite: int) -> np.ndarray | None:
+    """The stable argsort of ``values``, or None when it is the identity.
 
-    ``keys`` is already in order when its first ``n_finite`` keys are
-    non-decreasing and any NaNs trail them — a clustered table's scan.
-    The O(n) check spares the sort, and band pairs drawn from identity
-    order come out canonical with no sort at all.
+    ``values`` is already in order when its first ``n_finite`` entries
+    are non-decreasing and any NaNs trail them — a clustered table's
+    scan.  The O(n) check spares the sort, and band pairs drawn from
+    identity order come out canonical with no sort at all.
     """
-    head, tail = keys[:n_finite], keys[n_finite:]
+    head, tail = values[:n_finite], values[n_finite:]
     if (tail.size == 0 or bool(np.isnan(tail).all())) \
             and bool(np.all(head[1:] >= head[:-1])):
         return None
-    return np.argsort(keys, kind="stable")
+    return np.argsort(values, kind="stable")
+
+
+def expand_ranges(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``starts[i] : starts[i] + counts[i]`` concatenated,
+    without a loop: for each position, the range ``i`` it belongs to
+    and the index it holds."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return owner, offsets + np.arange(owner.size)
 
 
 @dataclass
 class HashJoin(PlanNode):
-    """Equi-join: build a hash table on the smaller input, probe the other.
+    """Equi-join: sort the smaller input's key codes, probe the other.
 
-    The build side is picked by the optimizer's ``est_rows`` stamped on
-    each input (falling back to the actual batch lengths when the plan
-    was never annotated) — building on a 1000-row dimension instead of
-    a million-row fact is the difference between a dict that fits in
-    cache and one that doesn't.  Output order is canonical
-    (left row, right row) regardless of which side built.
+    Both sides' keys are coded by :func:`repro.engine.keys.match`, so
+    the join answers the engine's ``=`` and a NULL key matches nothing.
+    The build side's codes are sorted once and each probe row's matches
+    are the equal range ``searchsorted`` finds, expanded into pairs by
+    :func:`expand_ranges`.  The build side is picked by the optimizer's
+    ``est_rows`` stamped on each input (falling back to the actual
+    batch lengths when the plan was never annotated): sorting a
+    1000-row dimension instead of a million-row fact.  Output order is
+    canonical (left row, right row) regardless of which side built.
 
     ``outer=True`` gives LEFT OUTER semantics: unmatched left rows are
     kept, with the right side's columns padded with NULL (NaN; integer
@@ -118,35 +133,28 @@ class HashJoin(PlanNode):
         rbatch = self.right.execute()
         lkeys = _as_array(self.left_key.eval(lbatch))
         rkeys = _as_array(self.right_key.eval(rbatch))
+        left, right = keys.match([lkeys], [rkeys])
+        probe_is_left = self._build_on_right(lkeys.shape[0], rkeys.shape[0])
+        (probe_rows, probe), (build_rows, build) = \
+            (left, right) if probe_is_left else (right, left)
 
-        if self._build_on_right(lkeys.shape[0], rkeys.shape[0]):
-            build_keys, probe_keys, probe_is_left = rkeys, lkeys, True
-        else:
-            build_keys, probe_keys, probe_is_left = lkeys, rkeys, False
-
-        buckets: dict = {}
-        for row, key in enumerate(build_keys.tolist()):
-            buckets.setdefault(key, []).append(row)
-
-        probe_rows: list[int] = []
-        build_rows: list[int] = []
-        for row, key in enumerate(probe_keys.tolist()):
-            matches = buckets.get(key)
-            if matches:
-                probe_rows.extend([row] * len(matches))
-                build_rows.extend(matches)
+        # the build side sorted by code; each probe's matches are the
+        # equal range, in build row order since the sort is stable
+        by_code = np.argsort(build, kind="stable")
+        build = build[by_code]
+        starts = np.searchsorted(build, probe, side="left")
+        stops = np.searchsorted(build, probe, side="right")
+        probe_at, build_at = expand_ranges(starts, stops - starts)
+        probe_rows = probe_rows[probe_at]
+        build_rows = build_rows[by_code[build_at]]
 
         if probe_is_left:
-            left_rows = np.asarray(probe_rows, dtype=np.int64)
-            right_rows = np.asarray(build_rows, dtype=np.int64)
+            left_rows, right_rows = probe_rows, build_rows
         else:
             # probed from the right: pairs arrived right-major; restore
             # the canonical (left row, right row) order
-            left_rows = np.asarray(build_rows, dtype=np.int64)
-            right_rows = np.asarray(probe_rows, dtype=np.int64)
-            perm = np.lexsort((right_rows, left_rows))
-            left_rows = left_rows[perm]
-            right_rows = right_rows[perm]
+            perm = np.lexsort((probe_rows, build_rows))
+            left_rows, right_rows = build_rows[perm], probe_rows[perm]
 
         joined = merge_batches(lbatch, left_rows, rbatch, right_rows)
         if self.residual is not None and batch_length(joined):
@@ -309,13 +317,8 @@ class BandJoin(PlanNode):
             if total == 0:
                 return empty, empty
 
-            l_rows = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
-            # concatenate the ranges starts[i]:stops[i] without a loop
-            group_first = np.cumsum(counts) - counts
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                group_first, counts
-            )
-            r_rows = np.repeat(starts, counts) + within
+            l_rows, r_rows = expand_ranges(starts, counts)
+            l_rows += start
             if order is not None:
                 r_rows = order[r_rows]
 
@@ -481,35 +484,6 @@ class CrossJoin(PlanNode):
         return (self.left, self.right)
 
 
-#: dtype kinds compared as numbers (a string never equals one)
-_NUMERIC_KINDS = "biuf"
-
-
-def _null_keys(values: np.ndarray) -> np.ndarray:
-    """Where a key is NULL — NaN, or None in a string column."""
-    if values.dtype.kind == "f":
-        return np.isnan(values)
-    if values.dtype.kind == "O":
-        return np.equal(values, None)
-    return np.zeros(values.shape[0], dtype=bool)
-
-
-def _key_codes(columns: list[np.ndarray]) -> np.ndarray:
-    """One int64 per row, equal exactly where every column is equal:
-    each column factorized, the codes combined and re-densified."""
-    codes = None
-    for values in columns:
-        _, inverse = np.unique(values, return_inverse=True)
-        if codes is None:
-            codes = inverse
-        else:
-            _, codes = np.unique(
-                codes * (int(inverse.max(initial=0)) + 1) + inverse,
-                return_inverse=True,
-            )
-    return codes
-
-
 @dataclass
 class SemiJoin(PlanNode):
     """``IN`` / ``EXISTS`` as a join: does an outer row have a match
@@ -524,11 +498,11 @@ class SemiJoin(PlanNode):
 
     A row matches when its ``outer_keys`` equal some inner row's
     ``inner_keys``; with no keys (an uncorrelated EXISTS) every row
-    matches when the inner input is non-empty.  The inner keys are
-    deduplicated once per execution and probed with ``np.isin``, one
-    key by value, several by factorized codes combined into one int64,
-    so no Python loop runs per row or per distinct key.  A NULL key
-    never matches, on either side, and a string never equals a number.
+    matches when the inner input is non-empty.  Both sides' keys are
+    coded by :func:`repro.engine.keys.match`; the inner codes are
+    deduplicated once per execution and probed with ``np.isin``, so no
+    Python loop runs per row or per distinct key.  A NULL key never
+    matches, on either side, and a string never equals a number.
     An empty outer input leaves the inner unexecuted.
     """
 
@@ -560,24 +534,9 @@ class SemiJoin(PlanNode):
             np.broadcast_to(_as_array(key.eval(inner)), (m,))
             for key in self.inner_keys
         ]
+        (rows, probe), (_, build) = keys.match(outer_cols, inner_cols)
         found = np.zeros(n, dtype=bool)
-        if any(
-            (o.dtype.kind in _NUMERIC_KINDS) != (i.dtype.kind in _NUMERIC_KINDS)
-            for o, i in zip(outer_cols, inner_cols)
-        ):
-            return found
-        outer_ok = ~np.logical_or.reduce([_null_keys(c) for c in outer_cols])
-        inner_ok = ~np.logical_or.reduce([_null_keys(c) for c in inner_cols])
-        outer_cols = [c[outer_ok] for c in outer_cols]
-        inner_cols = [c[inner_ok] for c in inner_cols]
-        if len(outer_cols) == 1 and outer_cols[0].dtype.kind in _NUMERIC_KINDS:
-            probe, build = outer_cols[0], inner_cols[0]
-        else:
-            codes = _key_codes([
-                np.concatenate([o, i]) for o, i in zip(outer_cols, inner_cols)
-            ])
-            probe, build = np.split(codes, [len(outer_cols[0])])
-        found[outer_ok] = np.isin(probe, np.unique(build))
+        found[rows] = np.isin(probe, np.unique(build))
         return found
 
     def _describe(self) -> str:

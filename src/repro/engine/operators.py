@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import keys
 from repro.engine.compile import plan_kernel
 from repro.engine.expressions import Batch, Expr, batch_length, scalar_value
 from repro.engine.index import ClusteredIndex, PrimaryKeyIndex
@@ -441,6 +442,8 @@ class Sort(PlanNode):
         # Apply keys least-significant first, with a stable sort.
         for expr, ascending in reversed(self.keys):
             values = np.asarray(expr.eval(batch))[order]
+            # strings sort by their codes, NULL last as a NaN sorts
+            values = keys.codes(values) if values.dtype == object else values
             idx = np.argsort(values, kind="stable")
             if not ascending:
                 idx = idx[::-1]
@@ -484,16 +487,10 @@ class Distinct(PlanNode):
 
     def _execute(self) -> Batch:
         batch = self.child.execute()
-        n = batch_length(batch)
-        if n == 0:
+        if batch_length(batch) == 0:
             return batch
-        names = sorted(batch)
-        combined = np.empty(n, dtype=object)
-        stacked = list(zip(*[np.asarray(batch[name]).tolist() for name in names]))
-        for row, values in enumerate(stacked):
-            combined[row] = values
-        _, first_rows = np.unique(combined, return_index=True)
-        return take(batch, np.sort(first_rows))
+        first = keys.group([np.asarray(v) for v in batch.values()]).first
+        return take(batch, np.sort(first))
 
     def _describe(self) -> str:
         return "Distinct"

@@ -395,7 +395,7 @@ class Planner:
         conjuncts: list[Expr],
         relations: list[_Relation],
         marks: list[str],
-        mapping: dict[Expr, Expr] | None = None,
+        mapped=lambda expr: expr,
     ) -> tuple[list[Expr], list]:
         """Split WHERE or HAVING conjuncts into the plain ones and one
         ``(outer refs, semi-joins, residual)`` entry per conjunct that
@@ -404,11 +404,10 @@ class Planner:
         A top-level ``IN`` / ``EXISTS`` is one ``semi`` join and a
         ``NOT`` of one an ``anti`` join, with no residual.  Elsewhere
         each subquery becomes a ``mark`` join whose column replaces it
-        in the residual, the conjunct left to filter on.  ``mapping``
+        in the residual, the conjunct left to filter on.  ``mapped``
         maps the outer keys and the residual the way the caller maps
         its predicate (HAVING's aggregate outputs).
         """
-        mapping = mapping or {}
         plain: list[Expr] = []
         entries = []
         for conjunct in conjuncts:
@@ -420,7 +419,7 @@ class Planner:
             target = conjunct.operand if negated else conjunct
             if isinstance(target, (Exists, InSubquery)):
                 kind = "anti" if negated else "semi"
-                joins = [self._semi_join(target, relations, mapping, kind)]
+                joins = [self._semi_join(target, relations, mapped, kind)]
                 residual = None
             else:
                 joins = []
@@ -430,11 +429,11 @@ class Planner:
                         return None
                     marks.append(f"__mark{len(marks)}")
                     joins.append(self._semi_join(
-                        node, relations, mapping, "mark", marks[-1]
+                        node, relations, mapped, "mark", marks[-1]
                     ))
                     return ColumnRef(marks[-1])
 
-                residual = rewrite(transform(conjunct, pre=to_mark), mapping)
+                residual = mapped(transform(conjunct, pre=to_mark))
             refs = conjunct.column_refs() + [
                 ref for join in joins for key in join[1]
                 for ref in key.column_refs()
@@ -446,7 +445,7 @@ class Planner:
         self,
         node: Expr,
         relations: list[_Relation],
-        mapping: dict[Expr, Expr],
+        mapped,
         kind: str,
         mark: str | None = None,
     ) -> tuple:
@@ -485,7 +484,7 @@ class Planner:
             names = []
         return (
             self.plan_select(sub, _nested=True),
-            tuple(rewrite(outer, mapping) for outer, _ in pairs),
+            tuple(mapped(outer) for outer, _ in pairs),
             tuple(ColumnRef(name) for name in names),
             kind,
             mark,
@@ -971,45 +970,52 @@ class Planner:
         if any(item.star for item in stmt.items):
             raise SqlPlanError("SELECT * cannot be combined with aggregation")
 
-        # Deduplicate structurally identical aggregate calls.
-        unique: list[FuncCall] = []
-        for call in aggregates:
-            if call not in unique:
-                unique.append(call)
+        def resolved(expr: Expr) -> Expr:
+            """``expr`` with each column ref spelled as the relation it
+            resolves to, so ``k`` and ``a.k`` name one group key."""
+            def qualify(node: Expr) -> Expr | None:
+                alias = isinstance(node, ColumnRef) \
+                    and self._resolve_alias(node, relations)
+                return ColumnRef(node.name.lower(), alias) if alias else None
+            return transform(expr, pre=qualify)
+
+        # One output per aggregate call and per group key, matched by
+        # resolved column, not by spelling.
         mapping: dict[Expr, Expr] = {}
         specs: list[AggregateSpec] = []
-        for pos, call in enumerate(unique):
-            name = f"__agg{pos}"
-            argument = call.args[0] if call.args else None
-            specs.append(AggregateSpec(call.name.lower(), argument, name))
-            mapping[call] = ColumnRef(name)
+        for call in aggregates:
+            if resolved(call) not in mapping:
+                name = f"__agg{len(specs)}"
+                argument = call.args[0] if call.args else None
+                specs.append(AggregateSpec(call.name.lower(), argument, name))
+                mapping[resolved(call)] = ColumnRef(name)
 
         group_names: list[tuple[str, Expr]] = []
         for pos, key in enumerate(stmt.group_by):
             name = f"__key{pos}"
             group_names.append((name, key))
-            mapping[key] = ColumnRef(name)
+            mapping[resolved(key)] = ColumnRef(name)
+
+        def mapped(expr: Expr) -> Expr:
+            return transform(expr, pre=lambda node: mapping.get(resolved(node)))
 
         plan = Aggregate(plan, group_names, specs)
 
         if stmt.having is not None:
             having, semis = self._split_subqueries(
-                split_conjuncts(stmt.having), relations, marks, mapping
+                split_conjuncts(stmt.having), relations, marks, mapped
             )
             if having:
                 # HAVING as written unless a subquery conjunct left it
                 predicate = and_all(having) if semis else stmt.having
-                plan = Filter(plan, rewrite(predicate, mapping))
+                plan = Filter(plan, mapped(predicate))
             plan = self._semi_filtered(plan, semis)
 
         outputs: list[tuple[str, Expr]] = []
         for pos, item in enumerate(stmt.items):
             assert item.expr is not None
-            expr = rewrite(item.expr, mapping)
-            outputs.append((self._output_name(item, pos), expr))
-        order_keys = [
-            (rewrite(o.expr, mapping), o.ascending) for o in stmt.order_by
-        ]
+            outputs.append((self._output_name(item, pos), mapped(item.expr)))
+        order_keys = [(mapped(o.expr), o.ascending) for o in stmt.order_by]
         return plan, outputs, order_keys
 
     def _expand_items(
