@@ -87,15 +87,16 @@ def _string_extreme(func: str, values: np.ndarray,
 def _segments(func: str, values: np.ndarray | None, starts: np.ndarray,
               lengths: np.ndarray) -> np.ndarray:
     """One aggregate over group-ordered ``values``, per segment."""
-    null = None if values is None else keys.nulls(values)
     if func == "count":
         # COUNT(*) counts rows, COUNT(expr) the non-NULL ones
+        null = None if values is None else keys.nulls(values)
         if null is None or not null.any():
             return lengths
         return np.add.reduceat((~null).astype(np.int64), starts)
     if func == "count_distinct":
         segment = np.repeat(np.arange(starts.size), lengths)
         first = keys.group([segment, values]).first
+        null = keys.nulls(values)
         if null is not None:
             first = first[~null[first]]
         return np.bincount(segment[first], minlength=starts.size)
