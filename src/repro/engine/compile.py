@@ -30,12 +30,27 @@ kernel adds is strategy, checked byte for byte against the plain walk
   the whole predicate and touches payload columns only once, at the
   end, for surviving rows.
 
+* **Literals as 0-d values** — a ``Literal``, or a subtree whose leaves
+  are all literals (``POWER(0.57, 2)``), evaluates to one 0-d array
+  instead of an ``n``-row ``np.full``, and is broadcast only at the
+  kernel's exits (``_run_predicate``, ``_run_outputs``).  Under numpy
+  2's promotion a 0-d array promotes exactly as a full array does
+  (float32 + 0-d float64 is float64, int32 + 0-d int64 is int64), and
+  ``Expr.eval`` keeps returning ``n``-row arrays, so the interpreted
+  walk stays the oracle.  A 0-d value is made only when the frame has
+  rows: an all-literal subtree raises exactly where full-width
+  evaluation raised, never over an empty batch or over rows a guard
+  has decided.
+
 Kernels compile once per plan node (:func:`plan_kernel`) and are
 reusable across batches (CasJobs threads running one memoized plan
-share its kernels; per-call state lives in a private frame).  Column
-references gather through the selection vector; a node type without an
-``apply`` (``Case``) falls back to ``node.eval`` over a narrowed batch,
-so the compiler never has to chase the closed type set.
+share its kernels; per-call state lives in a private frame).  The frame
+finds shared and literal-only nodes by object id, from tables built at
+compile time: a frozen node hashes its whole subtree on every call.
+Column references gather through the selection vector; a node type
+without an ``apply`` (``Case``) falls back to ``node.eval`` over a
+narrowed batch, so the compiler never has to chase the closed type
+set.
 
 Execution tallies feed the ``engine.compile.*`` metrics by pull, the
 same zero-hot-path-cost pattern the buffer pool uses.
@@ -46,9 +61,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.expressions import (
+    ONE_ROW,
     Batch,
+    Case,
     ColumnRef,
     Expr,
+    Literal,
     batch_length,
     resolve_column,
     split_conjuncts,
@@ -107,6 +125,38 @@ def count_nodes(expr: Expr) -> int:
     return 1 + sum(count_nodes(child) for child in expr.children())
 
 
+#: The ``constants`` of a kernel without computed literal-only subtrees.
+_NO_IDS: frozenset[int] = frozenset()
+
+
+def _literal_only(node: Expr) -> bool:
+    """Is ``node`` a function of literals alone?  A node with an
+    ``apply``, or a ``Case``, computes from its children; a column
+    reference, or a node type the kernel does not know, does not."""
+    return (node.apply is not None or isinstance(node, Case)) and all(
+        map(_literal_only, node.children())
+    )
+
+
+def _mark(
+    node: Expr,
+    classes: dict[Expr, int],
+    shared: dict[int, int],
+    constants: set[int],
+) -> None:
+    """Map the id of every occurrence of a repeated subtree to its CSE
+    class, and record the ids of the maximal literal-only subtrees
+    other than bare literals (the frame knows those by type)."""
+    if _hashable(node) and node in classes:
+        shared[id(node)] = classes[node]
+    if _literal_only(node):
+        if not isinstance(node, Literal):
+            constants.add(id(node))
+        return
+    for child in node.children():
+        _mark(child, classes, shared, constants)
+
+
 def _hashable(node: Expr) -> bool:
     try:
         hash(node)
@@ -125,29 +175,38 @@ class _Frame:
     """
 
     __slots__ = ("batch", "n_full", "sel", "n", "cache", "shared",
-                 "narrowed")
+                 "constants", "narrowed")
 
-    def __init__(self, batch: Batch, n: int, shared: set[Expr]):
+    def __init__(
+        self,
+        batch: Batch,
+        n: int,
+        shared: dict[int, int],
+        constants: frozenset[int],
+    ):
         self.batch = batch
         self.n_full = n
         self.sel: np.ndarray | None = None  # None = all rows survive
         self.n = n
-        self.cache: dict[Expr, np.ndarray] = {}
+        self.cache: dict[int, np.ndarray] = {}
         self.shared = shared
+        self.constants = constants
         self.narrowed: Batch | None = None  # lazily built fallback batch
 
     def narrow(self, local_mask: np.ndarray, sel: np.ndarray) -> None:
         """Restrict the frame to the rows where ``local_mask`` holds.
 
-        Cached values all have the current selection length, so each
-        narrows with the same local mask — keeping every cache entry
-        byte-identical to a fresh evaluation over the new selection.
+        Cached values all have the current selection length (or are
+        0-d), so each narrows with the same local mask — keeping every
+        cache entry byte-identical to a fresh evaluation over the new
+        selection.
         """
         self.sel = sel
         self.n = int(sel.size)
         if self.cache:
             self.cache = {
-                node: value[local_mask] for node, value in self.cache.items()
+                key: value if value.ndim == 0 else value[local_mask]
+                for key, value in self.cache.items()
             }
         self.narrowed = None
 
@@ -156,31 +215,42 @@ class _Frame:
     ) -> np.ndarray:
         if rows is not None:
             return self._over(rows)(node)
-        if self.cache:
-            cached = self.cache.get(node)
-            if cached is not None:
-                TALLY.cse_hits += 1
-                return cached
-        value = self._compute(node)
-        if self.shared and node in self.shared:
-            self.cache[node] = value
+        key = self.shared.get(id(node))
+        if key is None:
+            return self._compute(node)
+        cached = self.cache.get(key)
+        if cached is not None:
+            TALLY.cse_hits += 1
+            return cached
+        value = self.cache[key] = self._compute(node)
         return value
 
     def _over(self, rows: np.ndarray) -> "_Frame":
         """A frame over only ``rows`` (positions in the current
         selection), its cache narrowed to match; what it computes is
         not cached back here."""
-        frame = _Frame(self.batch, self.n_full, self.shared)
+        frame = _Frame(self.batch, self.n_full, self.shared, self.constants)
         frame.sel = rows if self.sel is None else self.sel[rows]
         frame.n = int(rows.size)
         if self.cache:
             frame.cache = {
-                node: value[rows] for node, value in self.cache.items()
+                key: value if value.ndim == 0 else value[rows]
+                for key, value in self.cache.items()
             }
         return frame
 
     def _compute(self, node: Expr) -> np.ndarray:
         TALLY.nodes_evaluated += 1
+        if self.n and (
+            isinstance(node, Literal) or id(node) in self.constants
+        ):
+            # literal-only: one 0-d value, which promotes as the n-row
+            # array would; made only when there are rows, so it raises
+            # exactly where full-width evaluation raised
+            TALLY.alloc_elements += 1
+            value = node.value if isinstance(node, Literal) \
+                else node.eval(ONE_ROW)
+            return np.asarray(value).reshape(())
         TALLY.alloc_elements += self.n
         if isinstance(node, ColumnRef):
             arr = resolve_column(self.batch, node.name, node.qualifier)
@@ -231,7 +301,19 @@ class CompiledKernel:
         self.n_nodes = 0
         for root in roots:
             self._count(root, counts)
-        self.shared = {node for node, c in counts.items() if c > 1}
+        #: node object id -> its CSE class, for every occurrence of a
+        #: structurally repeated subtree: the frame looks nodes up by
+        #: id, since a frozen node hashes its whole subtree per call
+        self.shared: dict[int, int] = {}
+        constants: set[int] = set()
+        classes = {node: i for i, (node, c) in enumerate(counts.items())
+                   if c > 1}
+        for root in roots:
+            _mark(root, classes, self.shared, constants)
+        #: ids of the computed literal-only subtrees (``POWER(0.57, 2)``),
+        #: evaluated to 0-d values like literals; usually none, and then
+        #: one empty set every such kernel shares
+        self.constants = frozenset(constants) if constants else _NO_IDS
         #: evaluations saved by CSE if every occurrence were visited
         self.n_cse = sum(c - 1 for c in counts.values() if c > 1)
         #: temporaries the interpreted walk would materialize: one
@@ -260,7 +342,7 @@ class CompiledKernel:
         """Row ids (ascending int64) surviving the predicate."""
         if n is None:
             n = batch_length(batch)
-        frame = _Frame(batch, n, self.shared)
+        frame = _Frame(batch, n, self.shared, self.constants)
         sel = self._run_predicate(frame)
         TALLY.executions += 1
         TALLY.rows_in += n
@@ -286,7 +368,7 @@ class CompiledKernel:
         """
         if n is None:
             n = batch_length(batch)
-        frame = _Frame(batch, n, self.shared)
+        frame = _Frame(batch, n, self.shared, self.constants)
         TALLY.executions += 1
         TALLY.rows_in += n
         TALLY.interp_elements += n * self.n_interp_nodes
@@ -299,7 +381,7 @@ class CompiledKernel:
         values — byte-identical to projecting the filtered batch."""
         if n is None:
             n = batch_length(batch)
-        frame = _Frame(batch, n, self.shared)
+        frame = _Frame(batch, n, self.shared, self.constants)
         sel = self._run_predicate(frame)
         TALLY.executions += 1
         TALLY.rows_in += n

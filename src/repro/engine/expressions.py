@@ -402,7 +402,8 @@ class InList(Expr):
             return fast
         result = np.zeros(v.shape, dtype=bool)
         for option in self.options:
-            result |= v == evaluate(option)
+            # not ``|=``: a 0-d value against a column widens the result
+            result = result | (v == evaluate(option))
         return result
 
 
@@ -454,6 +455,11 @@ class Case(Expr):
         return result
 
 
+def _rows(value: np.ndarray, n: int) -> np.ndarray:
+    """``value`` as ``n`` rows: a 0-d value is broadcast."""
+    return np.full(n, value) if np.ndim(value) == 0 else value
+
+
 def _fn_pi(n: int) -> np.ndarray:
     return np.full(n, np.pi)
 
@@ -502,10 +508,12 @@ class FuncCall(Expr):
         scalar-exponent square (the bits of ``x ** 2``) instead of libm
         ``pow`` per element, and ``POWER(0.57, 2)`` is computed once.  A
         result that is still 0-d (every argument a literal) is
-        broadcast to ``n`` rows.  This applies to function arguments
-        only: a scalar ``BinaryOp`` operand would not widen an int32 or
-        float32 column the way a full array does under numpy's
-        promotion rules.
+        broadcast to ``n`` rows.  Every other argument reaches the
+        function as ``n`` rows, also when the fused kernel computed it
+        as a 0-d value (``POWER(x, -2)``): numpy takes its scalar fast
+        paths on a 0-d operand, and the kernel must keep the walk's
+        bits.  Python scalars never reach a ``BinaryOp``: one would not
+        widen an int32 or float32 column the way a numpy value does.
         """
         lowered = self.name.lower()
         if lowered == "pi":
@@ -520,7 +528,7 @@ class FuncCall(Expr):
                 f"got {len(self.args)}"
             )
         result = fn(*[
-            arg.value if isinstance(arg, Literal) else evaluate(arg)
+            arg.value if isinstance(arg, Literal) else _rows(evaluate(arg), n)
             for arg in self.args
         ])
         if np.ndim(result) == 0:

@@ -13,8 +13,9 @@ the sorted base plus a filtered pass over the unsorted append tail.
 Both indexes share one range interface — ``table``, ``keys``,
 ``leading_key``, ``tail_pages`` and ``range_scan(lo, hi)`` — so one
 plan node, :class:`~repro.engine.operators.IndexRangeScan`, serves
-both.  Scans return owned arrays in physical order: the same rows, in
-the same order, that a sequential scan plus filter returns.
+both; :func:`range_bounds` says which conjuncts such a range serves.
+Scans return owned arrays in physical order: the same rows, in the
+same order, that a sequential scan plus filter returns.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ import weakref
 
 import numpy as np
 
+from repro.engine.expressions import (
+    Between,
+    BinaryOp,
+    ColumnRef,
+    Expr,
+    literal_value,
+)
 from repro.engine.table import Table
 from repro.errors import EngineError
 
@@ -83,10 +91,16 @@ class ClusteredIndex:
 
     def range_rows(self, lo, hi) -> tuple[int, int]:
         """Row range [start, stop) of the sorted base with
-        ``lo <= leading_key <= hi``."""
+        ``lo <= leading_key <= hi``; a None end is open.  NaN keys sort
+        last, and an open upper end stops before them."""
         key = self.table.column(self.leading_key)[: self._base_rows()]
-        start = int(np.searchsorted(key, lo, side="left"))
-        stop = int(np.searchsorted(key, hi, side="right"))
+        start = 0 if lo is None else int(np.searchsorted(key, lo, side="left"))
+        if hi is not None:
+            stop = int(np.searchsorted(key, hi, side="right"))
+        elif key.dtype.kind == "f":
+            stop = int(np.searchsorted(key, np.nan, side="left"))
+        else:
+            stop = key.size
         return start, stop
 
     @property
@@ -99,15 +113,20 @@ class ClusteredIndex:
         return table.page_count - table.file.page_of_row(base)
 
     def range_scan(self, lo, hi) -> dict[str, np.ndarray]:
-        """Read (with page accounting) all rows in the leading-key range:
-        the base slice, then the tail rows that match."""
+        """Read (with page accounting) all rows in the leading-key range
+        (a None end is open): the base slice, then the tail rows that
+        match."""
         start, stop = self.range_rows(lo, hi)
         base, n = self._base_rows(), self.table.row_count
         rows = np.arange(start, stop, dtype=np.int64)
         if base < n:
             tail = self.table.column(self.leading_key)[base:]
-            hits = np.flatnonzero((tail >= lo) & (tail <= hi)) + base
-            rows = np.concatenate([rows, hits])
+            inside = np.ones(tail.size, dtype=bool)
+            if lo is not None:
+                inside &= tail >= lo
+            if hi is not None:
+                inside &= tail <= hi
+            rows = np.concatenate([rows, np.flatnonzero(inside) + base])
         return self.table.fetch(rows, (start, stop), (base, n))
 
 
@@ -138,3 +157,49 @@ class PrimaryKeyIndex:
         return self.table.fetch(
             rows, *((row, row + 1) for row in rows.tolist())
         )
+
+
+#: A comparison read with its operands swapped.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _is_column(expr: Expr, key: str) -> bool:
+    return isinstance(expr, ColumnRef) and expr.name.lower() == key.lower()
+
+
+def range_bounds(
+    conjunct: Expr, key: str, open_ended: bool = False
+) -> tuple[object, object, bool] | None:
+    """Match a conjunct an index range scan on ``key`` can serve.
+
+    ``key BETWEEN lit AND lit`` and ``key = lit`` are closed ranges.
+    With ``open_ended`` (a numeric key), ``key < <= > >= lit`` against
+    a number, in either operand order, is a range with one end None.
+    Returns ``(lo, hi, exact)``: ``exact`` is False for a strict bound,
+    whose scan reads the rows equal to the literal too, so its conjunct
+    stays as a Filter above the scan.
+    """
+    if isinstance(conjunct, Between) and _is_column(conjunct.value, key):
+        lo = literal_value(conjunct.low)
+        hi = literal_value(conjunct.high)
+        if lo is not None and hi is not None:
+            return lo, hi, True
+    if not isinstance(conjunct, BinaryOp):
+        return None
+    if conjunct.op == "=" and _is_column(conjunct.left, key):
+        value = literal_value(conjunct.right)
+        if value is not None:
+            return value, value, True
+    if not open_ended or conjunct.op not in _FLIPPED:
+        return None
+    op, value = conjunct.op, literal_value(conjunct.right)
+    if not _is_column(conjunct.left, key):
+        if not _is_column(conjunct.right, key):
+            return None
+        op, value = _FLIPPED[op], literal_value(conjunct.left)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value != value:
+        return None  # not a number, or NaN, which no row compares to
+    if op in ("<", "<="):
+        return None, value, op == "<="
+    return value, None, op == ">="

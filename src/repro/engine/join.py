@@ -13,6 +13,16 @@ inside each probe's interval), and falls back to
 a :class:`SemiJoin`: the outer rows filtered, or marked, by whether a
 matching inner row exists.
 
+The three pair-producing joins share one pair path,
+:func:`join_pairs`.  Each describes its candidates as a ``(start,
+count)`` range per probe row into an ordered build side (the band's
+sorted keys, the hash join's sorted codes, the nested loop's whole
+right side); the path expands them in blocks of at most
+:data:`PAIR_BUDGET` pairs, so a block's temporaries stay in cache (the
+cache-resident vectors of MonetDB/X100), runs the residual over only
+the columns it reads, and hands back the surviving row ids for the join
+to merge its output columns once.
+
 Join outputs are *canonically ordered*: pairs appear sorted by
 (left row, right row), exactly the order a naive nested loop emits.
 Every operator here preserves that invariant no matter which side it
@@ -24,6 +34,7 @@ across physical plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +48,12 @@ from repro.engine.expressions import (
 )
 from repro.engine.operators import PlanNode, take
 from repro.errors import SqlPlanError
+
+#: Candidate pairs one block of the pair path expands at most.  About
+#: 8k pairs keep a block's gathered columns and the residual's
+#: temporaries cache-resident; a probe row whose own range is larger
+#: makes a block alone.
+PAIR_BUDGET = 8192
 
 
 def _as_array(arr) -> np.ndarray:
@@ -54,15 +71,6 @@ def merge_batches(left: Batch, left_rows, right: Batch, right_rows) -> Batch:
             raise SqlPlanError(f"join would duplicate output column '{key}'")
         out[key] = _as_array(arr)[right_rows]
     return out
-
-
-def _row_bytes(*batches: Batch) -> int:
-    """Bytes one materialized pair row costs across the given batches."""
-    total = 0
-    for batch in batches:
-        for arr in batch.values():
-            total += _as_array(arr).itemsize
-    return max(total, 1)
 
 
 def _sort_order(values: np.ndarray, n_finite: int) -> np.ndarray | None:
@@ -91,19 +99,114 @@ def expand_ranges(
     return owner, offsets + np.arange(owner.size)
 
 
+def pair_blocks(
+    counts: np.ndarray, block_rows: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Consecutive probe-row slices ``[start, stop)`` whose candidate
+    ``counts`` sum to at most :data:`PAIR_BUDGET` (a lone row may
+    exceed it), of at most ``block_rows`` rows when that is set."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < counts.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, done + PAIR_BUDGET, side="right"))
+        stop = max(stop, start + 1)
+        if block_rows:
+            stop = min(stop, start + block_rows)
+        yield start, stop
+        start = stop
+
+
+def join_pairs(
+    node: PlanNode,
+    residual: Expr | None,
+    lbatch: Batch,
+    rbatch: Batch,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    probe_rows: np.ndarray | None = None,
+    build_rows: np.ndarray | None = None,
+    probe_is_left: bool = True,
+    block_rows: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair path of every join: the (left row, right row) pairs
+    that pass ``residual``, probe-major.
+
+    Probe ``i`` is batch row ``probe_rows[i]`` and its candidates are
+    the positions ``starts[i] : starts[i] + counts[i]`` of the ordered
+    build side, whose position ``p`` is batch row ``build_rows[p]``
+    (None means the identity for either).  With a residual the
+    candidates expand in the blocks of :func:`pair_blocks`; each block
+    gathers only the residual's columns, runs the node's fused kernel
+    (or the interpreted walk when kernels are off) and keeps the
+    surviving row ids, so the caller merges its output columns once,
+    for survivors only.  A block without candidates evaluates nothing.
+    """
+    if residual is None:
+        blocks: Iterator[tuple[int, int]] = iter([(0, counts.size)])
+    else:
+        blocks = pair_blocks(counts, block_rows)
+    kernel = (
+        plan_kernel(node, residual)
+        if node.compiled and residual is not None
+        else None
+    )
+    needed: list[str] | None = None
+    lefts: list[np.ndarray] = []
+    rights: list[np.ndarray] = []
+    for start, stop in blocks:
+        at, pos = expand_ranges(starts[start:stop], counts[start:stop])
+        if at.size == 0:
+            continue
+        at += start
+        probe = at if probe_rows is None else probe_rows[at]
+        build = pos if build_rows is None else build_rows[pos]
+        left, right = (probe, build) if probe_is_left else (build, probe)
+        if residual is not None:
+            if needed is None:
+                combined: Batch = {**lbatch, **rbatch}
+                needed = sorted({
+                    resolve_key(combined, ref.name, ref.qualifier)
+                    for ref in residual.column_refs()
+                })
+            pairs = {
+                key: (_as_array(lbatch[key])[left] if key in lbatch
+                      else _as_array(rbatch[key])[right])
+                for key in needed
+            } or {"__pairs": np.zeros(left.size)}
+            if kernel is not None:
+                keep = kernel.select(pairs, left.size)
+            else:
+                keep = np.asarray(residual.eval(pairs), dtype=bool)
+            left, right = left[keep], right[keep]
+        lefts.append(left)
+        rights.append(right)
+    if not lefts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(lefts), np.concatenate(rights)
+
+
+def _describe_residual(node: PlanNode, txt: str, residual: Expr | None) -> str:
+    if node.compiled and residual is not None:
+        txt += f"  {plan_kernel(node, residual).describe()}"
+    return txt
+
+
 @dataclass
 class HashJoin(PlanNode):
     """Equi-join: sort the smaller input's key codes, probe the other.
 
     Both sides' keys are coded by :func:`repro.engine.keys.match`, so
     the join answers the engine's ``=`` and a NULL key matches nothing.
-    The build side's codes are sorted once and each probe row's matches
-    are the equal range ``searchsorted`` finds, expanded into pairs by
-    :func:`expand_ranges`.  The build side is picked by the optimizer's
-    ``est_rows`` stamped on each input (falling back to the actual
-    batch lengths when the plan was never annotated): sorting a
-    1000-row dimension instead of a million-row fact.  Output order is
-    canonical (left row, right row) regardless of which side built.
+    The build side's codes are sorted once and each probe row's
+    candidates are the equal range ``searchsorted`` finds, run through
+    :func:`join_pairs` with the residual.  The build side is picked by
+    the optimizer's ``est_rows`` stamped on each input (falling back to
+    the actual batch lengths when the plan was never annotated):
+    sorting a 1000-row dimension instead of a million-row fact.  Output
+    order is canonical (left row, right row) regardless of which side
+    built, and output columns are merged for surviving pairs only.
 
     ``outer=True`` gives LEFT OUTER semantics: unmatched left rows are
     kept, with the right side's columns padded with NULL (NaN; integer
@@ -143,56 +246,37 @@ class HashJoin(PlanNode):
         by_code = np.argsort(build, kind="stable")
         build = build[by_code]
         starts = np.searchsorted(build, probe, side="left")
-        stops = np.searchsorted(build, probe, side="right")
-        probe_at, build_at = expand_ranges(starts, stops - starts)
-        probe_rows = probe_rows[probe_at]
-        build_rows = build_rows[by_code[build_at]]
-
-        if probe_is_left:
-            left_rows, right_rows = probe_rows, build_rows
-        else:
+        counts = np.searchsorted(build, probe, side="right") - starts
+        left_rows, right_rows = join_pairs(
+            self, self.residual, lbatch, rbatch, starts, counts,
+            probe_rows, build_rows[by_code], probe_is_left,
+        )
+        if not probe_is_left:
             # probed from the right: pairs arrived right-major; restore
             # the canonical (left row, right row) order
-            perm = np.lexsort((probe_rows, build_rows))
-            left_rows, right_rows = build_rows[perm], probe_rows[perm]
-
+            perm = np.lexsort((right_rows, left_rows))
+            left_rows, right_rows = left_rows[perm], right_rows[perm]
         joined = merge_batches(lbatch, left_rows, rbatch, right_rows)
-        if self.residual is not None and batch_length(joined):
-            if self.compiled:
-                survivors = plan_kernel(self, self.residual).select(joined)
-                joined = take(joined, survivors)
-                left_rows = left_rows[survivors]
-            else:
-                mask = np.asarray(self.residual.eval(joined), dtype=bool)
-                joined = take(joined, mask)
-                left_rows = left_rows[mask]
 
         if not self.outer:
             return joined
 
         matched = np.zeros(batch_length(lbatch), dtype=bool)
-        if left_rows.size:
-            matched[left_rows] = True
+        matched[left_rows] = True
         missing = np.flatnonzero(~matched)
         if missing.size == 0:
             return joined
-        pad: Batch = {}
-        for key, arr in lbatch.items():
-            pad[key] = _as_array(arr)[missing]
-        n_pad = missing.size
-        for key, arr in rbatch.items():
-            arr = _as_array(arr)
-            if arr.dtype.kind in ("i", "u", "b", "f"):
-                pad[key] = np.full(n_pad, np.nan)
-            else:
-                pad[key] = np.full(n_pad, None, dtype=object)
         out: Batch = {}
-        for key in joined:
-            left_part = _as_array(joined[key])
-            right_part = _as_array(pad[key])
-            if left_part.dtype != right_part.dtype and right_part.dtype.kind == "f":
-                left_part = left_part.astype(np.float64)
-            out[key] = np.concatenate([left_part, right_part])
+        for key, arr in lbatch.items():
+            out[key] = np.concatenate([joined[key], _as_array(arr)[missing]])
+        for key, arr in rbatch.items():
+            part = joined[key]
+            if _as_array(arr).dtype.kind in ("i", "u", "b", "f"):
+                pad = np.full(missing.size, np.nan)
+                part = part.astype(np.float64, copy=False)
+            else:
+                pad = np.full(missing.size, None, dtype=object)
+            out[key] = np.concatenate([part, pad])
         return out
 
     def _describe(self) -> str:
@@ -200,10 +284,7 @@ class HashJoin(PlanNode):
         txt += f"{self.left_key} = {self.right_key}"
         if self.residual is not None:
             txt += f", residual {self.residual}"
-        txt += ")"
-        if self.compiled and self.residual is not None:
-            txt += f"  {plan_kernel(self, self.residual).describe()}"
-        return txt
+        return _describe_residual(self, txt + ")", self.residual)
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -219,10 +300,9 @@ class BandJoin(PlanNode):
     over the left batch — column arithmetic or constants) select a
     *contiguous* slice of the sorted keys by binary search, so the pair
     space shrinks from |L|·|R| to exactly the rows inside each band.
-    The remaining theta conjuncts run as a vectorized ``residual``
-    filter over only the band survivors — and only over the columns the
-    residual references; the full output batch is materialized for
-    final pairs alone.
+    The slices are the candidates :func:`join_pairs` runs the remaining
+    theta conjuncts (``residual``) over, block by block; the output
+    batch is merged for final pairs alone.
 
     Semantics are *identical* to a :class:`NestedLoopJoin` over
     ``low ⋈ key ⋈ high AND residual``:
@@ -236,12 +316,8 @@ class BandJoin(PlanNode):
       when the right side was already in key order, else restored by
       one sort over the residual's survivors, not every band pair.
 
-    Left rows run in blocks of :attr:`block_rows`, which bounds the
-    pair arrays one block materializes.
+    ``block_rows`` (0: no cap) caps the left rows of one block.
     """
-
-    #: Default left rows per block (overridable via ``block_rows``).
-    DEFAULT_BLOCK_ROWS = 8192
 
     left: PlanNode
     right: PlanNode
@@ -251,7 +327,7 @@ class BandJoin(PlanNode):
     low_strict: bool = False
     high_strict: bool = False
     residual: Expr | None = None
-    block_rows: int = 0  # 0 = DEFAULT_BLOCK_ROWS
+    block_rows: int = 0
 
     def _execute(self) -> Batch:
         lbatch = self.left.execute()
@@ -272,103 +348,37 @@ class BandJoin(PlanNode):
         order = _sort_order(rkeys, n_finite)
         sorted_keys = rkeys if order is None else rkeys[order]
 
-        lo = hi = None
-        invalid = np.zeros(n_left, dtype=bool)
-        if self.low is not None:
-            lo = _as_array(self.low.eval(lbatch))
-            if lo.dtype.kind == "f":
-                invalid |= np.isnan(lo)
-        if self.high is not None:
-            hi = _as_array(self.high.eval(lbatch))
-            if hi.dtype.kind == "f":
-                invalid |= np.isnan(hi)
-        any_invalid = bool(invalid.any())
+        starts = np.zeros(n_left, dtype=np.int64)
+        counts = np.full(n_left, n_finite, dtype=np.int64)  # stops, first
+        nan_bounds = []
+        for bound, side, out in (
+            (self.low, "right" if self.low_strict else "left", starts),
+            (self.high, "left" if self.high_strict else "right", counts),
+        ):
+            if bound is None:
+                continue
+            values = _as_array(bound.eval(lbatch))
+            found = np.searchsorted(sorted_keys, values, side=side)
+            np.minimum(found, n_finite, out=out)
+            if values.dtype.kind == "f":
+                nan_bounds.append(np.isnan(values))
+        np.subtract(counts, starts, out=counts)
+        np.maximum(counts, 0, out=counts)
+        for nan_rows in nan_bounds:
+            counts[nan_rows] = 0
 
-        residual_keys = self._residual_keys(lbatch, rbatch)
-        residual_kernel = (
-            plan_kernel(self, self.residual)
-            if self.compiled and self.residual is not None
-            else None
+        left_rows, right_rows = join_pairs(
+            self, self.residual, lbatch, rbatch, starts, counts,
+            build_rows=order, block_rows=self.block_rows,
         )
-
-        def block_task(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            if lo is not None:
-                starts = np.searchsorted(
-                    sorted_keys, lo[start:stop],
-                    side="right" if self.low_strict else "left",
-                )
-                starts = np.minimum(starts, n_finite)
-            else:
-                starts = np.zeros(stop - start, dtype=np.int64)
-            if hi is not None:
-                stops = np.searchsorted(
-                    sorted_keys, hi[start:stop],
-                    side="left" if self.high_strict else "right",
-                )
-                stops = np.minimum(stops, n_finite)
-            else:
-                stops = np.full(stop - start, n_finite, dtype=np.int64)
-
-            counts = np.maximum(stops - starts, 0)
-            if any_invalid:
-                counts[invalid[start:stop]] = 0
-            total = int(counts.sum())
-            empty = np.empty(0, dtype=np.int64)
-            if total == 0:
-                return empty, empty
-
-            l_rows, r_rows = expand_ranges(starts, counts)
-            l_rows += start
-            if order is not None:
-                r_rows = order[r_rows]
-
-            if self.residual is not None:
-                pair = {
-                    key: (_as_array(lbatch[key])[l_rows] if side == "left"
-                          else _as_array(rbatch[key])[r_rows])
-                    for key, side in residual_keys
-                }
-                if not pair:
-                    pair = {"__band": np.zeros(total)}
-                if residual_kernel is not None:
-                    survivors = residual_kernel.select(pair, total)
-                    l_rows = l_rows[survivors]
-                    r_rows = r_rows[survivors]
-                else:
-                    mask = np.asarray(self.residual.eval(pair), dtype=bool)
-                    l_rows = l_rows[mask]
-                    r_rows = r_rows[mask]
-            if order is not None and r_rows.size:
-                # canonical order: per left row, right rows by original
-                # position (the sorted slice visited them in key order);
-                # left rows are already ascending, so one stable sort on
-                # the combined key restores it for the survivors alone
-                perm = np.argsort(l_rows * n_right + r_rows, kind="stable")
-                r_rows = r_rows[perm]
-            return l_rows, r_rows
-
-        block = self.block_rows or self.DEFAULT_BLOCK_ROWS
-        parts = [
-            block_task(start, min(start + block, n_left))
-            for start in range(0, n_left, block)
-        ]
-        left_rows = np.concatenate([p[0] for p in parts])
-        right_rows = np.concatenate([p[1] for p in parts])
+        if order is not None and right_rows.size:
+            # canonical order: per left row, right rows by original
+            # position (the sorted slice visited them in key order);
+            # left rows are already ascending, so one stable sort on
+            # the combined key restores it for the survivors alone
+            perm = np.argsort(left_rows * n_right + right_rows, kind="stable")
+            right_rows = right_rows[perm]
         return merge_batches(lbatch, left_rows, rbatch, right_rows)
-
-    def _residual_keys(
-        self, lbatch: Batch, rbatch: Batch
-    ) -> list[tuple[str, str]]:
-        """Resolve the residual's column refs to (batch key, side) pairs
-        so the residual evaluates over a projection, not the full merge."""
-        if self.residual is None:
-            return []
-        combined: Batch = {**lbatch, **rbatch}
-        resolved: dict[str, str] = {}
-        for ref in self.residual.column_refs():
-            key = resolve_key(combined, ref.name, ref.qualifier)
-            resolved[key] = "left" if key in lbatch else "right"
-        return sorted(resolved.items())
 
     def _describe(self) -> str:
         lb = "(" if self.low_strict else "["
@@ -378,10 +388,7 @@ class BandJoin(PlanNode):
         txt = f"BandJoin({self.right_key} in {lb}{lo}, {hi}{rb}"
         if self.residual is not None:
             txt += f", residual {self.residual}"
-        txt += ")"
-        if self.compiled and self.residual is not None:
-            txt += f"  {plan_kernel(self, self.residual).describe()}"
-        return txt
+        return _describe_residual(self, txt + ")", self.residual)
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -391,77 +398,33 @@ class BandJoin(PlanNode):
 class NestedLoopJoin(PlanNode):
     """Inner join on an arbitrary predicate.
 
-    Evaluated block-wise: for each left row block, the right side is
-    broadcast and the predicate filters pairs.  Quadratic, as nested
-    loops are — the planner only uses it when neither an equi key nor a
-    band bound exists.
-
-    ``block_rows=0`` (the default) sizes blocks adaptively so one
-    materialized pair batch stays under :attr:`PAIR_BYTE_BUDGET` —
-    a wide right side gets short blocks instead of a memory blowup.
+    Every left row's candidates are the whole right side, run through
+    :func:`join_pairs` with the predicate as the residual.  Quadratic,
+    as nested loops are — the planner only uses it when neither an
+    equi key nor a band bound exists.  ``block_rows`` (0: no cap) caps
+    the left rows of one block.
     """
-
-    #: Byte ceiling for one block's materialized pair batch.
-    PAIR_BYTE_BUDGET = 32 << 20
 
     left: PlanNode
     right: PlanNode
     predicate: Expr | None
-    block_rows: int = 0  # 0 = adaptive under PAIR_BYTE_BUDGET
-
-    def _effective_block_rows(
-        self, lbatch: Batch, rbatch: Batch, n_right: int
-    ) -> int:
-        if self.block_rows:
-            return self.block_rows
-        per_left_row = n_right * _row_bytes(lbatch, rbatch)
-        return int(min(max(self.PAIR_BYTE_BUDGET // max(per_left_row, 1), 16),
-                       65536))
+    block_rows: int = 0
 
     def _execute(self) -> Batch:
         lbatch = self.left.execute()
         rbatch = self.right.execute()
         n_left = batch_length(lbatch)
-        n_right = batch_length(rbatch)
-        if n_left == 0 or n_right == 0:
-            return merge_batches(
-                lbatch, np.empty(0, np.int64), rbatch, np.empty(0, np.int64)
-            )
-
-        r_index = np.arange(n_right, dtype=np.int64)
-        kernel = (
-            plan_kernel(self, self.predicate)
-            if self.compiled and self.predicate is not None
-            else None
+        left_rows, right_rows = join_pairs(
+            self, self.predicate, lbatch, rbatch,
+            np.zeros(n_left, dtype=np.int64),
+            np.full(n_left, batch_length(rbatch), dtype=np.int64),
+            block_rows=self.block_rows,
         )
-
-        def block_task(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            block = stop - start
-            l_rows = np.repeat(np.arange(start, stop, dtype=np.int64), n_right)
-            r_rows = np.tile(r_index, block)
-            if self.predicate is None:
-                return l_rows, r_rows
-            pair_batch = merge_batches(lbatch, l_rows, rbatch, r_rows)
-            if kernel is not None:
-                survivors = kernel.select(pair_batch, l_rows.size)
-                return l_rows[survivors], r_rows[survivors]
-            mask = np.asarray(self.predicate.eval(pair_batch), dtype=bool)
-            return l_rows[mask], r_rows[mask]
-
-        block = self._effective_block_rows(lbatch, rbatch, n_right)
-        parts = [
-            block_task(start, min(start + block, n_left))
-            for start in range(0, n_left, block)
-        ]
-        left_rows = np.concatenate([p[0] for p in parts])
-        right_rows = np.concatenate([p[1] for p in parts])
         return merge_batches(lbatch, left_rows, rbatch, right_rows)
 
     def _describe(self) -> str:
         txt = f"NestedLoopJoin({self.predicate})"
-        if self.compiled and self.predicate is not None:
-            txt += f"  {plan_kernel(self, self.predicate).describe()}"
-        return txt
+        return _describe_residual(self, txt, self.predicate)
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)

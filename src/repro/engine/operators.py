@@ -198,7 +198,8 @@ class SeqScan(PlanNode):
 @dataclass
 class IndexRangeScan(PlanNode):
     """Index range scan on the leading key: a clustered range (sorted
-    base plus append tail) or a primary-key seek."""
+    base plus append tail; ``lo`` or ``hi`` None leaves that end open)
+    or a primary-key seek."""
 
     index: ClusteredIndex | PrimaryKeyIndex
     lo: object
@@ -211,9 +212,11 @@ class IndexRangeScan(PlanNode):
         return {f"{prefix}.{name}": arr for name, arr in raw.items()}
 
     def _describe(self) -> str:
+        lo = "-inf" if self.lo is None else self.lo
+        hi = "+inf" if self.hi is None else self.hi
         text = (
             f"IndexRangeScan({self.index.table.name}.{self.index.leading_key} "
-            f"in [{self.lo}, {self.hi}] AS {self.alias})"
+            f"in [{lo}, {hi}] AS {self.alias})"
         )
         if isinstance(self.index, PrimaryKeyIndex):
             text += " [primary key]"

@@ -33,10 +33,12 @@ from repro.engine.expressions import (
     InList,
     Literal,
     UnaryOp,
+    and_,
     batch_length,
     literal_value,
+    split_conjuncts,
 )
-from repro.engine.index import PrimaryKeyIndex
+from repro.engine.index import PrimaryKeyIndex, range_bounds
 from repro.engine.join import (
     BandJoin,
     CrossJoin,
@@ -410,6 +412,26 @@ def _index_range_rows(node: IndexRangeScan,
     return float(table.row_count) * fraction
 
 
+def _beyond_scan(predicate: Expr, child: PlanNode) -> Expr | None:
+    """``predicate`` less the conjuncts a clustered range scan below it
+    already applied.  A strict bound (``key < 50``) stays as a Filter
+    over the scan's closed range, but drops only the rows equal to its
+    literal; estimating it again would count its selectivity twice."""
+    if not isinstance(child, IndexRangeScan) \
+            or isinstance(child.index, PrimaryKeyIndex):
+        return predicate
+    key = child.index.leading_key
+    conjuncts = split_conjuncts(predicate)
+    rest = [
+        conjunct for conjunct in conjuncts
+        if (range_bounds(conjunct, key, open_ended=True) or ())[:2]
+        != (child.lo, child.hi)
+    ]
+    if len(rest) == len(conjuncts):
+        return predicate
+    return and_(*rest) if rest else None
+
+
 def _qualified(expr: Expr, profiles: list[RelationProfile]) -> Expr:
     """A bare column ref qualified by the one profile holding it."""
     if isinstance(expr, ColumnRef) and expr.qualifier is None:
@@ -461,7 +483,7 @@ def _estimate(
     if isinstance(node, Filter):
         child_est, profiles = _annotate(node.child, overrides)
         sel = CardinalityEstimator(profiles, overrides).selectivity(
-            node.predicate
+            _beyond_scan(node.predicate, node.child)
         )
         return child_est * sel, profiles
     if isinstance(node, HashJoin):

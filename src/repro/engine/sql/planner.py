@@ -42,11 +42,10 @@ from repro.engine.expressions import (
     Expr,
     FuncCall,
     UnaryOp,
-    literal_value,
     split_conjuncts,
     transform,
 )
-from repro.engine.index import PrimaryKeyIndex
+from repro.engine.index import PrimaryKeyIndex, range_bounds
 from repro.engine.join import (
     BandJoin,
     CrossJoin,
@@ -702,15 +701,22 @@ class Planner:
         index = table.clustered
         if index is not None:
             leading = index.leading_key
+            numeric = table.schema.column(leading).type in (
+                ColumnType.INT64, ColumnType.FLOAT64
+            )
             sargable = [
                 (pos, bounds)
                 for pos, conjunct in enumerate(conjuncts)
-                if (bounds := _range_bounds(conjunct, leading)) is not None
+                if (bounds := range_bounds(conjunct, leading, numeric))
+                is not None
             ]
             if sargable:
-                pos, (lo, hi) = self._best_sargable(rel, index, sargable)
+                pos, (lo, hi, exact) = self._best_sargable(
+                    rel, index, sargable
+                )
                 scan = IndexRangeScan(index, lo, hi, rel.ref.alias)
-                conjuncts = conjuncts[:pos] + conjuncts[pos + 1:]
+                if exact:
+                    conjuncts = conjuncts[:pos] + conjuncts[pos + 1:]
             else:
                 # OR predicates silently disable the index: say so, so
                 # EXPLAIN shows the missed access path instead of hiding it.
@@ -728,8 +734,8 @@ class Planner:
         self,
         rel: _Relation,
         index,
-        sargable: list[tuple[int, tuple[object, object]]],
-    ) -> tuple[int, tuple[object, object]]:
+        sargable: list[tuple[int, tuple[object, object, bool]]],
+    ) -> tuple[int, tuple[object, object, bool]]:
         """Pick the most selective sargable bound.
 
         Under the cost optimizer, statistics rank candidate key ranges
@@ -745,7 +751,7 @@ class Planner:
         ref = ColumnRef(index.leading_key, rel.ref.alias)
 
         def fraction(entry):
-            _, (lo, hi) = entry
+            _, (lo, hi, _) = entry
             lo = lo if isinstance(lo, (int, float)) else None
             hi = hi if isinstance(hi, (int, float)) else None
             return estimator._range(ref, lo, hi)
@@ -1069,29 +1075,6 @@ class Planner:
 # ----------------------------------------------------------------------
 # pattern helpers
 # ----------------------------------------------------------------------
-def _range_bounds(conjunct: Expr, key: str) -> tuple[object, object] | None:
-    """Match ``key BETWEEN lit AND lit`` (or = lit) for index range scans."""
-    if (
-        isinstance(conjunct, Between)
-        and isinstance(conjunct.value, ColumnRef)
-        and conjunct.value.name.lower() == key.lower()
-    ):
-        lo = literal_value(conjunct.low)
-        hi = literal_value(conjunct.high)
-        if lo is not None and hi is not None:
-            return lo, hi
-    if (
-        isinstance(conjunct, BinaryOp)
-        and conjunct.op == "="
-        and isinstance(conjunct.left, ColumnRef)
-        and conjunct.left.name.lower() == key.lower()
-    ):
-        value = literal_value(conjunct.right)
-        if value is not None:
-            return value, value
-    return None
-
-
 def _seek_key(conjunct: Expr, table) -> object | None:
     """The literal of a ``pk = literal`` conjunct on ``table``, when its
     type compares with the key column's; else None."""
@@ -1100,7 +1083,7 @@ def _seek_key(conjunct: Expr, table) -> object | None:
         isinstance(conjunct, BinaryOp) and conjunct.op == "="
     ):
         return None
-    bounds = _range_bounds(conjunct, pk)
+    bounds = range_bounds(conjunct, pk)
     if bounds is None:
         return None
     value = bounds[0]

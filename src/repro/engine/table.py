@@ -275,7 +275,7 @@ class Table:
             raise SchemaError("reorder permutation length mismatch")
         for name, arr in self._columns.items():
             self._columns[name] = arr[order]
-        self._rebuild_pk()
+        self._reorder_pk(order)
         self.clustered = clustered
         self.base_rows = self.row_count if clustered is not None else 0
         self.file.read_range(0, self.row_count)
@@ -300,6 +300,25 @@ class Table:
         keys = self._columns[self.schema.primary_key.lower()]
         self._pk_rows = np.argsort(keys, kind="stable").astype(np.int64)
         self._pk_keys = keys[self._pk_rows]
+
+    def _reorder_pk(self, order: np.ndarray) -> None:
+        """Follow a row permutation: the sorted keys stay, and each one's
+        row moves to its new position, in O(n) instead of a re-sort.
+        Tied keys (duplicates an UPDATE made, or NaNs) must list their
+        rows ascending, so they re-sort."""
+        keys = self._pk_keys
+        if keys is None:
+            return
+        tied = keys.size > 1 and (
+            bool(np.any(keys[1:] == keys[:-1]))
+            or (keys.dtype.kind == "f" and bool(np.isnan(keys[-2])))
+        )
+        if tied:
+            self._rebuild_pk()
+            return
+        moved = np.empty_like(order)
+        moved[order] = np.arange(order.size, dtype=order.dtype)
+        self._pk_rows = moved[self._pk_rows]
 
     def _add_pk(self, new_keys: np.ndarray, first_row: int) -> None:
         """Merge appended keys into the index; rejects duplicates

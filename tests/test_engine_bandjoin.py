@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.engine import join as join_module
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.expressions import BinaryOp, FuncCall, and_, col, lit
@@ -28,6 +29,7 @@ from repro.engine.join import (
     HashJoin,
     NestedLoopJoin,
     _sort_order,
+    pair_blocks,
 )
 from repro.engine.operators import Materialized
 
@@ -387,18 +389,42 @@ class TestNestedLoopAdaptiveBlocks:
                                block_rows=2)
         assert_batches_identical(adaptive.execute(), fixed.execute())
 
-    def test_block_rows_respect_byte_budget(self):
-        left = {"l.a": np.zeros(10)}
-        right = {f"r.c{i}": np.zeros(1000) for i in range(50)}
-        join = NestedLoopJoin(Materialized(left), Materialized(right), None)
-        block = join._effective_block_rows(left, right, 1000)
-        per_left_row = 1000 * (51 * 8)
-        assert block * per_left_row <= NestedLoopJoin.PAIR_BYTE_BUDGET
-        assert block >= 16
+    def test_blocks_respect_pair_budget(self, monkeypatch):
+        """No block of a running join expands more than PAIR_BUDGET
+        pairs, except a block of one probe row whose own range is
+        larger."""
+        monkeypatch.setattr(join_module, "PAIR_BUDGET", 10)
+        expanded = []
+        real = join_module.expand_ranges
 
-    def test_explicit_block_rows_wins(self):
-        join = NestedLoopJoin(left_batch(), right_batch(), None, block_rows=7)
-        assert join._effective_block_rows({}, {}, 10) == 7
+        def spy(starts, counts):
+            expanded.append(counts.copy())
+            return real(starts, counts)
+
+        monkeypatch.setattr(join_module, "expand_ranges", spy)
+        left = Materialized({"l.a": np.arange(9, dtype=np.int64)})
+        right = Materialized({"r.k": np.arange(4, dtype=np.int64)})
+        wide = Materialized({"r.k": np.arange(25, dtype=np.int64)})
+        for build in (right, wide):
+            predicate = BinaryOp("<", col("a", "l"), col("k", "r"))
+            out = NestedLoopJoin(left, build, predicate).execute()
+            oracle = NestedLoopJoin(left, build, predicate,
+                                    block_rows=1).execute()
+            assert_batches_identical(out, oracle)
+        assert expanded
+        for counts in expanded:
+            assert counts.sum() <= 10 or counts.size == 1
+
+    def test_block_rows_caps_probe_rows(self, monkeypatch):
+        monkeypatch.setattr(join_module, "PAIR_BUDGET", 10)
+        counts = np.array([3, 0, 4, 12, 2, 2, 2, 0, 0, 5, 11, 1, 0])
+        for block_rows in (0, 2, 5):
+            blocks = list(pair_blocks(counts, block_rows))
+            assert blocks[0][0] == 0 and blocks[-1][1] == counts.size
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            for start, stop in blocks:
+                assert counts[start:stop].sum() <= 10 or stop - start == 1
+                assert not block_rows or stop - start <= block_rows
 
 
 class TestSharedPlanDeterminism:

@@ -165,6 +165,82 @@ class TestBaseAndTail:
                 assert not np.shares_memory(arr, table.column(name))
 
 
+class TestOneSidedRange:
+    """``key < <= > >= literal`` on a clustered key is an index range
+    open at one end; a strict bound keeps its conjunct as a Filter."""
+
+    @staticmethod
+    def clustered_db(a: np.ndarray) -> Database:
+        db = Database("onesided")
+        db.create_table("t", {
+            "a": a, "b": np.arange(a.size, dtype=np.int64),
+        })
+        db.create_clustered_index("t", "a")
+        db.analyze()
+        return db
+
+    @staticmethod
+    def run(db: Database, where: str):
+        before = db.pool.counters.logical_reads
+        result = db.sql(f"SELECT COUNT(*) AS n FROM t WHERE {where}")
+        return result, db.pool.counters.logical_reads - before
+
+    @pytest.fixture(scope="class")
+    def db(self) -> Database:
+        rng = np.random.default_rng(3)
+        return self.clustered_db(
+            (rng.permutation(20_000) // 10).astype(np.int64)
+        )
+
+    @pytest.mark.parametrize("where, count, strict", [
+        ("a < 50", 500, True),
+        ("a <= 49", 500, False),
+        ("50 > a", 500, True),
+        ("a >= 1990", 100, False),
+        ("1990 <= a", 100, False),
+        ("a > 1989", 100, True),
+        ("a > 1989.5", 100, True),
+        ("a < -3", 0, True),
+    ])
+    def test_reads_like_between(self, db, where, count, strict):
+        between, between_reads = self.run(db, "a BETWEEN 0 AND 49")
+        result, reads = self.run(db, where)
+        assert result.scalar() == count
+        assert "IndexRangeScan(t.a in " in result.plan
+        assert ("Filter(" in result.plan) is strict
+        assert reads <= between_reads + 1
+        # the strict bound's Filter is estimated over the scan's rows,
+        # not shrunk by its own selectivity a second time
+        if strict and count:
+            report = db.explain_analyze(
+                f"SELECT COUNT(*) AS n FROM t WHERE {where}"
+            )
+            scan, = [s for s in report.nodes if "IndexRangeScan" in s.description]
+            filt, = [s for s in report.nodes if s.description.startswith("Filter")]
+            assert filt.est_rows == scan.est_rows
+
+    def test_nan_keys_and_tail_rows(self):
+        a = np.array([5.0, np.nan, 1.0, 3.0, np.nan, 4.0])
+        db = self.clustered_db(a)
+        db.sql("INSERT INTO t VALUES (2.5, 90), (CAST(NULL AS float), 91)")
+        for where in ("a >= 3", "a > 3", "a < 4", "a <= 4", "a > -1"):
+            result, _ = self.run(db, where)
+            assert "IndexRangeScan" in result.plan
+            op, value = where.split()[1:]
+            keys = np.concatenate([a, [2.5, np.nan]])
+            with np.errstate(invalid="ignore"):
+                want = {"<": keys < float(value), "<=": keys <= float(value),
+                        ">": keys > float(value),
+                        ">=": keys >= float(value)}[op].sum()
+            assert result.scalar() == want, where
+
+    def test_string_literal_answers_as_a_scan(self, db):
+        sql = "SELECT COUNT(*) AS n FROM t WHERE a < 'x'"
+        assert "SeqScan" in db.explain(sql)
+        with pytest.raises(TypeError):  # numpy has no int < str loop
+            db.sql(sql)
+
+
 class TestPrimaryKeyIndex:
     def test_seek(self, table):
         seek = PrimaryKeyIndex(table)

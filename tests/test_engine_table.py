@@ -149,3 +149,64 @@ class TestMutation:
         assert table.modified_rows == 3 + 2 + 2 + 1  # load + writes
         table.truncate()
         assert table.modified_rows == 8 + 4
+
+
+class TestReorderKeepsPrimaryKeyIndex:
+    """``reorder`` maps the primary-key index through the permutation
+    instead of re-sorting it; the result must equal a fresh build."""
+
+    @staticmethod
+    def assert_fresh(table):
+        rows, keys = table._pk_rows.copy(), table._pk_keys.copy()
+        table._rebuild_pk()
+        assert rows.dtype == table._pk_rows.dtype
+        assert np.array_equal(rows, table._pk_rows)
+        assert keys.dtype == table._pk_keys.dtype
+        assert np.array_equal(keys, table._pk_keys, equal_nan=True)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_permutations(self, seed):
+        rng = np.random.default_rng(seed)
+        s = schema(
+            "t", {"k": ColumnType.INT64, "v": ColumnType.FLOAT64},
+            primary_key="k",
+        )
+        t = Table(s, BufferPool(1000))
+        n = int(rng.integers(1, 300))
+        t.insert({"k": rng.permutation(10 * n)[:n], "v": rng.normal(size=n)})
+        for _ in range(3):
+            t.reorder(rng.permutation(n))
+            self.assert_fresh(t)
+
+    @pytest.mark.parametrize("keys", [
+        [3.0, np.nan, 1.0, np.nan, 2.0],  # NaN keys tie
+        [5.0, 1.0, 4.0, 2.0],
+    ])
+    def test_float_keys_with_and_without_ties(self, keys):
+        s = schema("f", {"k": ColumnType.FLOAT64}, primary_key="k")
+        t = Table(s, BufferPool(1000))
+        t.insert({"k": keys})
+        t.reorder(np.arange(len(keys))[::-1])
+        self.assert_fresh(t)
+
+    def test_duplicates_made_by_update(self, table):
+        table.update_rows(np.array([0, 2]), {"objid": np.array([7, 7])})
+        table.reorder(np.array([2, 1, 0]))
+        self.assert_fresh(table)
+
+    def test_truncate_insert_then_clustered_build(self):
+        from repro.engine.index import ClusteredIndex
+
+        rng = np.random.default_rng(11)
+        s = schema(
+            "zone", {"objid": ColumnType.INT64, "zoneid": ColumnType.INT64},
+            primary_key="objid",
+        )
+        t = Table(s, BufferPool(1000))
+        for n in (50, 80, 0, 120):
+            t.truncate()
+            t.insert({"objid": rng.permutation(1000)[:n],
+                      "zoneid": rng.integers(0, 9, n)})
+            ClusteredIndex(t, ("zoneid",)).build()
+            self.assert_fresh(t)
+            assert np.all(np.diff(t.column("zoneid")) >= 0)
