@@ -87,10 +87,10 @@ def _engine_flags() -> argparse.ArgumentParser:
                         "plans; EXPLAIN lists fired rules)")
     parent.add_argument("--feedback", action=argparse.BooleanOptionalAction,
                         default=False,
-                        help="adaptive feedback optimizer: memoize chosen "
-                        "plans per statement fingerprint and fold executed "
+                        help="adaptive feedback optimizer: fold executed "
                         "actuals back into the cardinality estimates "
-                        "(re-plan when max q-error exceeds the ceiling)")
+                        "(re-plan when max q-error exceeds the ceiling); "
+                        "plans are memoized with or without it")
     parent.add_argument("--qerror-ceiling", type=float, default=None,
                         metavar="Q",
                         help="max q-error tolerated before the feedback "
@@ -283,9 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="how many times to execute the statement")
     memo_p.add_argument("--shift", action="store_true",
                         help="skew the data between executions: the "
-                        "memoized plan keeps running until its q-error "
-                        "breaches the ceiling and the feedback loop "
-                        "re-plans")
+                        "statistics go stale until a q-error breach "
+                        "makes the feedback loop learn and re-plan")
 
     qs_p = sub.add_parser(
         "querystore",
@@ -645,14 +644,15 @@ def cmd_memo(args) -> int:
     for cycle in range(max(args.repeat, 1)):
         if args.shift and cycle == 1:
             # skew the data mid-run: a write changes neither the catalog
-            # nor the statistics, so the memoized plan keeps running
-            # (and reads the new rows) until its q-error breaches the
-            # ceiling and the feedback loop retires it
+            # nor the statistics; within 500 + 20 % of zone's rows the
+            # memoized plan keeps running over the new rows, past it
+            # the next cycle re-plans on stale statistics; either way
+            # the q-error breaches and the feedback loop learns
             low = int(db.sql("SELECT MIN(zoneid) AS z FROM zone").scalar())
             db.sql(f"INSERT INTO zone SELECT objid + 1000000, {low}, "
                    "ra, dec FROM zone WHERE objid % 4 = 0")
             print("-- shifted: a quarter of the rows copied into the lowest "
-                  "zone; the memo keeps its plan until a breach retires it")
+                  "zone; the statistics are stale until a breach acts")
         result = db.sql(sql)
         entry = db.feedback.store.get(result.fingerprint)
         max_q = entry.last_max_q if entry is not None else None

@@ -97,14 +97,14 @@ class EngineConfig:
         LRU bound on cached results (the byte bound is the
         :class:`~repro.engine.cache.ResultCache` default).
     feedback:
-        Enable the adaptive feedback optimizer: chosen plans are
-        memoized per statement fingerprint (repeat executions skip
-        planning), per-operator actuals are folded back after every
-        execution, and a fingerprint whose max q-error exceeds
+        Learn from q-errors: per-operator actuals are folded back after
+        every execution, and a fingerprint whose max q-error exceeds
         ``qerror_ceiling`` triggers learned selectivity overrides and
         a re-plan, re-ANALYZEing the tables under the offending nodes
         whose statistics are stale (none yet, or 500 + 20 % of their
-        rows modified since).  Off by default.
+        rows modified since).  The plan memo does not need it: every
+        database memoizes its plans (:mod:`repro.engine.memo`).  Off
+        by default.
     qerror_ceiling:
         Max per-operator q-error tolerated before the feedback loop
         reacts.  Must be > 1 (a ceiling of 1 would re-plan every

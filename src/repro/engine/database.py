@@ -32,7 +32,7 @@ from repro.engine.expressions import batch_length
 from repro.engine.index import ClusteredIndex
 from repro.engine.instrument import AnalyzeReport, max_q_error
 from repro.engine.matview import MaterializedView
-from repro.engine.memo import MAX_FINGERPRINTS
+from repro.engine.memo import MAX_FINGERPRINTS, PlanMemo
 from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan, plan_nodes
 from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES, choose_codecs
 from repro.engine.schema import Column, TableSchema
@@ -82,8 +82,10 @@ class Database:
             if config.result_cache
             else None
         )
-        #: Adaptive feedback optimizer (plan memo + q-error loop), or
-        #: None when disabled.
+        #: The plan cache: stage 6 of every SELECT.
+        self.memo = PlanMemo()
+        #: Adaptive feedback optimizer (the q-error loop), or None when
+        #: disabled.
         self.feedback = None
         if config.feedback:
             from repro.engine.optimizer.feedback import FeedbackController
@@ -115,11 +117,6 @@ class Database:
         #: Stage 0 of the SELECT path: ``(text, plan signature)`` ->
         #: ``(statement, PlanKey | None, catalog generation)``.
         self._statements = BoundedLRU("engine.statements", MAX_FINGERPRINTS)
-        #: Does a stage read statement keys (result cache, plan memo,
-        #: Query Store)?
-        self._keys_statements = (
-            config.result_cache or config.feedback or config.query_store
-        )
         self._executor = Executor(self)
 
     @property
@@ -157,8 +154,7 @@ class Database:
         with self._catalog_lock:
             self._catalog_generation += 1
             generation = self._catalog_generation
-        if self.feedback is not None:
-            self.feedback.memo.retire_unbound(generation)
+        self.memo.retire_unbound(generation)
 
     def rebind(self, plan: PlanNode) -> bool:
         """Whether a plan may run against the current catalog.
@@ -541,9 +537,8 @@ class Database:
         ``config.plan_signature()`` and catalog generation comes back
         from the statement cache, so it runs no parse, no rewrite and
         no fingerprint; anything else is parsed (unless ``stmt`` is
-        given) and keyed now.  The key is taken when a stage will read
-        it — result cache, feedback or Query Store on — and never while
-        a matview is being (re)materialized.
+        given) and keyed now — never while a matview is being
+        (re)materialized.
         """
         if self._matview_plan_depth:
             return (parse(text) if stmt is None else stmt), None
@@ -556,7 +551,7 @@ class Database:
             return entry[0], entry[1]
         if stmt is None:
             stmt = parse(text)
-        keyed = plan_fingerprint(stmt, self) if self._keys_statements else None
+        keyed = plan_fingerprint(stmt, self)
         if isinstance(stmt, (SelectStatement, UnionStatement)):
             # DML text carries fresh literals: only queries repeat
             self._statements.put(key, (stmt, keyed, generation))
@@ -702,9 +697,7 @@ class Database:
         The join key across the Query Store, the plan memo, the
         feedback store and the slow-query log.
         """
-        stmt, keyed = self._statement(text)
-        if not self._keys_statements:
-            keyed = plan_fingerprint(stmt, self)
+        keyed = self._statement(text)[1]
         return keyed.fingerprint if keyed is not None else None
 
     def force_plan(self, fingerprint: str, plan_id: int):

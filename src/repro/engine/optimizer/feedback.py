@@ -2,18 +2,22 @@
 
 EXPLAIN ANALYZE and the slow-query log have recorded per-operator
 est-vs-actual q-error since the optimizer landed — this module finally
-*consumes* it.  A :class:`FeedbackController` hangs off each
-feedback-enabled :class:`~repro.engine.database.Database` and owns
-three pieces of state:
+*consumes* it: ``feedback=True`` means "learn from q-errors".  The plan
+memo (:mod:`repro.engine.memo`) is every database's plan cache, on
+with feedback or without; a :class:`FeedbackController` hangs off each
+feedback-enabled :class:`~repro.engine.database.Database`, refers to
+that memo and owns two pieces of state:
 
-* a :class:`~repro.engine.memo.PlanMemo` — repeat executions of a
-  fingerprint skip rewrite + DP planning entirely;
 * a :class:`FeedbackStore` — per-fingerprint execution history (max
   q-error, planning time, memo decisions) for the most recently
   executed fingerprints, bounded like the memo;
 * :class:`SelectivityOverrides` — learned actual/estimate ratios keyed
   by join column pair (equi joins) and by band key + predicate shape
   (band joins), applied multiplicatively by the cardinality estimator.
+
+The memo reads two things from it: the overrides generation (a plan
+planned under older overrides is stale) and a re-plan a breach
+demanded (reported as the planning decision).
 
 Every SELECT executes measured (the plan's own nodes record what they
 did; see :mod:`repro.engine.instrument`).  After execution the controller
@@ -29,21 +33,20 @@ pure function of stale statistics and become a converging function of
 observed execution.
 
 Obs: counters under ``engine.feedback.*`` and spans
-(``engine.plan`` / ``engine.feedback.observe`` /
-``engine.feedback.react``) cover every decision.
+(``engine.feedback.observe`` / ``engine.feedback.react``) cover every
+decision; the memo's ``engine.plan`` span carries the planning one.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from dataclasses import dataclass, field
 
 from repro.engine.cache import BoundedLRU, PlanKey
 from repro.engine.instrument import NodeStats, max_q_error
 from repro.engine.join import BandJoin, HashJoin
-from repro.engine.memo import MAX_FINGERPRINTS, PlanMemo
+from repro.engine.memo import MAX_FINGERPRINTS, drifted
 from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan, plan_nodes
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
@@ -58,19 +61,15 @@ from repro.obs.trace import span
 MIN_OVERRIDE_RATIO = 1e-6
 MAX_OVERRIDE_RATIO = 1e6
 
-#: A table's statistics are stale once this many rows plus this share
-#: of the rows it had at its last ANALYZE have been modified since.
-REANALYZE_MIN_ROWS = 500
-REANALYZE_SHARE = 0.2
-
 
 def stats_stale(table) -> bool:
-    """Does the re-ANALYZE rule fire for this table?"""
+    """Does the re-ANALYZE rule fire for this table: rows modified
+    since its last ANALYZE past the drift threshold of the rows it had
+    then?"""
     stats = table.stats
     if stats is None:
         return True
-    threshold = REANALYZE_MIN_ROWS + REANALYZE_SHARE * stats.row_count
-    return table.modified_rows >= threshold
+    return drifted(table.modified_rows, stats.row_count)
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +319,8 @@ def _band_shape(low, high) -> tuple[str, str]:
 
 
 class FeedbackController:
-    """The per-database feedback loop: memo + store + overrides.
+    """The per-database feedback loop: store + overrides, reacting on
+    the database's plan memo.
 
     Owned by its database, which it refers back to weakly (as the
     executor does).
@@ -329,7 +329,8 @@ class FeedbackController:
     def __init__(self, database, config):
         self.database = weakref.proxy(database)
         self.ceiling = float(config.qerror_ceiling)
-        self.memo = PlanMemo()
+        #: The database's plan memo, which a breach invalidates.
+        self.memo = database.memo
         self.store = FeedbackStore()
         self.overrides = SelectivityOverrides()
         metrics = get_metrics()
@@ -348,66 +349,15 @@ class FeedbackController:
         )
 
     # ------------------------------------------------------------------
-    # the memo stage of the SELECT path (Executor._select)
+    # what the memo stage of the SELECT path reads
     # ------------------------------------------------------------------
-    @staticmethod
-    def memoizable(plan: PlanNode) -> bool:
-        """Matview-substituted plans must not memoize: substitution is
-        re-decided per statement from the view's freshness, and a
-        memoized substitution would outlive it, as a write to the
-        view's sources moves neither the catalog nor statistics.  That
-        holds at any depth, subquery bodies included."""
-        return not any(
-            "answered from matview" in (getattr(node, "reason", None) or "")
-            for node in plan_nodes(plan)
-        )
-
-    def recall_or_plan(self, keyed: PlanKey | None, replan):
-        """The fingerprint's memoized plan, else ``replan()`` memoized.
-
-        Returns ``(plan, decision, plan_origin, planning_s)``.  The
-        memo key is the fingerprint, which hashes the
-        ``config.plan_signature()`` it was taken under, so flipping a
-        planning knob misses structurally; an entry is reused while its
-        plan is bound and fresh (:mod:`repro.engine.memo`), writes in
-        between or not.  An unkeyed (untrackable) statement is planned
-        fresh every time.
-        """
-        stats_versions: dict[str, int] = {}
-        pending = None
-        if keyed is not None:
-            catalog = self.database._tables
-            stats_versions = {  # -1: a table dropped since keying
-                name: catalog[name].stats_version if name in catalog else -1
-                for name in keyed.tables
-            }
-            entry = self.memo.get(
-                keyed.fingerprint, self.database._catalog_generation,
-                stats_versions, self.overrides.version,
-            )
-            if entry is not None:
-                return entry.plan, "hit", entry.decision, 0.0
-            pending = self.store.take_pending(keyed.fingerprint)
-        decision = pending or "miss"
-        started = time.perf_counter()
-        with span(
-            "engine.plan", layer="engine",
-            attrs={
-                "decision": decision,
-                "fingerprint": keyed.fingerprint if keyed else "",
-            },
-        ):
-            plan = replan()
-        planning_s = time.perf_counter() - started
-        if pending is not None:
+    def take_pending(self, fingerprint: str) -> str | None:
+        """The re-plan a breach demanded of this fingerprint, consumed:
+        the memo reports it as the decision of the planning it causes."""
+        reason = self.store.take_pending(fingerprint)
+        if reason is not None:
             self._m_replans.inc()
-        if keyed is not None and self.memoizable(plan):
-            self.memo.put(
-                keyed.fingerprint, plan, stats_versions,
-                self.overrides.version, planning_s,
-                decision=decision,
-            )
-        return plan, decision, decision, planning_s
+        return reason
 
     def execute_select(self, stmt, planner=None):
         """One SELECT through the shared path, ``Executor._select``.

@@ -40,10 +40,10 @@ class QueryResult:
 
     ``columns`` is the output batch for SELECTs (empty for DDL/DML);
     ``rows_affected`` counts DML effects; ``plan`` is the EXPLAIN text
-    for SELECTs.  With the feedback optimizer or the Query Store on,
-    ``fingerprint`` carries the normalized-statement hash and
-    ``memo_decision`` records how the plan was obtained (``hit`` /
-    ``miss`` / ``replan`` / ``learned-override`` / ``forced`` / ...)
+    for SELECTs.  ``fingerprint`` carries the normalized-statement hash
+    (None for an untrackable statement) and ``memo_decision`` records
+    how the plan was obtained (``hit`` / ``miss`` / ``replan`` /
+    ``learned-override`` / ``forced`` / ...)
     so results join cleanly against the FeedbackStore, the Query Store
     and the slow-query log.  ``plan_origin`` is the decision that first
     *produced* the plan (differs from ``memo_decision`` on memo hits);
@@ -210,7 +210,7 @@ class Executor:
 
     # ------------------------------------------------------------------
     def plan(self, stmt: SelectStatement, keyed=UNKEYED):
-        """Stages 5-7 of the SELECT path: forced plan / memo / planner.
+        """Stages 5-7 of the SELECT path: forced plan, memo, planner.
 
         Returns ``(keyed, plan, decision, plan_origin, planning_s)`` —
         the plan the statement runs now.  ``Database.explain`` stops
@@ -218,17 +218,13 @@ class Executor:
         :class:`~repro.engine.cache.PlanKey` from the database's
         statement lookup (stage 0), or None when that lookup found
         nothing to key; SELECTs nested in another statement arrive
-        :data:`UNKEYED` and are fingerprinted here if a stage needs it.
-        Each stage costs one ``is None`` test when its subsystem is off.
+        :data:`UNKEYED` and are fingerprinted here.
         """
         database = self.database
-        feedback, forcer = database.feedback, database.plan_forcer
         if keyed is UNKEYED:
-            keyed = None
-            if feedback is not None or forcer is not None:
-                from repro.engine.cache import plan_fingerprint
+            from repro.engine.cache import plan_fingerprint
 
-                keyed = plan_fingerprint(stmt, database)
+            keyed = plan_fingerprint(stmt, database)
 
         def replan():
             # the one place plans for reuse are made: bind to the
@@ -240,8 +236,7 @@ class Executor:
             plan.generation = generation
             return plan
 
-        plan = decision = plan_origin = None
-        planning_s = 0.0
+        forcer = database.plan_forcer
         if keyed is not None and forcer is not None:
             # a forced fingerprint bypasses memo and feedback: the
             # operator pinned the plan, the loop must not fight it
@@ -251,19 +246,9 @@ class Executor:
             )
             if resolved is not None:
                 plan, decision = resolved
-                plan_origin = decision
                 planning_s = time.perf_counter() - started
-        if plan is None and feedback is not None:
-            plan, decision, plan_origin, planning_s = (
-                feedback.recall_or_plan(keyed, replan)
-            )
-        if plan is None:
-            plan = replan()
-            if forcer is not None:
-                # Query Store without feedback: the optimizer mode is
-                # the decision that produced the plan
-                decision = plan_origin = database.config.optimizer
-        return keyed, plan, decision, plan_origin, planning_s
+                return keyed, plan, decision, decision, planning_s
+        return (keyed, *database.memo.recall_or_plan(database, keyed, replan))
 
     def _select(
         self, stmt: SelectStatement, keyed=UNKEYED, analyze: bool = False

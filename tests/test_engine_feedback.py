@@ -151,13 +151,20 @@ class TestPlanMemo:
         assert a.fingerprint != c.fingerprint
         assert c.memo_decision == "miss"
 
-    def test_memo_disabled_without_feedback(self):
+    def test_memo_on_without_feedback(self):
         db = Database("plain", config=EngineConfig())
         db.create_table("t", {"v": np.arange(5)})
-        result = db.sql("SELECT COUNT(*) AS n FROM t")
+        first = db.sql("SELECT COUNT(*) AS n FROM t")
+        second = db.sql("SELECT COUNT(*) AS n FROM t")
         assert db.feedback is None
-        assert result.fingerprint is None
-        assert result.memo_decision is None
+        assert first.fingerprint == second.fingerprint is not None
+        assert (first.memo_decision, second.memo_decision) == ("miss", "hit")
+        assert second.plan_node is first.plan_node
+        assert db.memo.stats.hits == 1
+
+    def test_feedback_reacts_on_the_database_memo(self):
+        db = make_db()
+        assert db.feedback.memo is db.memo
 
     def test_lru_eviction_bounded(self):
         memo = PlanMemo(max_entries=2)
@@ -197,8 +204,10 @@ class TestMemoInvalidation:
         return before, after
 
     def test_insert_bumps_version(self):
+        # 500 new rows of 2,000: below 500 + 20 %, so the plan stays
         before, after = self._assert_hit_after_write(
-            lambda db: db.sql("INSERT INTO b SELECT k1, k2 FROM b"))
+            lambda db: db.sql("INSERT INTO b SELECT k1, k2 FROM b "
+                              "WHERE k1 < 10"))
         assert batch_digest(before) != batch_digest(after)  # data changed
 
     def test_update_bumps_version(self):
@@ -207,8 +216,23 @@ class TestMemoInvalidation:
 
     def test_delete_bumps_version(self):
         before, after = self._assert_hit_after_write(
-            lambda d: d.sql("DELETE FROM b WHERE k1 >= 20"))
+            lambda d: d.sql("DELETE FROM b WHERE k1 >= 30"))
         assert batch_digest(before) != batch_digest(after)
+
+    @pytest.mark.parametrize("write", [
+        "INSERT INTO b SELECT k1, k2 FROM b",
+        "DELETE FROM b WHERE k1 >= 20",
+    ], ids=["insert", "delete"])
+    def test_a_write_past_the_threshold_replans(self, write):
+        # 2,000 or 1,000 of b's 2,000 rows moved: past 500 + 20 %, so
+        # the plan is stale; the answer is a plain twin's
+        db, twin = make_db(), make_db(EngineConfig())
+        for d in (db, twin):
+            d.sql(SIMPLE_JOIN)
+            d.sql(write)
+        after = db.sql(SIMPLE_JOIN)
+        assert after.memo_decision in ("miss", "replan", "learned-override")
+        assert batch_digest(after) == batch_digest(twin.sql(SIMPLE_JOIN))
 
     def test_analyze_bumps_stats_version(self):
         db = make_db()

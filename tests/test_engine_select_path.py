@@ -487,3 +487,142 @@ class TestTheMeasuredPlanIsThePlanThatRuns:
             assert [n.rows for n in stats] == [
                 n.rows for n in expected.node_stats
             ]
+
+
+GROUP_SQL = (
+    "SELECT zoneid, COUNT(*) AS n FROM obj WHERE mag < 18 GROUP BY zoneid"
+)
+GROWTH_SQL = (
+    "SELECT COUNT(*) AS n FROM a JOIN b ON a.k = b.k WHERE b.w > 10"
+)
+
+
+def build_growth_db(a_rows: int) -> Database:
+    """A default-config ``a`` of ``a_rows`` rows joined to a 2,000-row
+    ``b``; ``a`` repeats the ten keys 0-9."""
+    db = Database("growth")
+    db.create_table("a", {"k": np.arange(a_rows, dtype=np.int64) % 10})
+    db.create_table("b", {
+        "k": np.arange(2000, dtype=np.int64) % 100,
+        "w": np.arange(2000, dtype=np.int64) * 7 % 50,
+    })
+    db.analyze()
+    return db
+
+
+def grow_a(db: Database, rows: int) -> None:
+    db.sql(f"INSERT INTO a SELECT k FROM a_src WHERE i < {rows}")
+
+
+def add_a_source(db: Database, rows: int) -> None:
+    db.create_table("a_src", {
+        "i": np.arange(rows, dtype=np.int64),
+        "k": np.arange(rows, dtype=np.int64) % 10,
+    })
+
+
+class TestEveryDatabaseCachesPlans:
+    """The plan memo is the plan cache of every database, feedback on
+    or off: a repeated SELECT reuses its plan and the plan's kernels
+    until the catalog, the statistics or a table's size moves."""
+
+    def test_a_default_database_reuses_its_plan_and_kernels(
+        self, monkeypatch
+    ):
+        built = Counter()
+        real_init = CompiledKernel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built["kernels"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledKernel, "__init__", counting_init)
+        db = build_db()
+        results = [db.sql(GROUP_SQL) for _ in range(5)]
+        assert [r.memo_decision for r in results] == ["miss"] + ["hit"] * 4
+        assert all(r.plan_node is results[0].plan_node for r in results)
+        # the Filter's and the Project's kernels, built once
+        assert built["kernels"] == 2
+
+    def test_growth_past_the_threshold_replans(self):
+        db = build_growth_db(10)
+        add_a_source(db, 42000)
+        first = db.sql(GROWTH_SQL)
+        assert db.sql(GROWTH_SQL).memo_decision == "hit"
+        grow_a(db, 42000)
+        # a grew from 10 to 42,010 rows, far past 500 + 20 %: the plan
+        # planned for 10 rows of a is stale, whatever the statistics say
+        after = db.sql(GROWTH_SQL)
+        assert after.memo_decision == "miss"
+        fresh = build_growth_db(10)
+        add_a_source(fresh, 42000)
+        grow_a(fresh, 42000)
+        expected = fresh.sql(GROWTH_SQL)
+        assert after.plan == expected.plan
+        assert plan_structure(after.plan_node) != plan_structure(
+            first.plan_node
+        )
+        assert after.columns["n"].tobytes() == expected.columns["n"].tobytes()
+
+    def test_a_write_below_the_threshold_keeps_the_plan(self):
+        db, twin = build_growth_db(10), build_growth_db(10)
+        for d in (db, twin):
+            add_a_source(d, 600)
+        first = db.sql(GROWTH_SQL)
+        for d in (db, twin):
+            grow_a(d, 490)  # 10 -> 500 rows: within 500 + 20 % of 10
+        after = db.sql(GROWTH_SQL)
+        assert after.memo_decision == "hit"
+        assert after.plan_node is first.plan_node
+        assert after.scalar() == twin.sql(GROWTH_SQL).scalar()
+        grow_a(db, 20)  # 520 rows: 510 more than planned for, past it
+        assert db.sql(GROWTH_SQL).memo_decision == "miss"
+
+    def test_threads_share_one_database_plans(self):
+        """CasJobs' default thread pool: worker threads run the
+        memoized plans of one default-config database at once."""
+        db = build_db()
+        shapes = (GROUP_SQL, PROJECT_SQL, BAND_SQL)
+        serial = {
+            sql: {name: column.tobytes()
+                  for name, column in db.sql(sql).columns.items()}
+            for sql in shapes
+        }
+        stats = db.memo.stats
+        before = stats.hits + stats.misses
+        workers, rounds = 4, 50
+        barrier = threading.Barrier(workers)
+        answers: list = []
+        errors: list = []
+
+        def worker(index: int):
+            try:
+                barrier.wait(timeout=30)
+                for i in range(rounds):
+                    sql = shapes[(index + i) % len(shapes)]
+                    result = db.sql(sql)
+                    answers.append((sql, {
+                        name: column.tobytes()
+                        for name, column in result.columns.items()
+                    }))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(answers) == workers * rounds
+        for sql, answer in answers:
+            assert answer == serial[sql], sql
+        # every SELECT looked its plan up exactly once
+        assert stats.hits + stats.misses - before == workers * rounds

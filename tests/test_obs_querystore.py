@@ -173,7 +173,11 @@ class TestSqlIntegration:
         assert query.executions == 2
         (plan,) = db.query_store.plans(fp)
         assert plan.executions == 2
-        assert plan.decision == "cost"
+        # the plan came from the planner on a memo miss; the second
+        # execution was a memo hit on it
+        assert plan.decision == "miss"
+        assert sum(s.memo_hits for s in db.query_store.runtime_stats()
+                   if s.fingerprint == fp) == 1
         assert plan.plan_signature == db.config.plan_signature()
         assert plan.plan_text  # EXPLAIN text captured
 
@@ -245,7 +249,7 @@ class TestSystemViews:
             f"is_forced FROM {VIEW_PLANS}"
         )
         prow = next(r for r in plans.rows() if r["fingerprint"] == fp)
-        assert prow["decision"] == "cost"
+        assert prow["decision"] == "miss"
         assert not prow["is_forced"]
 
         runtime = db.sql(
@@ -276,6 +280,25 @@ class TestSystemViews:
         db.sql(JOIN_SQL)
         assert executions() == 2
 
+    @pytest.mark.parametrize("feedback", [False, True],
+                             ids=["plain", "feedback"])
+    def test_a_repeated_view_read_sees_the_store_as_it_is_now(
+        self, feedback
+    ):
+        # the plan memo looks the view read up before it resolves any
+        # table: it must bring the view up to date first, or a memo hit
+        # reads the view as it was when the plan was made
+        db = make_db(feedback=feedback)
+        view_sql = f"SELECT fingerprint, executions FROM {VIEW_QUERIES}"
+        seen = []
+        for _ in range(3):
+            db.sql(JOIN_SQL)
+            result = db.sql(view_sql)
+            fp = db.statement_key(JOIN_SQL)
+            seen.append(next(r["executions"] for r in result.rows()
+                             if r["fingerprint"] == fp))
+        assert seen == [1, 2, 3]
+
     def test_views_join_against_store_facts(self):
         db = make_db()
         db.sql(JOIN_SQL)
@@ -286,7 +309,7 @@ class TestSystemViews:
             f"ON q.current_plan_id = p.plan_id"
         )
         fp = db.statement_key(JOIN_SQL)
-        assert any(r["fp"] == fp and r["decision"] == "cost"
+        assert any(r["fp"] == fp and r["decision"] == "miss"
                    for r in result.rows())
 
     def test_dml_on_system_views_rejected(self):

@@ -122,12 +122,15 @@ class TestEngineWiring:
         log.set_threshold(0.0)
         try:
             db.sql("SELECT COUNT(*) AS n FROM t WHERE a > 10")
+            db.sql("SELECT COUNT(*) AS n FROM t WHERE a > 10")
         finally:
             log.set_threshold(old_threshold)
-        latest = log.entries()[-1]
-        assert latest.fingerprint is not None
-        assert latest.plan_signature == db.config.plan_signature()
-        assert latest.decision == "cost"
+        planned, reused = log.entries()[-2:]
+        assert planned.fingerprint == reused.fingerprint is not None
+        assert reused.plan_signature == db.config.plan_signature()
+        # the second execution reused the plan the first one memoized
+        assert (planned.memo, planned.decision) == ("miss", "miss")
+        assert (reused.memo, reused.decision) == ("hit", "miss")
         log.clear()
 
     def test_explain_analyze_logs_q_error(self):
